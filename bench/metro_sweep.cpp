@@ -3,8 +3,8 @@
 // with exp::MetroTelemetryGen, and runs the same million-task decision
 // stream through two arms —
 //
-//   flat     core::ConcurrentNetworkMap (snapshot mode): every decision is
-//            a metro-wide rank over one flat map.
+//   flat     core::ShardedNetworkMap with every node in one region: every
+//            decision is a metro-wide rank over one flat map.
 //   sharded  core::ShardedNetworkMap: region shards + summary graph,
 //            decisions via MetroView::pick (two-level with region
 //            pruning), snapshot rebuilds parallelized over regions.
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "intsched/core/concurrent_map.hpp"
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/edge/workload.hpp"
 #include "intsched/exp/metro.hpp"
@@ -38,7 +37,6 @@
 
 namespace {
 
-using intsched::core::ConcurrentNetworkMap;
 using intsched::core::PickStats;
 using intsched::core::RankingMetric;
 using intsched::core::RegionAssignment;
@@ -250,7 +248,10 @@ int main(int argc, char** argv) {
   std::vector<ArmResult> arms;
 
   {
-    ConcurrentNetworkMap flat{{}, {}, intsched::core::ConcurrencyMode::kSnapshot};
+    ShardedNetworkMap flat{RegionAssignment{
+        std::vector<intsched::core::RegionId>(topo.nodes.size(),
+                                              intsched::core::RegionId{0}),
+        intsched::core::RegionId{1}}};
     arms.push_back(run_arm(
         "flat", opts, batches, hosts,
         [&](const std::vector<intsched::telemetry::ProbeReport>& b,

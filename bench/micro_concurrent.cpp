@@ -1,9 +1,10 @@
 // Multi-threaded QPS benchmark for the scheduler read path: N query
-// threads ranking against ONE shared ConcurrentNetworkMap while a live
-// ingest thread keeps publishing fresh telemetry — the contended shape the
-// snapshot redesign exists for. Each BM_RankQps* variant runs with
-// google-benchmark's --threads = {2, 3, 5, 9}, i.e. 1/2/4/8 query threads
-// plus thread 0 acting as the ingester. Reported metrics:
+// threads ranking against ONE shared flat (one-region) ShardedNetworkMap
+// while a live ingest thread keeps publishing fresh telemetry — the
+// contended shape the published-view design exists for. Each BM_RankQps*
+// variant runs with google-benchmark's --threads = {2, 3, 5, 9}, i.e.
+// 1/2/4/8 query threads plus thread 0 acting as the ingester. Reported
+// metrics:
 //   items_per_second — ranks/sec across all query threads (the QPS axis;
 //                      only query threads call SetItemsProcessed)
 //   rank_p50_ns / rank_p99_ns / rank_p999_ns
@@ -11,15 +12,13 @@
 //                      shared log-linear histogram (benchtool::
 //                      LatencyHistogram, ~12.5% resolution, bounded
 //                      memory — the same helper qps_serve reports with)
-// Run both modes to A/B the lock-free snapshot path against the
-// single-mutex facade; the acceptance bar is QPS scaling of the snapshot
-// mode at 4 query threads vs the facade (meaningless on a 1-core box —
-// compare on real hardware / CI runners).
+// QPS scaling with reader threads is meaningless on a 1-core box —
+// compare on real hardware / CI runners.
 //
 // The shared map + tick counter are the benchmark's point, not an
 // accident:
 // intsched-lint: allow-file(thread-share): query threads must contend on
-//   one ConcurrentNetworkMap to measure the read path under load
+//   one ShardedNetworkMap to measure the read path under load
 
 #include <benchmark/benchmark.h>
 
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "intsched/core/concurrent_map.hpp"
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/exp/metro.hpp"
 
@@ -68,15 +66,17 @@ std::vector<core::NodeId> candidate_servers() {
 }
 
 /// One shared map per benchmark variant, seeded with every candidate so
-/// query threads rank a live topology from the first iteration. Leaked on
-/// purpose (function-local static pointer): benchmark shared state must
-/// outlive google-benchmark's worker threads in every exit path.
+/// query threads rank a live topology from the first iteration. The flat
+/// deployment: the origin, servers and switches (ids 0..14) all in region
+/// 0. Leaked on purpose (function-local static pointer): benchmark shared
+/// state must outlive google-benchmark's worker threads in every exit
+/// path.
 struct SharedState {
-  core::ConcurrentNetworkMap map;
+  core::ShardedNetworkMap map{core::RegionAssignment{
+      std::vector<core::RegionId>(16, core::RegionId{0}), core::RegionId{1}}};
   std::atomic<std::int64_t> tick{0};
 
-  explicit SharedState(core::ConcurrencyMode mode)
-      : map{{}, {}, mode} {
+  SharedState() {
     std::vector<telemetry::ProbeReport> seed;
     for (core::NodeId s = core::NodeId{1}; s.value() <= kServers; ++s) seed.push_back(probe(s, 4));
     map.ingest_batch(seed, at_ms(tick.fetch_add(1, std::memory_order_relaxed)));
@@ -88,7 +88,7 @@ using benchtool::LatencyHistogram;
 /// Thread 0 ingests (one report per iteration, cycling servers); every
 /// other thread ranks and times each call. ranks/sec comes out as
 /// items_per_second because only query threads report items.
-void run_rank_qps(benchmark::State& state, core::ConcurrentNetworkMap& map,
+void run_rank_qps(benchmark::State& state, core::ShardedNetworkMap& map,
                   std::atomic<std::int64_t>& tick) {
   const std::vector<core::NodeId> candidates = candidate_servers();
   if (state.thread_index() == 0) {
@@ -123,8 +123,7 @@ void run_rank_qps(benchmark::State& state, core::ConcurrentNetworkMap& map,
 }
 
 void BM_RankQpsSnapshot(benchmark::State& state) {
-  static SharedState* shared =
-      new SharedState{core::ConcurrencyMode::kSnapshot};
+  static SharedState* shared = new SharedState;
   run_rank_qps(state, shared->map, shared->tick);
 }
 BENCHMARK(BM_RankQpsSnapshot)
@@ -134,23 +133,10 @@ BENCHMARK(BM_RankQpsSnapshot)
     ->Threads(9)
     ->UseRealTime();
 
-void BM_RankQpsLockedFacade(benchmark::State& state) {
-  static SharedState* shared =
-      new SharedState{core::ConcurrencyMode::kLockedFacade};
-  run_rank_qps(state, shared->map, shared->tick);
-}
-BENCHMARK(BM_RankQpsLockedFacade)
-    ->Threads(2)
-    ->Threads(3)
-    ->Threads(5)
-    ->Threads(9)
-    ->UseRealTime();
-
-/// Cost of ONE ingest on the snapshot path (map mutation + a full
-/// snapshot rebuild + publish) — the price rank() no longer pays.
+/// Cost of ONE ingest (map mutation + a region snapshot rebuild + view
+/// publish) — the price rank() no longer pays.
 void BM_SnapshotIngestPublish(benchmark::State& state) {
-  static SharedState* shared =
-      new SharedState{core::ConcurrencyMode::kSnapshot};
+  static SharedState* shared = new SharedState;
   for (auto _ : state) {
     const std::int64_t t =
         shared->tick.fetch_add(1, std::memory_order_relaxed);
@@ -162,8 +148,7 @@ BENCHMARK(BM_SnapshotIngestPublish);
 
 /// A 32-probe burst fed one report at a time: 32 publishes.
 void BM_SnapshotBurst32Sequential(benchmark::State& state) {
-  static SharedState* shared =
-      new SharedState{core::ConcurrencyMode::kSnapshot};
+  static SharedState* shared = new SharedState;
   for (auto _ : state) {
     const std::int64_t t =
         shared->tick.fetch_add(1, std::memory_order_relaxed);
@@ -178,8 +163,7 @@ BENCHMARK(BM_SnapshotBurst32Sequential);
 /// The same burst through ingest_batch: one publish. The gap between this
 /// and Burst32Sequential is what ReportBatcher buys the collector path.
 void BM_SnapshotBurst32Batched(benchmark::State& state) {
-  static SharedState* shared =
-      new SharedState{core::ConcurrencyMode::kSnapshot};
+  static SharedState* shared = new SharedState;
   std::vector<telemetry::ProbeReport> burst;
   for (auto _ : state) {
     const std::int64_t t =
@@ -200,9 +184,8 @@ BENCHMARK(BM_SnapshotBurst32Batched);
 // thread 0 keeps publishing 32-link refresh batches into a sharded metro
 // map (each publish swaps the MetroView and invalidates the per-origin
 // plane cache) while query threads rank the full edge-server set through
-// rank_topk_into. The Legacy variant runs the identical loop with
-// compile_rank_plane off, so the pair A/Bs the plane gather + top-k
-// kernel end-to-end, including recompile amortisation after each swap.
+// rank_topk_into — the plane gather + top-k kernel end-to-end, including
+// recompile amortisation after each swap.
 struct MetroQpsState {
   net::GenTopology topo;
   std::unique_ptr<core::ShardedNetworkMap> map;
@@ -211,15 +194,13 @@ struct MetroQpsState {
   std::vector<core::NodeId> origins;
   std::atomic<std::int64_t> tick{1};
 
-  explicit MetroQpsState(bool compile_plane) {
+  MetroQpsState() {
     net::MetroConfig cfg;
     cfg.seed = 42;
     cfg.pods = 4;
     topo = net::TopologyGen::ring_of_pods(cfg);
-    core::ShardedMapConfig map_cfg;
-    map_cfg.ranker.compile_rank_plane = compile_plane;
     map = std::make_unique<core::ShardedNetworkMap>(
-        core::RegionAssignment::from_topology(topo), map_cfg);
+        core::RegionAssignment::from_topology(topo));
     exp::MetroTelemetryGen gen{topo, exp::MetroTelemetryConfig{.seed = 42}};
     map->ingest_batch(gen.full_sweep(), at_ms(0));
     for (int i = 0; i < 64; ++i) batches.push_back(gen.refresh(32));
@@ -271,16 +252,10 @@ void run_metro_rank_qps(benchmark::State& state, MetroQpsState& shared) {
 }
 
 void BM_MetroRankQpsPlane(benchmark::State& state) {
-  static MetroQpsState* shared = new MetroQpsState{true};
+  static MetroQpsState* shared = new MetroQpsState;
   run_metro_rank_qps(state, *shared);
 }
 BENCHMARK(BM_MetroRankQpsPlane)->Threads(2)->Threads(3)->UseRealTime();
-
-void BM_MetroRankQpsPlaneLegacy(benchmark::State& state) {
-  static MetroQpsState* shared = new MetroQpsState{false};
-  run_metro_rank_qps(state, *shared);
-}
-BENCHMARK(BM_MetroRankQpsPlaneLegacy)->Threads(2)->Threads(3)->UseRealTime();
 
 }  // namespace
 

@@ -223,18 +223,17 @@ void BM_RankSevenCandidates(benchmark::State& state) {
 }
 BENCHMARK(BM_RankSevenCandidates);
 
-// -- rank_plane: compiled plane kernels vs the uncompiled reference -------
+// -- rank_plane: compiled plane kernels ------------------------------------
 //
-// One warmed metro (8 pods, smoke scale) published by two sharded maps
-// that differ only in RankerConfig::compile_rank_plane; every benchmark
-// below cycles origins over the hosts so the per-origin memo is warm and
-// the number measured is steady-state per-query cost, not the fill.
-// Leaked on purpose (function-local static pointer): shared bench state
-// must outlive google-benchmark's teardown in every exit path.
+// One warmed metro (8 pods, smoke scale) published by a sharded map;
+// every benchmark below cycles origins over the hosts so the per-origin
+// memo is warm and the number measured is steady-state per-query cost,
+// not the fill. Leaked on purpose (function-local static pointer): shared
+// bench state must outlive google-benchmark's teardown in every exit
+// path.
 struct MetroRankState {
   net::GenTopology topo;
   std::unique_ptr<core::ShardedNetworkMap> compiled;
-  std::unique_ptr<core::ShardedNetworkMap> legacy;
   std::vector<core::NodeId> servers;
   std::vector<core::NodeId> origins;
   sim::SimTime now = sim::SimTime::seconds(1);
@@ -244,17 +243,10 @@ struct MetroRankState {
     cfg.seed = 42;
     cfg.pods = 8;
     topo = net::TopologyGen::ring_of_pods(cfg);
-    const core::RegionAssignment regions =
-        core::RegionAssignment::from_topology(topo);
-    core::ShardedMapConfig on;
-    core::ShardedMapConfig off;
-    off.ranker.compile_rank_plane = false;
-    compiled = std::make_unique<core::ShardedNetworkMap>(regions, on);
-    legacy = std::make_unique<core::ShardedNetworkMap>(regions, off);
+    compiled = std::make_unique<core::ShardedNetworkMap>(
+        core::RegionAssignment::from_topology(topo));
     exp::MetroTelemetryGen gen{topo, exp::MetroTelemetryConfig{.seed = 42}};
-    const auto sweep = gen.full_sweep();
-    compiled->ingest_batch(sweep, now);
-    legacy->ingest_batch(sweep, now);
+    compiled->ingest_batch(gen.full_sweep(), now);
     servers = topo.edge_servers();
     origins = topo.hosts();
   }
@@ -290,13 +282,6 @@ void BM_RankPlaneMetroFull(benchmark::State& state) {
 }
 BENCHMARK(BM_RankPlaneMetroFull);
 
-/// Same query through the uncompiled reference path (the A/B baseline).
-void BM_RankPlaneMetroFullLegacy(benchmark::State& state) {
-  run_metro_rank(state, *metro_rank_state().legacy,
-                 metro_rank_state().servers.size());
-}
-BENCHMARK(BM_RankPlaneMetroFullLegacy);
-
 /// Top-8 partial selection from the compiled plane — the serve-frontend
 /// multi-result shape (max_results << candidate count).
 void BM_RankPlaneMetroTop8(benchmark::State& state) {
@@ -324,12 +309,6 @@ void BM_PickPlaneMetro(benchmark::State& state) {
   run_metro_pick(state, *metro_rank_state().compiled);
 }
 BENCHMARK(BM_PickPlaneMetro);
-
-/// Same pick through the uncompiled per-group sort.
-void BM_PickPlaneMetroLegacy(benchmark::State& state) {
-  run_metro_pick(state, *metro_rank_state().legacy);
-}
-BENCHMARK(BM_PickPlaneMetroLegacy);
 
 /// End-to-end simulated TCP throughput: wall time per simulated megabyte.
 void BM_TcpTransferPerMB(benchmark::State& state) {

@@ -73,8 +73,6 @@ struct QpsOptions {
   std::int32_t candidates = 0;
   std::int32_t max_results = 1;
   bool ingest = false;
-  /// Disable the compiled rank planes (A/B the legacy scoring path).
-  bool no_plane = false;
   /// Rebuild-executor width for snapshot publishes (0 = auto).
   int jobs = 0;
   std::string json_path;
@@ -87,7 +85,6 @@ QpsOptions parse_qps_options(int argc, char** argv) {
     if (arg == "--full") opts.full = true;
     if (arg == "--find-max") opts.find_max = true;
     if (arg == "--ingest") opts.ingest = true;
-    if (arg == "--no-plane") opts.no_plane = true;
     if (arg.rfind("--seed=", 0) == 0) opts.seed = std::stoull(arg.substr(7));
     if (arg.rfind("--pods=", 0) == 0) opts.pods = std::stoi(arg.substr(7));
     if (arg.rfind("--threads=", 0) == 0) {
@@ -415,7 +412,6 @@ int main(int argc, char** argv) {
                                    exp::MetroTelemetryConfig{.seed = opts.seed}};
   core::ShardedMapConfig map_cfg;
   map_cfg.rebuild_executor = exp::make_parallel_for(opts.jobs);
-  map_cfg.ranker.compile_rank_plane = !opts.no_plane;
   core::ShardedNetworkMap map{core::RegionAssignment::from_topology(topo),
                               map_cfg};
   map.ingest_batch(telemetry.full_sweep(), at_ms(1000));
@@ -507,8 +503,6 @@ int main(int argc, char** argv) {
     json << "  \"seconds\": " << opts.seconds << ",\n";
     json << "  \"seed\": " << opts.seed << ",\n";
     json << "  \"ingest\": " << (opts.ingest ? "true" : "false") << ",\n";
-    json << "  \"rank_plane\": " << (opts.no_plane ? "false" : "true")
-         << ",\n";
     json << "  \"slo_p99_us\": " << opts.slo_p99_us << ",\n";
     json << "  \"ceiling_qps\": " << ceiling.achieved_qps << ",\n";
     write_trial_json(json, "ceiling", ceiling, false);

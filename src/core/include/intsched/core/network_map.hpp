@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -75,8 +74,8 @@ struct NetworkMapConfig {
 ///
 /// Threading: thread-confined, no internal locking — ingest mutates every
 /// table. When probe ingest and ranking queries run on different threads
-/// (the deployment shape), wrap it in core::ConcurrentNetworkMap instead
-/// of sharing it directly (DESIGN.md Concurrency model).
+/// (the deployment shape), use core::ShardedNetworkMap instead of sharing
+/// it directly — one region for a flat map (DESIGN.md Concurrency model).
 class NetworkMap {
  public:
   /// One device/port/statistic telemetry series. Public only as an
@@ -185,15 +184,6 @@ class NetworkMap {
   [[nodiscard]] std::int64_t link_max_queue(core::NodeId from, core::NodeId to,
                                             sim::SimTime now) const;
 
-  /// Window max of the (device, egress port) queue series when the series
-  /// exists and its newest sample is still inside the freshness window;
-  /// nullopt otherwise. This is link_max_queue's port-level branch,
-  /// exposed so the two-level metro read path can consult the owning
-  /// shard for port telemetry while taking the port number from the
-  /// summary map.
-  [[nodiscard]] std::optional<std::int64_t> fresh_port_max_queue(
-      core::NodeId device, std::int32_t port, sim::SimTime now) const;
-
   /// Freshest mean occupancy (packets) reported for the device within the
   /// window — the alternative statistic the paper found inconclusive.
   [[nodiscard]] double device_avg_queue(core::NodeId device,
@@ -238,22 +228,9 @@ class NetworkMap {
     return it == link_delay_.end() ? nullptr : &it->second;
   }
 
-  /// Map-resolution hooks for the plane compiler. On a flat map every
-  /// device and link is answered locally; MetroView's hierarchical
-  /// adapter shadows these to route to the owning region shard (or the
-  /// summary map) exactly the way its live query methods do, so a plane
-  /// compiled through either adapter captures the same series the
-  /// uncompiled path would consult.
-  [[nodiscard]] const NetworkMap& plane_device_map(core::NodeId /*d*/) const {
-    return *this;
-  }
-  [[nodiscard]] const NetworkMap& plane_link_stale_map(
-      core::NodeId /*from*/, core::NodeId /*to*/) const {
-    return *this;
-  }
-  /// The port series link_max_queue's port branch would read for
-  /// from->to, or null when no egress port was ever learned (the branch
-  /// that falls through to the device register).
+  /// The port series link_max_queue's port branch reads for from->to, or
+  /// null when no egress port was ever learned (the branch that falls
+  /// through to the device register).
   [[nodiscard]] const QueueSeries* plane_link_port_series(
       core::NodeId from, core::NodeId to) const {
     const std::int32_t p = egress_port(from, to);

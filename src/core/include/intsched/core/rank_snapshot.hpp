@@ -1,11 +1,10 @@
 #pragma once
 
-// RCU-style immutable ranking snapshot: the lock-free read path of
-// core::ConcurrentNetworkMap (DESIGN.md §10). An ingest (or ingest batch)
-// builds one RankSnapshot under the writer lock and publishes it with an
-// atomic shared_ptr store; rank() callers load the current snapshot and
-// compute entirely over frozen state, so queries never contend with ingest
-// or with each other.
+// RCU-style immutable region snapshot: the frozen per-region state a
+// published core::MetroView is assembled from (DESIGN.md §10-§11). A
+// publish builds one RankSnapshot per dirty region under the writer lock;
+// readers hold it through the view's shared_ptr and compute entirely over
+// frozen state, so queries never contend with ingest or with each other.
 //
 // This header is one of the sanctioned concurrent components (alongside
 // thread_annot.hpp and exp::SweepRunner), hence the file-wide suppression:
@@ -16,27 +15,23 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
-#include "intsched/core/contracts.hpp"
 #include "intsched/core/network_map.hpp"
-#include "intsched/core/ranking.hpp"
+#include "intsched/net/routing.hpp"
 
 namespace intsched::core {
 
-/// Epoch-stamped immutable snapshot of everything rank() consumes: a deep
-/// copy of the NetworkMap (delay estimates, queue windows, staleness
-/// stamps), the RankerConfig it was published under, the materialized
-/// delay graph, and a per-origin shortest-path memo.
+/// Epoch-stamped immutable snapshot of one region: a deep copy of the
+/// region's NetworkMap (delay estimates, queue windows, staleness stamps),
+/// the materialized delay graph, and a per-origin shortest-path memo.
 ///
 /// Thread-safety model — readable from any number of threads with zero
 /// locks:
 ///  - The map copy and graph are frozen at construction and only ever
-///    read (NetworkMap's const queries are genuinely read-only; the
-///    Ranker's mutable cache is the reason the *locked* facade cannot
-///    share const calls, and that cache does not exist here).
+///    read (NetworkMap's const queries are genuinely read-only).
 ///  - The shortest-path memo fills lazily, guarded per origin by a
 ///    std::once_flag: the first query from an origin runs Dijkstra inside
 ///    call_once, every later query is a single synchronization-free read
@@ -45,45 +40,35 @@ namespace intsched::core {
 ///    once-only guard pays synchronization only on the first fill.
 ///  - The slot *set* is fixed at construction (one slot per node known to
 ///    the graph), so no reader ever mutates the map structure itself.
-///
-/// Determinism: rank() must return byte-identical ServerRank vectors to
-/// Ranker::rank() on the source map at the same epoch — both run the same
-/// rank_candidates() over the same delay graph and Dijkstra results
-/// (verified by tests/core/test_rank_snapshot.cpp).
 class RankSnapshot {
  public:
   /// Deep-copies `map` (the caller holds whatever lock makes that read
   /// safe) and stamps the snapshot with the map's current ingest epoch.
-  RankSnapshot(const NetworkMap& map, RankerConfig config);
+  explicit RankSnapshot(const NetworkMap& map);
 
   RankSnapshot(const RankSnapshot&) = delete;
   RankSnapshot& operator=(const RankSnapshot&) = delete;
 
-  /// Pure ranking over the frozen state: no locks, no shared mutation
-  /// beyond the once-only memo fill. Identical semantics to Ranker::rank.
-  [[nodiscard]] INTSCHED_HOTPATH std::vector<ServerRank> rank(
-      core::NodeId origin, const std::vector<core::NodeId>& candidates,
-      RankingMetric metric, sim::SimTime now) const;
-
-  /// Ingest epoch (NetworkMap::ingest_epoch) the snapshot was built
-  /// at. The freshness contract: a rank() issued after ingest() of report
-  /// N returns observes a snapshot with epoch() >= N.
+  /// Ingest epoch (NetworkMap::ingest_epoch) the snapshot was built at.
   [[nodiscard]] Epoch epoch() const { return epoch_; }
 
   [[nodiscard]] const NetworkMap& map() const { return map_; }
-  [[nodiscard]] const RankerConfig& config() const { return cfg_; }
 
-  /// The frozen delay graph rank() runs Dijkstra over. The metro view
+  /// The frozen delay graph the memo runs Dijkstra over. The metro view
   /// (core::MetroView) augments a copy of its region snapshots' graphs, so
   /// it needs read access to the materialized edges.
   [[nodiscard]] const net::Graph& delay_graph() const { return graph_; }
 
+  /// Nodes known to the frozen graph, ascending: the origins paths_from
+  /// answers for.
+  [[nodiscard]] const std::vector<core::NodeId>& nodes() const {
+    return sp_nodes_;
+  }
+
   /// Memoized shortest paths from `origin` over the frozen graph, filling
   /// the slot on first use; nullptr when the origin is unknown to the
-  /// graph. Same lock-free once-only contract as rank().
-  [[nodiscard]] const net::ShortestPaths* paths_from(core::NodeId origin) const {
-    return memoized_paths(origin);
-  }
+  /// graph. Lock-free after the once-only fill.
+  [[nodiscard]] const net::ShortestPaths* paths_from(core::NodeId origin) const;
 
   /// Origins whose Dijkstra memo has been filled (observability for tests
   /// and benches; relaxed counter, exact only after threads quiesce).
@@ -93,37 +78,23 @@ class RankSnapshot {
 
  private:
   /// One lazily-filled per-origin Dijkstra result. The members are
-  /// mutable because filling happens inside const rank() — call_once
-  /// provides the happens-before edge that makes the fill visible to
-  /// every subsequent reader.
+  /// mutable because filling happens inside const paths_from() —
+  /// call_once provides the happens-before edge that makes the fill
+  /// visible to every subsequent reader.
   struct SpSlot {
     mutable std::once_flag once;
     mutable net::ShortestPaths sp;
-    /// Compiled rank plane over every node known to the graph (DESIGN.md
-    /// §15), built inside the same once-only fill as `sp` when
-    /// RankerConfig::compile_rank_plane is set; disabled otherwise.
-    mutable RankPlane plane;
   };
 
-  /// Memoized slot for a known origin — shortest paths plus the compiled
-  /// rank plane (nullptr when the origin is absent from the graph;
-  /// callers fall back to a local run).
-  [[nodiscard]] const SpSlot* memoized_slot(core::NodeId origin) const;
-
-  /// Memoized shortest paths for a known origin (nullptr when the origin
-  /// is absent from the graph — callers fall back to a local run).
-  [[nodiscard]] const net::ShortestPaths* memoized_paths(
-      core::NodeId origin) const {
-    const SpSlot* slot = memoized_slot(origin);
-    return slot == nullptr ? nullptr : &slot->sp;
-  }
-
-  NetworkMap map_;    ///< frozen deep copy; only const queries touch it
-  RankerConfig cfg_;  ///< config the snapshot was published under
+  NetworkMap map_;  ///< frozen deep copy; only const queries touch it
   Epoch epoch_ = Epoch::none();
   net::Graph graph_;  ///< delay graph materialized once at construction
-  /// Slot per known node; ordered map for deterministic construction.
-  std::map<core::NodeId, SpSlot> sp_slots_;
+  /// Nodes known to the graph, ascending; sp_slots_[i] memoizes
+  /// sp_nodes_[i]. One contiguous slot array, allocated once per
+  /// snapshot, rather than a tree node per slot: snapshots are rebuilt on
+  /// every publish that touches their region.
+  std::vector<core::NodeId> sp_nodes_;
+  std::unique_ptr<SpSlot[]> sp_slots_;
   mutable std::atomic<std::int64_t> memo_fills_{0};
 };
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -95,11 +94,6 @@ struct RankerConfig {
   sim::SimDuration k_factor = sim::SimDuration::millis(20);
   QueueStatistic queue_statistic = QueueStatistic::kMaximum;
   QueueToUtilization queue_to_utilization{};
-  /// Compile published snapshots' per-origin path memos into RankPlanes
-  /// (flat CSR arenas scored by the fused kernel — DESIGN.md §15). Off
-  /// switches every query to the uncompiled reference path; the plane /
-  /// legacy equivalence property suite runs both and byte-compares.
-  bool compile_rank_plane = true;
 };
 
 /// One calibration observation: a queue occupancy and the end-to-end
@@ -117,161 +111,31 @@ struct KCalibrationSample {
 [[nodiscard]] sim::SimDuration estimate_k_factor(
     const std::vector<KCalibrationSample>& samples);
 
-// -- pure ranking core (no hidden state) ------------------------------------
+// -- reference ranking (no hidden state) -----------------------------------
 //
-// Every input is explicit: the map, the config, and (for ranking) a
-// precomputed shortest-path result. Ranker (which layers its mutable
-// epoch cache on top), RankSnapshot (the lock-free read path), and
-// MetroView (the two-level metro read path) all call these, so every
-// path produces identical ServerRank vectors by construction rather than
-// by parallel maintenance.
-//
-// The estimators are templates over a map-like type so the two-level
-// path can substitute a hierarchical lookup (region shard + summary map,
-// see sharded_map.hpp) while running the *same* arithmetic in the same
-// order — the flat-vs-sharded equivalence property tests depend on
-// bit-identical doubles, not just agreement in spirit. A MapLike
-// provides NetworkMap's query surface: link_delay, device_max_queue,
-// device_avg_queue, device_hop_latency, link_max_queue, path_stale, and
-// config().
+// Algorithm 1 written out directly over a NetworkMap: every input is
+// explicit (the map, the config, and a precomputed shortest-path
+// result). Ranker layers its epoch cache on top; the published views
+// (MetroView) score through the compiled rank planes below instead, and
+// the equivalence property tests hold the planes byte-identical to this
+// transcription.
 
 /// Algorithm 1 for a single path: sum of link-delay estimates plus
 /// k * maxQueue (per cfg.queue_statistic) for every intermediate device.
-template <typename MapLike>
 [[nodiscard]] sim::SimDuration estimate_path_delay(
-    const MapLike& map, const RankerConfig& cfg,
-    const std::vector<core::NodeId>& path, sim::SimTime now) {
-  assert(path.size() >= 2);
-  sim::SimDuration total_link_delay = sim::SimDuration::zero();
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    total_link_delay += map.link_delay(path[i], path[i + 1]);
-  }
-  // Hops are the intermediate devices (switches) on the path.
-  sim::SimDuration total_hop_delay = sim::SimDuration::zero();
-  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-    switch (cfg.queue_statistic) {
-      case QueueStatistic::kMaximum:
-        total_hop_delay += cfg.k_factor * map.device_max_queue(path[i], now);
-        break;
-      case QueueStatistic::kAverage:
-        total_hop_delay +=
-            sim::SimDuration::nanos(static_cast<std::int64_t>(
-                static_cast<double>(cfg.k_factor.ns()) *
-                map.device_avg_queue(path[i], now)));
-        break;
-      case QueueStatistic::kMeasuredHopLatency:
-        total_hop_delay += map.device_hop_latency(path[i], now);
-        break;
-    }
-  }
-  return total_link_delay + total_hop_delay;
-}
+    const NetworkMap& map, const RankerConfig& cfg,
+    const std::vector<core::NodeId>& path, sim::SimTime now);
 
 /// §III-D: min over links of capacity * (1 - utilization(maxQueue)).
-template <typename MapLike>
 [[nodiscard]] sim::DataRate estimate_path_bandwidth(
-    const MapLike& map, const RankerConfig& cfg,
-    const std::vector<core::NodeId>& path, sim::SimTime now) {
-  assert(path.size() >= 2);
-  // The nominal capacity is invariant across the loop — hoist the
-  // config chase out of the per-link body.
-  const double nominal = map.config().nominal_capacity.bps();
-  double min_bps = nominal;
-  // The first link is the origin host's own uplink; hosts are not
-  // pps-bound, so per-link availability is charged from the first switch
-  // onward (each directed link's headroom is its upstream device's egress).
-  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-    const std::int64_t q = map.link_max_queue(path[i], path[i + 1], now);
-    const double util = cfg.queue_to_utilization.utilization(q);
-    const double avail = nominal * (1.0 - util);
-    min_bps = std::min(min_bps, avail);
-  }
-  return sim::DataRate::bits_per_second(min_bps);
-}
-
-/// One candidate with its already-resolved path: what rank_paths scores.
-/// An empty path (or any with fewer than two nodes) means unreachable.
-struct CandidatePath {
-  core::NodeId server = core::kInvalidNode;
-  std::vector<core::NodeId> path{};
-  /// Pure link-delay distance of `path` (the Dijkstra distance).
-  sim::SimDuration baseline_delay = sim::SimDuration::max();
-};
-
-/// Scores and sorts pre-resolved candidate paths into `out` (cleared
-/// first), best first (ascending delay / descending bandwidth, server id
-/// as the deterministic tie-break). Unreachable candidates rank last.
-/// This is the single scoring + ordering implementation behind every
-/// ranking entry point; the pointer+count surface (rather than a vector)
-/// lets the serving path score a reused scratch prefix, and `out`
-/// retains its capacity across calls so a warmed-up caller allocates
-/// nothing (DESIGN.md §13).
-template <typename MapLike>
-INTSCHED_HOTPATH void rank_paths_into(const MapLike& map,
-                                      const RankerConfig& cfg,
-                                      const CandidatePath* candidates,
-                                      std::size_t count, RankingMetric metric,
-                                      sim::SimTime now,
-                                      std::vector<ServerRank>& out) {
-  // Fill by index into out's own storage: clear + resize reuses the
-  // retained capacity (value-initialized entries, so defaulted fields
-  // need no per-entry reset), and the reserve makes the no-reallocation
-  // guarantee explicit for warmed-up callers — there is no ServerRank
-  // staging copy per candidate.
-  out.clear();
-  out.reserve(count);
-  out.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const CandidatePath& c = candidates[i];
-    ServerRank& r = out[i];
-    r.server = c.server;
-    if (c.path.size() < 2) {
-      r.delay_estimate = sim::SimDuration::max();
-      r.bandwidth_estimate = sim::DataRate::bits_per_second(0.0);
-      r.baseline_delay = sim::SimDuration::max();
-    } else {
-      r.delay_estimate = estimate_path_delay(map, cfg, c.path, now);
-      r.bandwidth_estimate = estimate_path_bandwidth(map, cfg, c.path, now);
-      r.baseline_delay = c.baseline_delay;
-      r.stale = map.path_stale(c.path, now);
-    }
-  }
-
-  const auto by_delay = [](const ServerRank& a, const ServerRank& b) {
-    if (a.delay_estimate != b.delay_estimate) {
-      return a.delay_estimate < b.delay_estimate;
-    }
-    return a.server < b.server;
-  };
-  const auto by_bandwidth = [](const ServerRank& a, const ServerRank& b) {
-    if (a.bandwidth_estimate != b.bandwidth_estimate) {
-      return a.bandwidth_estimate > b.bandwidth_estimate;
-    }
-    return a.server < b.server;
-  };
-  if (metric == RankingMetric::kDelay) {
-    std::sort(out.begin(), out.end(), by_delay);
-  } else {
-    std::sort(out.begin(), out.end(), by_bandwidth);
-  }
-}
-
-/// Vector-returning convenience over rank_paths_into (same contract).
-template <typename MapLike>
-[[nodiscard]] INTSCHED_COLDPATH std::vector<ServerRank> rank_paths(
-    const MapLike& map, const RankerConfig& cfg,
-    const std::vector<CandidatePath>& candidates, RankingMetric metric,
-    sim::SimTime now) {
-  std::vector<ServerRank> out;
-  out.reserve(candidates.size());
-  rank_paths_into(map, cfg, candidates.data(), candidates.size(), metric, now,
-                  out);
-  return out;
-}
+    const NetworkMap& map, const RankerConfig& cfg,
+    const std::vector<core::NodeId>& path, sim::SimTime now);
 
 /// Ranks `candidates` over precomputed shortest paths from the origin,
 /// best first (ascending delay / descending bandwidth, server id as the
-/// deterministic tie-break). Unreachable candidates rank last.
+/// deterministic tie-break). Unreachable candidates — no path, or a path
+/// of fewer than two nodes — rank last with delay = SimDuration::max() /
+/// bandwidth = 0.
 [[nodiscard]] INTSCHED_COLDPATH std::vector<ServerRank> rank_candidates(
     const NetworkMap& map, const RankerConfig& cfg,
     const net::ShortestPaths& sp, const std::vector<core::NodeId>& candidates,
@@ -290,7 +154,7 @@ template <typename MapLike>
 //
 // Determinism contract: for every (candidates, metric, statistic, now)
 // the kernels below produce ServerRank output byte-identical to
-// rank_paths_into over the paths the plane was compiled from. The
+// rank_candidates over the paths the plane was compiled from. The
 // argument, per field:
 //  * delay — the per-hop terms are int64 nanosecond values; summing the
 //    gathered per-device terms in span (= path) order runs the same
@@ -313,10 +177,11 @@ struct RankPlane {
     /// Sum of the path's link-delay estimates, frozen at build time (the
     /// delay graph never changes within a snapshot).
     sim::SimDuration static_delay = sim::SimDuration::zero();
-    /// Pure Dijkstra distance (CandidatePath::baseline_delay).
+    /// Pure link-delay distance of the compiled path (the Dijkstra
+    /// distance).
     sim::SimDuration baseline_delay = sim::SimDuration::max();
     /// False = unreachable (path had fewer than two nodes): ranked last
-    /// with delay = max / bandwidth = 0, exactly as rank_paths_into.
+    /// with delay = max / bandwidth = 0, exactly as rank_candidates.
     bool reachable = false;
     /// [begin, end) span into dev_ix: intermediate devices, path order.
     std::uint32_t dev_begin = 0;
@@ -329,11 +194,12 @@ struct RankPlane {
   };
 
   /// Resolved telemetry handle for one deduplicated device: the owning
-  /// map (flat map, or the device's region map under MetroView) plus the
-  /// series matching the compiling config's queue statistic, resolved
-  /// once so the per-query gather is pointer-direct — no region routing,
-  /// no hash find. Valid exactly as long as the frozen snapshot the
-  /// plane was compiled from (the plane and the maps share an owner).
+  /// map (the device's region map, or the summary map for region-less
+  /// nodes) plus the series matching the compiling config's queue
+  /// statistic, resolved once so the per-query gather is pointer-direct —
+  /// no region routing, no hash find. Valid exactly as long as the frozen
+  /// snapshot the plane was compiled from (the plane and the maps share
+  /// an owner).
   struct DevRef {
     const NetworkMap* map = nullptr;
     const NetworkMap::QueueSeries* series = nullptr;
@@ -357,11 +223,11 @@ struct RankPlane {
   std::vector<LinkKey> links;          ///< deduplicated directed links
   std::vector<DevRef> dev_refs;        ///< parallel to devices
   std::vector<LinkRef> link_refs;      ///< parallel to links
-  /// Dense node-index -> row lookup (kNoRow where absent).
+  /// Dense node-index -> row lookup (kNoRow where absent). Node ids are
+  /// dense topology indices (RegionAssignment indexes by them too), so
+  /// the table is as long as the largest compiled id. A default plane
+  /// has no rows: every candidate scores unreachable.
   std::vector<std::uint32_t> row_of;
-  /// False until sealed, or when the node-id space is too sparse for the
-  /// dense lookup; callers fall back to the uncompiled reference path.
-  bool enabled = false;
 
   [[nodiscard]] const Row* row_for(core::NodeId n) const {
     if (!n.valid() || n.index() >= row_of.size()) return nullptr;
@@ -376,13 +242,13 @@ struct RankPlane {
 class RankPlaneBuilder {
  public:
   /// `statistic` must be the queue statistic of the RankerConfig the
-  /// plane will be queried under (the snapshot's own config): device
+  /// plane will be queried under (the view's own config): device
   /// series are resolved for exactly that statistic at compile time.
   explicit RankPlaneBuilder(QueueStatistic statistic)
       : stat_{statistic} {}
 
-  /// Compiles one candidate path. `path` and `baseline` follow the
-  /// CandidatePath contract (fewer than two nodes = unreachable); static
+  /// Compiles one candidate path (fewer than two nodes = unreachable;
+  /// `baseline` is its pure link-delay distance); static
   /// link delays and the resolved telemetry handles are read from `map`,
   /// which must be the same frozen MapLike queries will run against.
   template <typename MapLike>
@@ -413,32 +279,26 @@ class RankPlaneBuilder {
     plane_.rows.push_back(row);
   }
 
-  /// Seals and returns the plane, leaving the builder reusable. The
-  /// plane stays disabled (enabled = false, callers fall back) when it
-  /// has no rows or the dense row lookup would be mostly holes — node
-  /// ids far sparser than 8x the row count plus slack.
+  /// Seals and returns the plane (dense row lookup built), leaving the
+  /// builder reusable.
   [[nodiscard]] INTSCHED_COLDPATH RankPlane finish() {
     RankPlane plane = std::move(plane_);
     plane_ = RankPlane{};
     dev_id_.clear();
     link_id_.clear();
-    std::size_t max_index = 0;
+    std::size_t table_size = 0;
     for (const RankPlane::Row& row : plane.rows) {
       if (row.server.valid()) {
-        max_index = std::max(max_index, row.server.index());
+        table_size = std::max(table_size, row.server.index() + 1);
       }
     }
-    if (plane.rows.empty() || max_index + 1 > 8 * plane.rows.size() + 1024) {
-      return plane;
-    }
-    plane.row_of.assign(max_index + 1, RankPlane::kNoRow);
+    plane.row_of.assign(table_size, RankPlane::kNoRow);
     for (std::size_t r = 0; r < plane.rows.size(); ++r) {
       const core::NodeId n = plane.rows[r].server;
       if (n.valid()) {
         plane.row_of[n.index()] = static_cast<std::uint32_t>(r);
       }
     }
-    plane.enabled = true;
     return plane;
   }
 
@@ -672,7 +532,7 @@ INTSCHED_HOTPATH inline void fill_rank(const RankerConfig& cfg,
 
 /// Fused plane ranking: scores `candidates` against the compiled plane
 /// and writes the best min(top_k, count) entries — sorted exactly as
-/// rank_paths_into sorts — into `out`. top_k = count gives the full
+/// rank_candidates sorts — into `out`. top_k = count gives the full
 /// ranking; smaller top_k uses a deterministic partial selection whose
 /// prefix is byte-identical to the full sort (the comparator's
 /// (key, server id) total order leaves no ties for an unstable algorithm
@@ -757,13 +617,22 @@ INTSCHED_HOTPATH void rank_plane_into(const MapLike& map,
   }
 }
 
+/// Running k=1 incumbent of pick_plane_argmin: the best (delay, server
+/// id) seen so far. `found` is tracked apart from the id because every
+/// id — kInvalidNode included — is a legal candidate that ranks somewhere.
+struct PlaneIncumbent {
+  bool found = false;
+  sim::SimDuration delay = sim::SimDuration::max();
+  core::NodeId server = core::kInvalidNode;
+};
+
 /// k=1 plane selection core for the delay metric: continues a running
-/// min over the (delay ns, server id) lexicographic key — `best_key` /
-/// `best_server` are read-modify-write, so a caller scanning several
-/// candidate groups under one gather epoch carries the incumbent across
-/// groups and every group after the first is scored against an already
-/// tight bound. The select order IS rank_paths_into's (delay, server id)
-/// comparator, so the final incumbent equals the full sort's front.
+/// min over the (delay, server id) lexicographic key — `best` is
+/// read-modify-write, so a caller scanning several candidate groups
+/// under one gather epoch carries the incumbent across groups and every
+/// group after the first is scored against an already tight bound. The
+/// select order IS rank_candidates' (delay, server id) comparator, ids in
+/// NodeId order, so the final incumbent equals the full sort's front.
 ///
 /// Bound short-circuit: a row's delay key is its static prefix plus
 /// non-negative queue terms, so a static prefix already above the
@@ -774,51 +643,20 @@ INTSCHED_HOTPATH void rank_plane_into(const MapLike& map,
 INTSCHED_HOTPATH inline void pick_plane_argmin(
     const RankerConfig& cfg, const RankPlane& plane,
     const core::NodeId* servers, std::size_t count, sim::SimTime now,
-    PlaneScratch& scratch, std::uint64_t& best_key,
-    std::uint32_t& best_server) {
+    PlaneScratch& scratch, PlaneIncumbent& best) {
   for (std::size_t i = 0; i < count; ++i) {
     const RankPlane::Row* row = plane.row_for(servers[i]);
-    if (row != nullptr && row->reachable &&
-        static_cast<std::uint64_t>(row->static_delay.ns()) > best_key) {
+    if (best.found && row != nullptr && row->reachable &&
+        row->static_delay > best.delay) {
       continue;
     }
     const sim::SimDuration key =
         plane_detail::delay_key_of(cfg, plane, scratch, row, now);
-    // Delay ns is non-negative (SimDuration::max().ns() == INT64_MAX for
-    // unreachable rows), so the unsigned compare is order-preserving.
-    const auto cand_key = static_cast<std::uint64_t>(key.ns());
-    const auto sid = static_cast<std::uint32_t>(servers[i].value());
-    const bool better =
-        cand_key < best_key || (cand_key == best_key && sid < best_server);
-    best_key = better ? cand_key : best_key;
-    best_server = better ? sid : best_server;
+    if (!best.found || key < best.delay ||
+        (key == best.delay && servers[i] < best.server)) {
+      best = PlaneIncumbent{true, key, servers[i]};
+    }
   }
-}
-
-/// Single-group k=1 plane selection: argmin from a fresh incumbent, then
-/// one full ServerRank materialization for the winner. Identical result
-/// to rank_plane_into(..., top_k = 1)[0]. Precondition: count >= 1 and
-/// scratch.begin(plane) already called for this query.
-template <typename MapLike>
-[[nodiscard]] INTSCHED_HOTPATH ServerRank pick_plane_min_delay(
-    const MapLike& map, const RankerConfig& cfg, const RankPlane& plane,
-    const core::NodeId* servers, std::size_t count, sim::SimTime now,
-    PlaneScratch& scratch) {
-  assert(count >= 1);
-  std::uint64_t best_key = ~std::uint64_t{0};
-  std::uint32_t best_server = 0xffffffffu;
-  pick_plane_argmin(cfg, plane, servers, count, now, scratch, best_key,
-                    best_server);
-  const core::NodeId winner{static_cast<std::int32_t>(best_server)};
-  const sim::SimDuration delay =
-      sim::SimDuration::nanos(static_cast<std::int64_t>(best_key));
-  const double nominal = map.config().nominal_capacity.bps();
-  const bool staleness_on =
-      map.config().link_staleness > sim::SimDuration::zero();
-  ServerRank r;
-  plane_detail::fill_rank(cfg, plane, scratch, plane.row_for(winner), winner,
-                          delay, now, nominal, staleness_on, r);
-  return r;
 }
 
 /// The paper's scheduler-side ranking engine. Given the live NetworkMap it
@@ -853,8 +691,8 @@ class Ranker {
   /// rank() rebuilds from scratch instead of trusting an epoch match.
   /// (Today's cache contents — delay graph + Dijkstra memo — happen not
   /// to depend on k, but the invalidation contract is on the config as a
-  /// whole; concurrent deployments additionally republish their snapshot,
-  /// see ConcurrentNetworkMap::set_k_factor.)
+  /// whole; concurrent deployments additionally republish their view,
+  /// see ShardedNetworkMap::set_k_factor.)
   void set_k_factor(sim::SimDuration k) {
     cfg_.k_factor = k;
     cache_.epoch = Epoch::none();
@@ -938,9 +776,9 @@ class Ranker {
   // rank() is const (callable from the scheduler's read path); the cache
   // is a performance side-channel, hence mutable. That also means const
   // rank() is NOT a read-only operation: concurrent rank() calls on a
-  // shared Ranker race on this cache. Cross-thread use must go through
-  // core::ConcurrentNetworkMap, whose exclusive lock covers both ingest
-  // and rank (DESIGN.md Concurrency model).
+  // shared Ranker race on this cache. Cross-thread deployments use
+  // core::ShardedNetworkMap instead, whose published views are immutable
+  // (DESIGN.md Concurrency model).
   mutable PathCache cache_;
 };
 

@@ -1,7 +1,9 @@
 #pragma once
 
-// Region-sharded scheduler state + two-level (metro) ranking — the
-// metro-scale big brother of core::ConcurrentNetworkMap (DESIGN.md §11).
+// Region-sharded scheduler state + two-level (metro) ranking: the one
+// concurrent read path of the scheduler (DESIGN.md §10-§11). A flat map
+// is the one-region case — every node assigned to region 0, no summary
+// links, no borders — and ranks byte-identically to core::Ranker.
 //
 // A metro deployment (net::TopologyGen::ring_of_pods) has thousands of
 // switches but strong locality: almost every link is intra-pod, and pods
@@ -16,9 +18,9 @@
 // plus a summary-graph traversal whose nodes are only the border
 // gateways.
 //
-// This header is a sanctioned concurrent component in the mold of
-// concurrent_map.hpp: the atomics below are the published-view pointer
-// (RCU-style read path) and the contention-free query counter.
+// This header is a sanctioned concurrent component: the atomics below are
+// the published-view pointer (RCU-style read path) and the
+// contention-free query counter.
 // intsched-lint: allow-file(thread-share): concurrent facade by design;
 //   see DESIGN.md §10-§11
 
@@ -102,28 +104,24 @@ struct PickStats {
 /// construction). Region snapshots are shared with — and may outlive —
 /// the publishing ShardedNetworkMap.
 ///
-/// Determinism / exactness: rank() scores candidates with the same
-/// rank_paths/estimator templates as the flat path, over paths assembled
-/// from region + summary shortest paths. When regions are delay-isolated
-/// and shortest paths are unique (TopologyGen's jitter regime), the
-/// assembled path IS the flat shortest path and rank() agrees with the
-/// flat ranking field-exactly; the general error bound is DESIGN.md §11.
+/// Determinism / exactness: every query scores through the origin's
+/// compiled rank plane (DESIGN.md §15), whose rows are the paths
+/// assembled from region + summary shortest paths, and the plane kernels
+/// are byte-identical to rank_candidates over those paths. When regions
+/// are delay-isolated and shortest paths are unique (TopologyGen's jitter
+/// regime), the assembled path IS the flat shortest path and rank()
+/// agrees with Ranker field-exactly; the general error bound is DESIGN.md
+/// §11. A one-region view has no summary level at all, so it agrees
+/// unconditionally.
 class MetroView {
  public:
   /// Reusable buffers for the allocation-free query entry points
-  /// (rank_into / pick_with). Every vector retains its capacity across
-  /// calls — including the per-candidate path vectors inside `paths`,
-  /// which are cleared element-wise rather than destroyed — so after a
-  /// warm-up pass over the working set (origins seen, candidate counts
-  /// seen), a query performs zero heap allocations (the hotpath-alloc
-  /// lint + the serve allocation-counting test enforce this). One
-  /// scratch per thread; never shared.
+  /// (rank_into / rank_topk_into / pick_with). Every vector retains its
+  /// capacity across calls, so after a warm-up pass over the working set
+  /// (origins seen, candidate counts seen), a query performs zero heap
+  /// allocations (the hotpath-alloc lint + the serve allocation-counting
+  /// test enforce this). One scratch per thread; never shared.
   struct RankScratch {
-    /// Resolved candidate paths; grown monotonically, reused in place.
-    std::vector<CandidatePath> paths;
-    /// Summary-spine and region-segment scratch for path expansion.
-    std::vector<core::NodeId> spine;
-    std::vector<core::NodeId> seg;
     /// pick_with's region grouping: candidates tagged with their region
     /// and original position, sorted to form contiguous groups.
     struct Grouped {
@@ -141,7 +139,8 @@ class MetroView {
       std::size_t end = 0;
     };
     std::vector<GroupBound> order;
-    /// rank_paths_into output buffer.
+    /// pick_with's full-ranking fallback output (bandwidth metric,
+    /// unknown origin).
     std::vector<ServerRank> ranked;
     /// Gather + selection scratch for the compiled-plane kernels
     /// (DESIGN.md §15); epoch-stamped, safe to reuse across origins.
@@ -154,14 +153,15 @@ class MetroView {
             std::vector<std::shared_ptr<const RankSnapshot>> region_snaps,
             std::shared_ptr<const NetworkMap> summary_map,
             std::vector<std::vector<core::NodeId>> borders_by_region,
-            RankerConfig config, Epoch epoch);
+            std::shared_ptr<const RankerConfig> config, Epoch epoch);
 
   MetroView(const MetroView&) = delete;
   MetroView& operator=(const MetroView&) = delete;
 
-  /// Two-level ranking, identical output contract to Ranker::rank /
-  /// RankSnapshot::rank (best first, server-id tie-break, unreachable
-  /// last with delay = max / bandwidth = 0).
+  /// Two-level ranking, identical output contract to Ranker::rank (best
+  /// first, server-id tie-break, unreachable last with delay = max /
+  /// bandwidth = 0). Works from a per-thread scratch, so repeated calls
+  /// on one thread allocate only the returned vector.
   [[nodiscard]] INTSCHED_HOTPATH std::vector<ServerRank> rank(
       core::NodeId origin, const std::vector<core::NodeId>& candidates,
       RankingMetric metric, sim::SimTime now) const;
@@ -179,10 +179,11 @@ class MetroView {
   /// rank_into limited to the best min(top_k, count) entries: the output
   /// is byte-identical to rank_into's first min(top_k, count) elements
   /// (the (key, server-id) total order makes the partial selection's
-  /// prefix deterministic). On origins with a compiled rank plane this
-  /// runs the fused plane kernel — no path re-walk, one telemetry gather
-  /// per distinct device — and is the ServeFrontend multi-result entry
-  /// point (DESIGN.md §15).
+  /// prefix deterministic). Runs the fused plane kernel over the origin's
+  /// compiled plane — no path re-walk, one telemetry gather per distinct
+  /// device; an unknown origin runs it over an empty plane, so every
+  /// candidate ranks unreachable, ordered by id. This is the
+  /// ServeFrontend multi-result entry point (DESIGN.md §15).
   INTSCHED_HOTPATH void rank_topk_into(core::NodeId origin,
                                        const core::NodeId* candidates,
                                        std::size_t count, RankingMetric metric,
@@ -201,7 +202,9 @@ class MetroView {
       PickStats* stats = nullptr) const;
 
   /// pick() from caller-owned scratch — same answer, zero allocations
-  /// once warm (the wrapper relationship mirrors rank/rank_into).
+  /// once warm (the wrapper relationship mirrors rank/rank_into). For the
+  /// delay metric the per-group scoring is the plane's k=1 argmin
+  /// carrying one (delay, server id) incumbent across region groups.
   [[nodiscard]] INTSCHED_HOTPATH std::optional<ServerRank> pick_with(
       core::NodeId origin, const core::NodeId* candidates, std::size_t count,
       RankingMetric metric, sim::SimTime now, RankScratch& scratch,
@@ -221,7 +224,7 @@ class MetroView {
       core::RegionId r) const {
     return borders_by_region_[r.index()];
   }
-  [[nodiscard]] const RankerConfig& config() const { return cfg_; }
+  [[nodiscard]] const RankerConfig& config() const { return *cfg_; }
 
  private:
   /// Everything the two-level query path derives, per origin, memoized
@@ -241,8 +244,7 @@ class MetroView {
     std::vector<sim::SimDuration> region_bound;
     /// Compiled rank plane over every node the view knows (DESIGN.md
     /// §15): the two-level candidate paths resolved once at context
-    /// build, frozen into the CSR arena. Disabled when
-    /// RankerConfig::compile_rank_plane is off.
+    /// build, frozen into the CSR arena. Empty while !valid.
     RankPlane plane;
   };
   struct CtxSlot {
@@ -250,13 +252,12 @@ class MetroView {
     mutable QueryContext ctx;
   };
 
-  /// Adapter giving the rank_paths/estimate_* templates a NetworkMap-shaped
-  /// query surface over the sharded state: same-region lookups hit the
-  /// owning region snapshot's frozen map, cross-region link lookups hit
-  /// the summary map, and per-device telemetry always lives in the
-  /// device's region map (link_max_queue takes the egress port from the
-  /// summary but the port's queue series from the region — the exact
-  /// split flat ingest would have stored in one map).
+  /// The plane compiler's view of the sharded state (RankPlaneBuilder's
+  /// MapLike): same-region links and per-device telemetry resolve in the
+  /// owning region snapshot's frozen map, cross-region links in the
+  /// summary map — the exact split flat ingest would have stored in one
+  /// map — and link_max_queue takes a cross-region link's egress port
+  /// from the summary but the port's queue series from the region.
   struct HierMap {
     const MetroView* view;
     [[nodiscard]] const NetworkMapConfig& config() const {
@@ -266,47 +267,20 @@ class MetroView {
                                               core::NodeId to) const {
       return view->link_map(from, to).link_delay(from, to);
     }
-    [[nodiscard]] std::int64_t device_max_queue(core::NodeId device,
-                                                sim::SimTime now) const {
-      return view->device_map(device).device_max_queue(device, now);
-    }
-    [[nodiscard]] double device_avg_queue(core::NodeId device,
-                                          sim::SimTime now) const {
-      return view->device_map(device).device_avg_queue(device, now);
-    }
-    [[nodiscard]] sim::SimDuration device_hop_latency(
-        core::NodeId device, sim::SimTime now) const {
-      return view->device_map(device).device_hop_latency(device, now);
-    }
-    [[nodiscard]] std::int64_t link_max_queue(core::NodeId from, core::NodeId to,
-                                              sim::SimTime now) const {
-      return view->hier_link_max_queue(from, to, now);
-    }
-    [[nodiscard]] bool link_stale(core::NodeId from, core::NodeId to,
-                                  sim::SimTime now) const {
-      return view->link_map(from, to).link_stale(from, to, now);
-    }
-    [[nodiscard]] bool path_stale(const std::vector<core::NodeId>& path,
-                                  sim::SimTime now) const {
-      return view->hier_path_stale(path, now);
-    }
 
-    // -- plane-compiler resolution (mirrors the live routing above) --
-
-    /// Owning map of the device's telemetry: device_map's routing.
+    /// Owning map of the device's telemetry.
     [[nodiscard]] const NetworkMap& plane_device_map(core::NodeId d) const {
       return view->device_map(d);
     }
-    /// Owning map of the link's staleness records: link_stale's routing.
+    /// Owning map of the link's delay and staleness records.
     [[nodiscard]] const NetworkMap& plane_link_stale_map(core::NodeId from,
                                                          core::NodeId to) const {
       return view->link_map(from, to);
     }
-    /// The port series hier_link_max_queue's port branch would read:
-    /// same-region links resolve port and series in the region map;
-    /// cross-region links take the egress port from the summary map but
-    /// the series from `from`'s region map — the exact split the live
-    /// query performs.
+    /// The port series link_max_queue's port branch reads: same-region
+    /// links resolve port and series in the region map; cross-region
+    /// links take the egress port from the summary map but the series
+    /// from `from`'s region map.
     [[nodiscard]] const NetworkMap::QueueSeries* plane_link_port_series(
         core::NodeId from, core::NodeId to) const {
       const core::RegionId ra = view->regions_->region_of(from);
@@ -333,11 +307,6 @@ class MetroView {
   /// Map owning the device's telemetry (its region; summary for
   /// region-less nodes).
   [[nodiscard]] const NetworkMap& device_map(core::NodeId device) const;
-  [[nodiscard]] std::int64_t hier_link_max_queue(core::NodeId from,
-                                                 core::NodeId to,
-                                                 sim::SimTime now) const;
-  [[nodiscard]] bool hier_path_stale(const std::vector<core::NodeId>& path,
-                                     sim::SimTime now) const;
 
   /// Memoized query context for `origin` (nullptr when the origin is
   /// unknown to every region graph). Lock-free after the once-fill.
@@ -345,36 +314,30 @@ class MetroView {
   INTSCHED_COLDPATH void build_context(core::NodeId origin,
                                        QueryContext& ctx) const;
 
-  /// The uncompiled reference ranking (path assembly + rank_paths_into);
-  /// the fallback whenever `origin` has no enabled plane, and the
-  /// equivalence oracle the plane kernels are tested against.
-  INTSCHED_HOTPATH void rank_legacy_into(const QueryContext* ctx,
-                                         core::NodeId origin,
-                                         const core::NodeId* candidates,
-                                         std::size_t count,
-                                         RankingMetric metric,
-                                         sim::SimTime now, RankScratch& scratch,
-                                         std::vector<ServerRank>& out) const;
+  /// Summary-spine and region-segment buffers for path assembly, reused
+  /// across the candidates of one plane compile.
+  struct PathScratch {
+    std::vector<core::NodeId> spine;
+    std::vector<core::NodeId> seg;
+  };
 
-  /// Resolves one candidate to its concrete node path + baseline:
-  /// region-local for same-region servers, otherwise cheapest entry
-  /// border (summary distance + region distance, smallest border id on
-  /// ties) with the summary path expanded through region snapshots.
-  /// Writes into the reused `c` (path capacity retained); allocation-free
-  /// once warm.
-  void candidate_path_into(const QueryContext& ctx, core::NodeId origin,
-                           core::NodeId server, CandidatePath& c,
-                           RankScratch& scratch) const;
-  void expand_summary_path_into(const QueryContext& ctx, core::NodeId origin,
-                                core::NodeId border,
-                                std::vector<core::NodeId>& out,
-                                RankScratch& scratch) const;
+  /// Resolves one candidate to its concrete node path, written into
+  /// `path` (empty = unreachable), and returns its pure link-delay
+  /// distance: region-local for same-region servers, otherwise cheapest
+  /// entry border (summary distance + region distance, smallest border
+  /// id on ties) with the summary path expanded through region snapshots.
+  INTSCHED_COLDPATH sim::SimDuration candidate_path_into(
+      const QueryContext& ctx, core::NodeId origin, core::NodeId server,
+      std::vector<core::NodeId>& path, PathScratch& scratch) const;
+  INTSCHED_COLDPATH void expand_summary_path_into(
+      const QueryContext& ctx, core::NodeId origin, core::NodeId border,
+      std::vector<core::NodeId>& out, PathScratch& scratch) const;
 
   std::shared_ptr<const RegionAssignment> regions_;
   std::vector<std::shared_ptr<const RankSnapshot>> region_snaps_;
   std::shared_ptr<const NetworkMap> summary_map_;
   std::vector<std::vector<core::NodeId>> borders_by_region_;
-  RankerConfig cfg_;
+  std::shared_ptr<const RankerConfig> cfg_;
   Epoch epoch_ = Epoch::none();
   /// Summary delay graph + per-region transit edges (border -> border
   /// within a region, costed by region shortest-path distance).
@@ -382,21 +345,29 @@ class MetroView {
   /// Which region a transit edge crosses, for path expansion. Ordered map:
   /// built deterministically, read-only afterwards.
   std::map<std::pair<core::NodeId, core::NodeId>, core::RegionId> transit_region_;
-  /// Slot per node known to any region graph; ordered for deterministic
-  /// construction, structure never mutated after it.
-  std::map<core::NodeId, CtxSlot> ctx_slots_;
+  /// Nodes known to any region graph or the summary graph, ascending;
+  /// ctx_slots_[i] is ctx_nodes_[i]'s query context. Fixed at
+  /// construction, one contiguous slot array per view.
+  std::vector<core::NodeId> ctx_nodes_;
+  std::unique_ptr<CtxSlot[]> ctx_slots_;
 };
 
-/// Region-sharded ConcurrentNetworkMap: ingest routes every learned link
-/// and telemetry record to the owning shard under the writer lock, a
-/// publish rebuilds only the region snapshots whose shard actually moved,
-/// and rank()/pick() run lock-free over the published MetroView.
+/// Thread-safe scheduler state: a region-sharded NetworkMap fed by
+/// concurrent probe ingest and answering concurrent candidate queries —
+/// the deployment shape of the paper's scheduler process (collector
+/// thread(s) ingesting INT reports while RPC threads rank). Ingest routes
+/// every learned link and telemetry record to the owning shard under the
+/// writer lock, a publish rebuilds only the region snapshots whose shard
+/// actually moved, and rank()/pick() run lock-free over the published
+/// MetroView. A flat deployment is the one-region assignment
+/// (RegionAssignment{by_node all region 0, 1}).
 ///
 /// Equivalence contract (property-tested): for any report sequence,
-/// rank() agrees with a flat ConcurrentNetworkMap fed the same reports —
-/// field-exactly when regions are delay-isolated with unique shortest
-/// paths, within the DESIGN.md §11 bound otherwise — and is byte-stable
-/// across rebuild executors (serial, 2 threads, 8 threads).
+/// rank() agrees with core::Ranker over a flat NetworkMap fed the same
+/// reports — byte-exactly on one region and when regions are
+/// delay-isolated with unique shortest paths, within the DESIGN.md §11
+/// bound otherwise — and is byte-stable across rebuild executors (serial,
+/// 2 threads, 8 threads).
 class ShardedNetworkMap {
  public:
   explicit ShardedNetworkMap(RegionAssignment regions,
@@ -405,12 +376,17 @@ class ShardedNetworkMap {
   ShardedNetworkMap(const ShardedNetworkMap&) = delete;
   ShardedNetworkMap& operator=(const ShardedNetworkMap&) = delete;
 
-  /// Ingests one probe report and publishes a fresh view (freshness
-  /// contract as ConcurrentNetworkMap::ingest).
+  /// Ingests one probe report and publishes a fresh view before
+  /// returning — the freshness contract: a query issued after ingest()
+  /// of report N returns observes a view with epoch() >= N.
   INTSCHED_COLDPATH void ingest(const telemetry::ProbeReport& report,
                                 sim::SimTime now) INTSCHED_EXCLUDES(mutex_);
 
-  /// Coalesces a burst into one critical section + one publish.
+  /// Coalesces a burst into one critical section + one publish (the
+  /// collector's probing-interval batch maps onto exactly one view
+  /// epoch). Equivalent to ingesting each report at `now` in order; an
+  /// empty batch is a no-op that keeps the published view, warm query
+  /// contexts included.
   INTSCHED_COLDPATH void ingest_batch(
       const std::vector<telemetry::ProbeReport>& reports,
       sim::SimTime now) INTSCHED_EXCLUDES(mutex_);
@@ -480,6 +456,9 @@ class ShardedNetworkMap {
   std::shared_ptr<const RegionAssignment> regions_;
   ShardedMapConfig cfg_;
   mutable AnnotatedMutex mutex_;
+  /// cfg_.ranker as published views read it: one shared immutable copy
+  /// per config change, not one per publish.
+  std::shared_ptr<const RankerConfig> ranker_ INTSCHED_GUARDED_BY(mutex_);
   std::vector<NetworkMap> region_maps_ INTSCHED_GUARDED_BY(mutex_);
   NetworkMap summary_map_ INTSCHED_GUARDED_BY(mutex_);
   /// Sorted unique border nodes (endpoints of cross-region links) per

@@ -1,86 +1,28 @@
 #include "intsched/core/rank_snapshot.hpp"
 
+#include <algorithm>
 
 namespace intsched::core {
 
-RankSnapshot::RankSnapshot(const NetworkMap& map, RankerConfig config)
+// The slot set is fixed here, while the snapshot is still thread-private:
+// readers may fill slots concurrently but never add or remove them.
+RankSnapshot::RankSnapshot(const NetworkMap& map)
     : map_{map},
-      cfg_{std::move(config)},
       epoch_{map_.ingest_epoch()},
-      graph_{map_.delay_graph()} {
-  // Fix the slot set now, while the snapshot is still thread-private:
-  // readers may fill slots concurrently but never add or remove them.
-  for (const core::NodeId n : graph_.nodes()) {
-    sp_slots_[n];
-  }
-}
+      graph_{map_.delay_graph()},
+      sp_nodes_{graph_.nodes()},
+      sp_slots_{std::make_unique<SpSlot[]>(sp_nodes_.size())} {}
 
-namespace {
-
-/// Per-thread gather scratch for the compiled-plane rank path. A plain
-/// stack local would reallocate its vectors every call; the thread_local
-/// keeps the serving loop allocation-free once warm (the plane's
-/// epoch-stamped marks make reuse across origins/planes safe).
-PlaneScratch& snapshot_plane_scratch() {
-  // intsched-lint: allow(thread-share): pure gather cache, no result state
-  static thread_local PlaneScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-const RankSnapshot::SpSlot* RankSnapshot::memoized_slot(
-    core::NodeId origin) const {
-  const auto it = sp_slots_.find(origin);
-  if (it == sp_slots_.end()) return nullptr;
-  const SpSlot& slot = it->second;
-  // intsched-contract: allow(hot-lock): once-per-origin memo fill (§10)
+const net::ShortestPaths* RankSnapshot::paths_from(core::NodeId origin) const {
+  const auto it = std::lower_bound(sp_nodes_.begin(), sp_nodes_.end(), origin);
+  if (it == sp_nodes_.end() || *it != origin) return nullptr;
+  const SpSlot& slot =
+      sp_slots_[static_cast<std::size_t>(it - sp_nodes_.begin())];
   std::call_once(slot.once, [this, origin, &slot] {
-    // intsched-contract: allow(hot-coldcall): sanctioned once-only fill
     slot.sp = net::dijkstra(graph_, origin);
-    if (cfg_.compile_rank_plane) {
-      // Compile the origin's rank plane over every node known to the
-      // graph, in slot-key order (deterministic; Graph::nodes() is not).
-      RankPlaneBuilder builder{cfg_.queue_statistic};
-      for (const auto& [node, unused] : sp_slots_) {
-        static_cast<void>(unused);
-        sim::SimDuration baseline = sim::SimDuration::zero();
-        const auto d = slot.sp.distance.find(node);
-        if (d != slot.sp.distance.end()) baseline = d->second;
-        // intsched-contract: allow(hot-coldcall): sanctioned once-only fill
-        builder.add_path(map_, node, slot.sp.path_to(node), baseline);
-      }
-      // intsched-contract: allow(hot-coldcall): sanctioned once-only fill
-      slot.plane = builder.finish();
-    }
     memo_fills_.fetch_add(1, std::memory_order_relaxed);
   });
-  return &slot;
-}
-
-std::vector<ServerRank> RankSnapshot::rank(
-    core::NodeId origin, const std::vector<core::NodeId>& candidates,
-    RankingMetric metric, sim::SimTime now) const {
-  if (const SpSlot* slot = memoized_slot(origin)) {
-    if (slot->plane.enabled) {
-      // Compiled fast path: fused SoA kernel over the origin's plane,
-      // byte-identical to rank_candidates (DESIGN.md §15).
-      // intsched-contract: allow(hot-alloc): allocating overload contract
-      std::vector<ServerRank> out;
-      rank_plane_into(map_, cfg_, slot->plane, candidates.data(),
-                      candidates.size(), metric, now, candidates.size(),
-                      snapshot_plane_scratch(), out);
-      return out;
-    }
-    // intsched-contract: allow(hot-coldcall): allocating overload contract
-    return rank_candidates(map_, cfg_, slot->sp, candidates, metric, now);
-  }
-  // Origin unknown to the snapshot's graph (e.g. a device whose first
-  // probe has not been ingested yet): compute locally, nothing to memoize.
-  // intsched-contract: allow(hot-coldcall): unknown-origin miss, once per origin
-  const net::ShortestPaths sp = net::dijkstra(graph_, origin);
-  // intsched-contract: allow(hot-coldcall): allocating overload contract
-  return rank_candidates(map_, cfg_, sp, candidates, metric, now);
+  return &slot.sp;
 }
 
 }  // namespace intsched::core

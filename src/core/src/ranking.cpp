@@ -91,23 +91,97 @@ sim::SimDuration estimate_k_factor(
   return sim::SimDuration::from_seconds(qd / qq * 1e-3);
 }
 
+sim::SimDuration estimate_path_delay(const NetworkMap& map,
+                                     const RankerConfig& cfg,
+                                     const std::vector<core::NodeId>& path,
+                                     sim::SimTime now) {
+  assert(path.size() >= 2);
+  sim::SimDuration total_link_delay = sim::SimDuration::zero();
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    total_link_delay += map.link_delay(path[i], path[i + 1]);
+  }
+  // Hops are the intermediate devices (switches) on the path.
+  sim::SimDuration total_hop_delay = sim::SimDuration::zero();
+  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+    switch (cfg.queue_statistic) {
+      case QueueStatistic::kMaximum:
+        total_hop_delay += cfg.k_factor * map.device_max_queue(path[i], now);
+        break;
+      case QueueStatistic::kAverage:
+        total_hop_delay +=
+            sim::SimDuration::nanos(static_cast<std::int64_t>(
+                static_cast<double>(cfg.k_factor.ns()) *
+                map.device_avg_queue(path[i], now)));
+        break;
+      case QueueStatistic::kMeasuredHopLatency:
+        total_hop_delay += map.device_hop_latency(path[i], now);
+        break;
+    }
+  }
+  return total_link_delay + total_hop_delay;
+}
+
+sim::DataRate estimate_path_bandwidth(const NetworkMap& map,
+                                      const RankerConfig& cfg,
+                                      const std::vector<core::NodeId>& path,
+                                      sim::SimTime now) {
+  assert(path.size() >= 2);
+  const double nominal = map.config().nominal_capacity.bps();
+  double min_bps = nominal;
+  // The first link is the origin host's own uplink; hosts are not
+  // pps-bound, so per-link availability is charged from the first switch
+  // onward (each directed link's headroom is its upstream device's egress).
+  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+    const std::int64_t q = map.link_max_queue(path[i], path[i + 1], now);
+    const double util = cfg.queue_to_utilization.utilization(q);
+    const double avail = nominal * (1.0 - util);
+    min_bps = std::min(min_bps, avail);
+  }
+  return sim::DataRate::bits_per_second(min_bps);
+}
+
 std::vector<ServerRank> rank_candidates(
     const NetworkMap& map, const RankerConfig& cfg,
     const net::ShortestPaths& sp, const std::vector<core::NodeId>& candidates,
     RankingMetric metric, sim::SimTime now) {
-  std::vector<CandidatePath> paths;
-  paths.reserve(candidates.size());
+  std::vector<ServerRank> out;
+  out.reserve(candidates.size());
   for (const core::NodeId server : candidates) {
-    CandidatePath c;
-    c.server = server;
-    c.path = sp.path_to(server);
-    const auto d = sp.distance.find(server);
-    if (d != sp.distance.end()) {
-      c.baseline_delay = d->second;
+    ServerRank r;
+    r.server = server;
+    const std::vector<core::NodeId> path = sp.path_to(server);
+    if (path.size() < 2) {
+      r.delay_estimate = sim::SimDuration::max();
+      r.baseline_delay = sim::SimDuration::max();
+    } else {
+      r.delay_estimate = estimate_path_delay(map, cfg, path, now);
+      r.bandwidth_estimate = estimate_path_bandwidth(map, cfg, path, now);
+      const auto d = sp.distance.find(server);
+      r.baseline_delay =
+          d == sp.distance.end() ? sim::SimDuration::max() : d->second;
+      r.stale = map.path_stale(path, now);
     }
-    paths.push_back(std::move(c));
+    out.push_back(r);
   }
-  return rank_paths(map, cfg, paths, metric, now);
+
+  if (metric == RankingMetric::kDelay) {
+    std::sort(out.begin(), out.end(),
+              [](const ServerRank& a, const ServerRank& b) {
+                if (a.delay_estimate != b.delay_estimate) {
+                  return a.delay_estimate < b.delay_estimate;
+                }
+                return a.server < b.server;
+              });
+  } else {
+    std::sort(out.begin(), out.end(),
+              [](const ServerRank& a, const ServerRank& b) {
+                if (a.bandwidth_estimate != b.bandwidth_estimate) {
+                  return a.bandwidth_estimate > b.bandwidth_estimate;
+                }
+                return a.server < b.server;
+              });
+  }
+  return out;
 }
 
 sim::SimDuration Ranker::path_delay_estimate(const std::vector<core::NodeId>& path,

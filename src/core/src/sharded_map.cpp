@@ -5,6 +5,25 @@
 
 namespace intsched::core {
 
+namespace {
+
+/// Plane of an origin the view cannot route from: no rows, so every
+/// candidate scores unreachable.
+const RankPlane kNoPlane{};
+
+/// Per-thread query buffers for the allocating rank()/pick() wrappers.
+/// A fresh RankScratch per call would regrow every buffer; reusing one
+/// per thread keeps the wrappers at the warm scratch cost (every buffer
+/// is grow-only and epoch-stamped, so reuse across views and origins is
+/// safe).
+MetroView::RankScratch& thread_scratch() {
+  // intsched-lint: allow(thread-share): per-thread query buffers, no result state
+  static thread_local MetroView::RankScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 RegionAssignment RegionAssignment::from_topology(
     const net::GenTopology& topo) {
   std::vector<core::RegionId> by_node;
@@ -23,7 +42,7 @@ MetroView::MetroView(
     std::vector<std::shared_ptr<const RankSnapshot>> region_snaps,
     std::shared_ptr<const NetworkMap> summary_map,
     std::vector<std::vector<core::NodeId>> borders_by_region,
-    RankerConfig config, Epoch epoch)
+    std::shared_ptr<const RankerConfig> config, Epoch epoch)
     : regions_{std::move(regions)},
       region_snaps_{std::move(region_snaps)},
       summary_map_{std::move(summary_map)},
@@ -57,14 +76,21 @@ MetroView::MetroView(
   // Query-context slot per node known to any region graph (plus the
   // summary's own nodes, so gateway-origin queries resolve too). The
   // slot *set* is fixed here; readers only fill slot contents.
+  const std::vector<core::NodeId> gateways = summary_graph_.nodes();
+  std::size_t known = gateways.size();
   for (const std::shared_ptr<const RankSnapshot>& snap : region_snaps_) {
-    for (const core::NodeId n : snap->delay_graph().nodes()) {
-      ctx_slots_.try_emplace(n);
-    }
+    known += snap->nodes().size();
   }
-  for (const core::NodeId n : summary_graph_.nodes()) {
-    ctx_slots_.try_emplace(n);
+  ctx_nodes_.reserve(known);
+  for (const std::shared_ptr<const RankSnapshot>& snap : region_snaps_) {
+    ctx_nodes_.insert(ctx_nodes_.end(), snap->nodes().begin(),
+                      snap->nodes().end());
   }
+  ctx_nodes_.insert(ctx_nodes_.end(), gateways.begin(), gateways.end());
+  std::sort(ctx_nodes_.begin(), ctx_nodes_.end());
+  ctx_nodes_.erase(std::unique(ctx_nodes_.begin(), ctx_nodes_.end()),
+                   ctx_nodes_.end());
+  ctx_slots_ = std::make_unique<CtxSlot[]>(ctx_nodes_.size());
 }
 
 const NetworkMap& MetroView::link_map(core::NodeId from, core::NodeId to) const {
@@ -78,37 +104,6 @@ const NetworkMap& MetroView::device_map(core::NodeId device) const {
   const core::RegionId r = regions_->region_of(device);
   if (valid_region(r)) return region_map(r);
   return *summary_map_;
-}
-
-std::int64_t MetroView::hier_link_max_queue(core::NodeId from, core::NodeId to,
-                                            sim::SimTime now) const {
-  const core::RegionId ra = regions_->region_of(from);
-  const core::RegionId rb = regions_->region_of(to);
-  if (ra == rb && valid_region(ra)) {
-    return region_map(ra).link_max_queue(from, to, now);
-  }
-  // Cross-region link: the egress port was learned in the summary map,
-  // but the port's queue series (per-device telemetry) lives in `from`'s
-  // region map — consult both halves, then the flat fallback.
-  const std::int32_t port = summary_map_->egress_port(from, to);
-  const NetworkMap& dm = device_map(from);
-  if (port >= 0) {
-    if (const auto q = dm.fresh_port_max_queue(from, port, now)) return *q;
-  }
-  return dm.device_max_queue(from, now);
-}
-
-bool MetroView::hier_path_stale(const std::vector<core::NodeId>& path,
-                                sim::SimTime now) const {
-  if (summary_map_->config().link_staleness <= sim::SimDuration::zero()) {
-    return false;
-  }
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    if (link_map(path[i - 1], path[i]).link_stale(path[i - 1], path[i], now)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void MetroView::build_context(core::NodeId origin, QueryContext& ctx) const {
@@ -150,30 +145,30 @@ void MetroView::build_context(core::NodeId origin, QueryContext& ctx) const {
     }
   }
 
-  if (cfg_.compile_rank_plane) {
-    // Compile the origin's rank plane (DESIGN.md §15): resolve the
-    // two-level candidate path to every node the view knows — in
-    // slot-key order, so the arena layout is deterministic — and freeze
-    // each into a CSR row. Cold by contract: this runs once per origin
-    // inside the query-context call_once.
-    RankPlaneBuilder builder{cfg_.queue_statistic};
-    RankScratch scratch;
-    CandidatePath c;
-    const HierMap hier{this};
-    for (const auto& [node, unused] : ctx_slots_) {
-      static_cast<void>(unused);
-      candidate_path_into(ctx, origin, node, c, scratch);
-      builder.add_path(hier, node, c.path, c.baseline_delay);
-    }
-    ctx.plane = builder.finish();
+  // Compile the origin's rank plane (DESIGN.md §15): resolve the
+  // two-level candidate path to every node the view knows — in ascending
+  // id order, so the arena layout is deterministic — and freeze each into a
+  // CSR row. Cold by contract: this runs once per origin inside the
+  // query-context call_once.
+  RankPlaneBuilder builder{cfg_->queue_statistic};
+  PathScratch scratch;
+  std::vector<core::NodeId> path;
+  const HierMap hier{this};
+  for (const core::NodeId node : ctx_nodes_) {
+    const sim::SimDuration baseline =
+        candidate_path_into(ctx, origin, node, path, scratch);
+    builder.add_path(hier, node, path, baseline);
   }
+  ctx.plane = builder.finish();
 }
 
 const MetroView::QueryContext* MetroView::query_context(
     core::NodeId origin) const {
-  const auto it = ctx_slots_.find(origin);
-  if (it == ctx_slots_.end()) return nullptr;
-  const CtxSlot& slot = it->second;
+  const auto it =
+      std::lower_bound(ctx_nodes_.begin(), ctx_nodes_.end(), origin);
+  if (it == ctx_nodes_.end() || *it != origin) return nullptr;
+  const CtxSlot& slot =
+      ctx_slots_[static_cast<std::size_t>(it - ctx_nodes_.begin())];
   // intsched-contract: allow(hot-lock): once-per-origin memo fill (§11)
   std::call_once(slot.once, [this, origin, &slot] {
     // intsched-contract: allow(hot-coldcall): sanctioned once-only fill
@@ -182,12 +177,11 @@ const MetroView::QueryContext* MetroView::query_context(
   return &slot.ctx;
 }
 
-// intsched-lint: hot-path
 void MetroView::expand_summary_path_into(const QueryContext& ctx,
                                          core::NodeId origin,
                                          core::NodeId border,
                                          std::vector<core::NodeId>& out,
-                                         RankScratch& scratch) const {
+                                         PathScratch& scratch) const {
   out.clear();
   scratch.spine.clear();
   if (!ctx.summary_sp.append_path_to(border, scratch.spine)) return;
@@ -222,22 +216,18 @@ void MetroView::expand_summary_path_into(const QueryContext& ctx,
   }
 }
 
-// intsched-lint: hot-path
-void MetroView::candidate_path_into(const QueryContext& ctx,
-                                    core::NodeId origin, core::NodeId server,
-                                    CandidatePath& c,
-                                    RankScratch& scratch) const {
-  c.server = server;
-  c.path.clear();
-  c.baseline_delay = sim::SimDuration::max();
+sim::SimDuration MetroView::candidate_path_into(
+    const QueryContext& ctx, core::NodeId origin, core::NodeId server,
+    std::vector<core::NodeId>& path, PathScratch& scratch) const {
+  path.clear();
   const core::RegionId rs = regions_->region_of(server);
   if (rs == ctx.region) {
-    ctx.sp0->append_path_to(server, c.path);
+    ctx.sp0->append_path_to(server, path);
     const auto d = ctx.sp0->distance.find(server);
-    if (d != ctx.sp0->distance.end()) c.baseline_delay = d->second;
-    return;
+    return d == ctx.sp0->distance.end() ? sim::SimDuration::max() : d->second;
   }
-  if (!valid_region(rs)) return;  // unknown region: unreachable
+  // Unknown region: unreachable.
+  if (!valid_region(rs)) return sim::SimDuration::max();
 
   // Cheapest entry border of the server's region: summary distance to the
   // border plus region distance border -> server. Borders are sorted, so
@@ -260,41 +250,17 @@ void MetroView::candidate_path_into(const QueryContext& ctx,
       best_tail = tail;
     }
   }
-  if (best_border == core::kInvalidNode) return;
+  if (best_border == core::kInvalidNode) return sim::SimDuration::max();
 
-  c.baseline_delay = best_total;
-  expand_summary_path_into(ctx, origin, best_border, c.path, scratch);
+  expand_summary_path_into(ctx, origin, best_border, path, scratch);
   scratch.seg.clear();
   best_tail->append_path_to(server, scratch.seg);
-  if (c.path.empty() || scratch.seg.empty()) {
-    c.path.clear();  // defensive: treat as unreachable
-    return;
+  if (path.empty() || scratch.seg.empty()) {
+    path.clear();  // defensive: treat as unreachable
+    return best_total;
   }
-  c.path.insert(c.path.end(), scratch.seg.begin() + 1, scratch.seg.end());
-}
-
-// intsched-lint: hot-path
-void MetroView::rank_legacy_into(const QueryContext* ctx, core::NodeId origin,
-                                 const core::NodeId* candidates,
-                                 std::size_t count, RankingMetric metric,
-                                 sim::SimTime now, RankScratch& scratch,
-                                 std::vector<ServerRank>& out) const {
-  // Grow-only: shrinking would destroy the pooled path vectors (and
-  // their capacity) the zero-allocation contract depends on.
-  if (scratch.paths.size() < count) scratch.paths.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    CandidatePath& c = scratch.paths[i];
-    if (ctx != nullptr && ctx->valid) {
-      candidate_path_into(*ctx, origin, candidates[i], c, scratch);
-    } else {
-      // Unknown origin: every candidate unreachable.
-      c.server = candidates[i];
-      c.path.clear();
-      c.baseline_delay = sim::SimDuration::max();
-    }
-  }
-  rank_paths_into(HierMap{this}, cfg_, scratch.paths.data(), count, metric,
-                  now, out);
+  path.insert(path.end(), scratch.seg.begin() + 1, scratch.seg.end());
+  return best_total;
 }
 
 // intsched-lint: hot-path
@@ -312,27 +278,22 @@ void MetroView::rank_topk_into(core::NodeId origin,
                                sim::SimTime now, std::size_t top_k,
                                RankScratch& scratch,
                                std::vector<ServerRank>& out) const {
+  // Fused SoA kernel + deterministic top-k selection over the origin's
+  // plane (DESIGN.md §15). An origin with no context, or one its region
+  // memo does not know, has no compiled rows: the kernel over an empty
+  // plane ranks every candidate unreachable, ordered by id.
   const QueryContext* ctx = query_context(origin);
-  if (ctx != nullptr && ctx->valid && ctx->plane.enabled) {
-    // Compiled fast path: fused SoA kernel + deterministic top-k
-    // selection over the origin's plane (DESIGN.md §15).
-    rank_plane_into(HierMap{this}, cfg_, ctx->plane, candidates, count,
-                    metric, now, top_k, scratch.plane, out);
-    return;
-  }
-  rank_legacy_into(ctx, origin, candidates, count, metric, now, scratch, out);
-  const std::size_t m = std::min(top_k, count);
-  if (out.size() > m) out.resize(m);
+  rank_plane_into(HierMap{this}, *cfg_, ctx != nullptr ? ctx->plane : kNoPlane,
+                  candidates, count, metric, now, top_k, scratch.plane, out);
 }
 
 std::vector<ServerRank> MetroView::rank(
     core::NodeId origin, const std::vector<core::NodeId>& candidates,
     RankingMetric metric, sim::SimTime now) const {
-  RankScratch scratch;
   // intsched-contract: allow(hot-alloc): allocating overload contract
   std::vector<ServerRank> out;
   rank_into(origin, candidates.data(), candidates.size(), metric, now,
-            scratch, out);
+            thread_scratch(), out);
   return out;
 }
 
@@ -346,9 +307,9 @@ std::optional<ServerRank> MetroView::pick_with(
   if (ctx == nullptr || !ctx->valid || metric != RankingMetric::kDelay) {
     // Bandwidth has no admissible region lower bound (a distant region
     // can still win); unknown origins rank everything unreachable. Both
-    // fall back to the full ranking.
-    rank_into(origin, candidates, count, metric, now, scratch,
-              scratch.ranked);
+    // take the front of the full ranking.
+    rank_topk_into(origin, candidates, count, metric, now, 1, scratch,
+                   scratch.ranked);
     if (stats != nullptr) {
       stats->regions_considered = 1;
       stats->candidates_scored = static_cast<std::int64_t>(count);
@@ -358,8 +319,7 @@ std::optional<ServerRank> MetroView::pick_with(
 
   // Group candidates by region, keeping candidate order within a group:
   // tag each candidate with (region, original index) and sort — the
-  // index tie-break reproduces exactly the per-region insertion order
-  // the previous std::map-of-vectors grouping produced, without its
+  // index tie-break keeps each group in candidate order without
   // per-query node allocations.
   scratch.grouped.clear();
   for (std::size_t i = 0; i < count; ++i) {
@@ -402,86 +362,48 @@ std::optional<ServerRank> MetroView::pick_with(
               return a.region < b.region;
             });
 
-  const HierMap hier{this};
-  // One gather epoch for the whole pick: groups share the plane scratch,
-  // so a device queried while scoring one region is not re-queried when
-  // a later region's paths cross it. The plane arm additionally carries
-  // one running (delay ns, server id) incumbent across the whole group
-  // sweep — later groups are scored against an already tight bound, so
-  // the argmin's static-delay short-circuit skips most of their rows —
-  // and materializes the full ServerRank exactly once at the end.
-  const bool use_plane = ctx->plane.enabled;
-  if (use_plane) scratch.plane.begin(ctx->plane);
-  std::uint64_t best_key = ~std::uint64_t{0};
-  std::uint32_t best_sid = 0xffffffffu;
-  std::optional<ServerRank> best;
+  // One gather epoch and one running (delay, server id) incumbent for
+  // the whole pick: a device queried while scoring one region is not
+  // re-queried when a later region's paths cross it, later groups are
+  // scored against an already tight bound (the argmin's static-delay
+  // short-circuit skips most of their rows), and the full ServerRank is
+  // materialized exactly once at the end.
+  scratch.plane.begin(ctx->plane);
+  PlaneIncumbent best;
   PickStats local{};
   for (const RankScratch::GroupBound& gb : scratch.order) {
     // Strict >: a region whose bound *ties* the best estimate can still
     // hold the tie-breaking (smaller-id) winner, so only a strictly
     // worse bound may be pruned.
-    if (use_plane) {
-      if (best_sid != 0xffffffffu &&
-          gb.bound > sim::SimDuration::nanos(
-                         static_cast<std::int64_t>(best_key))) {
-        ++local.regions_pruned;
-        continue;
-      }
-    } else if (best.has_value() && gb.bound > best->delay_estimate) {
+    if (best.found && gb.bound > best.delay) {
       ++local.regions_pruned;
       continue;
     }
     ++local.regions_considered;
     const std::size_t group_size = gb.end - gb.begin;
     local.candidates_scored += static_cast<std::int64_t>(group_size);
-    if (use_plane) {
-      // k=1 plane argmin: same (delay, server-id) winner as ranking the
-      // group and taking front(), without the sort — continued from the
-      // incumbent, so the comparison with `best` is built in.
-      scratch.group_servers.clear();
-      for (std::size_t i = 0; i < group_size; ++i) {
-        scratch.group_servers.push_back(scratch.grouped[gb.begin + i].server);
-      }
-      pick_plane_argmin(cfg_, ctx->plane, scratch.group_servers.data(),
-                        group_size, now, scratch.plane, best_key, best_sid);
-    } else {
-      if (scratch.paths.size() < group_size) scratch.paths.resize(group_size);
-      for (std::size_t i = 0; i < group_size; ++i) {
-        candidate_path_into(*ctx, origin, scratch.grouped[gb.begin + i].server,
-                            scratch.paths[i], scratch);
-      }
-      rank_paths_into(hier, cfg_, scratch.paths.data(), group_size, metric,
-                      now, scratch.ranked);
-      if (scratch.ranked.empty()) continue;
-      const ServerRank& top = scratch.ranked.front();
-      if (!best.has_value() ||
-          top.delay_estimate < best->delay_estimate ||
-          (top.delay_estimate == best->delay_estimate &&
-           top.server < best->server)) {
-        best = top;
-      }
+    scratch.group_servers.clear();
+    for (std::size_t i = 0; i < group_size; ++i) {
+      scratch.group_servers.push_back(scratch.grouped[gb.begin + i].server);
     }
-  }
-  if (use_plane && best_sid != 0xffffffffu) {
-    const core::NodeId winner{static_cast<std::int32_t>(best_sid)};
-    ServerRank r;
-    plane_detail::fill_rank(
-        cfg_, ctx->plane, scratch.plane, ctx->plane.row_for(winner), winner,
-        sim::SimDuration::nanos(static_cast<std::int64_t>(best_key)), now,
-        hier.config().nominal_capacity.bps(),
-        hier.config().link_staleness > sim::SimDuration::zero(), r);
-    best = r;
+    pick_plane_argmin(*cfg_, ctx->plane, scratch.group_servers.data(),
+                      group_size, now, scratch.plane, best);
   }
   if (stats != nullptr) *stats = local;
-  return best;
+  const HierMap hier{this};
+  ServerRank r;
+  plane_detail::fill_rank(
+      *cfg_, ctx->plane, scratch.plane, ctx->plane.row_for(best.server),
+      best.server, best.delay, now, hier.config().nominal_capacity.bps(),
+      hier.config().link_staleness > sim::SimDuration::zero(), r);
+  return r;
 }
 
 std::optional<ServerRank> MetroView::pick(
     core::NodeId origin, const std::vector<core::NodeId>& candidates,
     RankingMetric metric, sim::SimTime now, PickStats* stats) const {
-  RankScratch scratch;
   return pick_with(origin, candidates.data(), candidates.size(), metric, now,
-                   scratch, stats);
+                   thread_scratch(), stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -491,6 +413,7 @@ ShardedNetworkMap::ShardedNetworkMap(RegionAssignment regions,
                                      ShardedMapConfig config)
     : regions_{std::make_shared<const RegionAssignment>(std::move(regions))},
       cfg_{std::move(config)},
+      ranker_{std::make_shared<const RankerConfig>(cfg_.ranker)},
       summary_map_{cfg_.map} {
   const auto n = static_cast<std::size_t>(
       std::max<std::int32_t>(0, regions_->count().value()));
@@ -574,7 +497,7 @@ void ShardedNetworkMap::apply_report_locked(
 
 std::shared_ptr<const RankSnapshot> ShardedNetworkMap::build_region_snapshot(
     std::size_t r) const {
-  return std::make_shared<const RankSnapshot>(region_maps_[r], cfg_.ranker);
+  return std::make_shared<const RankSnapshot>(region_maps_[r]);
 }
 
 void ShardedNetworkMap::publish_locked() {
@@ -616,7 +539,7 @@ void ShardedNetworkMap::publish_locked() {
 
   view_.store(std::make_shared<const MetroView>(
                   regions_, last_snaps_, last_summary_, borders_by_region_,
-                  cfg_.ranker, Epoch{reports_}),
+                  ranker_, Epoch{reports_}),
               std::memory_order_release);
   ++publishes_;
 }
@@ -630,6 +553,9 @@ void ShardedNetworkMap::ingest(const telemetry::ProbeReport& report,
 
 void ShardedNetworkMap::ingest_batch(
     const std::vector<telemetry::ProbeReport>& reports, sim::SimTime now) {
+  // Nothing to apply: republishing would only drop the warm per-origin
+  // query contexts.
+  if (reports.empty()) return;
   LockGuard lock{mutex_};
   for (const telemetry::ProbeReport& report : reports) {
     apply_report_locked(report, now);
@@ -658,6 +584,7 @@ std::optional<ServerRank> ShardedNetworkMap::pick(
 void ShardedNetworkMap::set_k_factor(sim::SimDuration k) {
   LockGuard lock{mutex_};
   cfg_.ranker.k_factor = k;
+  ranker_ = std::make_shared<const RankerConfig>(cfg_.ranker);
   // Cached state must never outlive the config it was computed under:
   // drop every snapshot so publish rebuilds them under the new config.
   std::fill(last_snaps_.begin(), last_snaps_.end(), nullptr);

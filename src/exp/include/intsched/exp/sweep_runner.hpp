@@ -39,7 +39,7 @@ class SweepRunner {
 
   /// Runs the tasks and returns. Tasks must be mutually independent (each
   /// touching only its own state/result slot) — or share state exclusively
-  /// through an explicitly thread-safe type (e.g. core::ConcurrentNetworkMap;
+  /// through an explicitly thread-safe type (e.g. core::ShardedNetworkMap;
   /// such runs trade the byte-identity guarantee for throughput). The first
   /// exception thrown by any task is rethrown here after the workers join;
   /// a stop flag abandons tasks not yet started, matching the serial path

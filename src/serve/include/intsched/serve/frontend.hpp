@@ -14,12 +14,13 @@
 //     context's fixed-capacity request struct, candidate validation
 //     probes the flat open-addressing registry (core::FlatTable — a
 //     contiguous array instead of std::unordered_map's node chase),
-//     ranking runs through MetroView::rank_into / pick_with over the
+//     ranking runs through MetroView::rank_topk_into / pick_with over the
 //     context's reusable scratch, and encode writes straight into the
 //     caller's response buffer;
-//   * region sharding for free: pick_with routes the query through the
-//     per-region RankSnapshots and prunes whole regions by delay lower
-//     bound, so a metro-sized registry costs ~one region's work.
+//   * region sharding for free: pick_with scores the origin's compiled
+//     rank plane region group by region group and prunes whole regions
+//     by delay lower bound, so a metro-sized registry costs ~one region's
+//     work.
 //
 // Registration (register_server) is the cold path and must not run
 // concurrently with serve().

@@ -11,11 +11,11 @@ namespace intsched::telemetry {
 /// Collector-side probe-burst coalescer. INT probes arrive as a burst once
 /// per probing interval (every agent fires on the same cadence), but the
 /// IntCollector hands reports over one at a time; feeding each one to a
-/// concurrent map means one writer critical section — and, on the snapshot
-/// read path, one full snapshot publication — per probe. ReportBatcher
-/// sits between the collector and the map: it buffers reports and emits
-/// them as one batch, sized for ConcurrentNetworkMap::ingest_batch, so a
-/// burst of N probes costs one publish instead of N.
+/// concurrent map means one writer critical section — and one view
+/// publication — per probe. ReportBatcher sits between the collector and
+/// the map: it buffers reports and emits them as one batch, sized for
+/// ShardedNetworkMap::ingest_batch, so a burst of N probes costs one
+/// publish instead of N.
 ///
 /// Flush policy: automatically when the buffer reaches `max_batch`
 /// reports, and explicitly via flush() — callers flush at the probing
@@ -25,7 +25,7 @@ namespace intsched::telemetry {
 ///
 /// Threading: thread-confined like the IntCollector that feeds it (the
 /// simulator is single-threaded by contract); only the batch handler's
-/// target (e.g. ConcurrentNetworkMap) is thread-safe.
+/// target (e.g. ShardedNetworkMap) is thread-safe.
 class ReportBatcher {
  public:
   using BatchHandler = std::function<void(const std::vector<ProbeReport>&)>;

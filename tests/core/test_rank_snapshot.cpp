@@ -1,13 +1,13 @@
-// RankSnapshot + the lock-free read path of ConcurrentNetworkMap:
-// immutability, lazy once-only Dijkstra memoization, the
-// freshness/linearizability property (a rank() issued after ingest() of
-// report N returns must observe a snapshot with epoch >= N), and an
+// RankSnapshot + the lock-free read path of a flat (one-region)
+// ShardedNetworkMap: immutability, lazy once-only Dijkstra memoization,
+// the freshness/linearizability property (a rank() issued after ingest()
+// of report N returns must observe a view with epoch >= N), and an
 // 8-reader/1-writer torture run. All parallelism flows through
 // exp::SweepRunner (the sanctioned pool); worker tasks record into
 // index-addressed slots and the assertions run after the join, so the
 // tests are schedule-insensitive while giving ThreadSanitizer (the `tsan`
-// preset, ctest label `perf`) real traffic over the snapshot-publish /
-// snapshot-load edge and the call_once memo fill.
+// preset, ctest label `perf`) real traffic over the view-publish /
+// view-load edge and the call_once memo fills.
 //
 // The shared progress counter below is the test's own cross-thread state:
 // intsched-lint: allow-file(thread-share): freshness property needs a
@@ -22,7 +22,7 @@
 
 #include <gtest/gtest.h>
 
-#include "intsched/core/concurrent_map.hpp"
+#include "intsched/core/sharded_map.hpp"
 #include "intsched/exp/sweep_runner.hpp"
 
 namespace intsched::core {
@@ -58,6 +58,13 @@ telemetry::ProbeReport simple_report(std::int64_t q10 = 0,
   return r;
 }
 
+/// The flat deployment: node ids 0..15 all in region 0 (candidate 99 is
+/// outside the assignment and ranks unreachable, as on a flat map).
+RegionAssignment one_region() {
+  return RegionAssignment{std::vector<core::RegionId>(16, core::RegionId{0}),
+                          core::RegionId{1}};
+}
+
 void expect_ranks_identical(const std::vector<ServerRank>& got,
                             const std::vector<ServerRank>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -76,38 +83,49 @@ void expect_ranks_identical(const std::vector<ServerRank>& got,
 
 TEST(RankSnapshotTest, RankMatchesRankerOnTheSameMap) {
   NetworkMap map;
-  map.ingest(simple_report(5, 3), at_ms(0));
-  map.ingest(simple_report(2, 7), at_ms(1));
+  ShardedNetworkMap shared{one_region()};
+  for (const auto& [report, t] :
+       {std::pair{simple_report(5, 3), 0}, std::pair{simple_report(2, 7), 1}}) {
+    map.ingest(report, at_ms(t));
+    shared.ingest(report, at_ms(t));
+  }
 
   const Ranker ranker{map};
-  const RankSnapshot snapshot{map, RankerConfig{}};
+  const RankSnapshot snapshot{map};
   EXPECT_EQ(snapshot.epoch(), map.ingest_epoch());
+  const std::shared_ptr<const MetroView> view = shared.view();
+  EXPECT_EQ(view->region_snapshot(core::RegionId{0}).epoch(),
+            map.ingest_epoch());
 
   const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
   for (const auto metric :
        {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-    expect_ranks_identical(snapshot.rank(core::NodeId{0}, candidates, metric, at_ms(2)),
+    expect_ranks_identical(view->rank(core::NodeId{0}, candidates, metric, at_ms(2)),
                            ranker.rank(core::NodeId{0}, candidates, metric, at_ms(2)));
   }
 }
 
 TEST(RankSnapshotTest, SnapshotIsImmutableAcrossLaterIngest) {
-  ConcurrentNetworkMap shared;  // snapshot mode by default
+  ShardedNetworkMap shared{one_region()};
   shared.ingest(simple_report(4, 4), at_ms(0));
 
-  const std::shared_ptr<const RankSnapshot> old = shared.snapshot();
+  const std::shared_ptr<const MetroView> old = shared.view();
   ASSERT_NE(old, nullptr);
   const Epoch old_epoch = old->epoch();
+  const RankSnapshot& old_snap = old->region_snapshot(core::RegionId{0});
+  const Epoch old_snap_epoch = old_snap.epoch();
   const std::vector<core::NodeId> candidates{core::NodeId{1}};
   const auto before = old->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
 
-  // Heavier congestion arrives; the *old* snapshot must not move.
+  // Heavier congestion arrives; the *held* view and its region snapshot
+  // must not move.
   shared.ingest(simple_report(60, 60), at_ms(1));
   EXPECT_EQ(old->epoch(), old_epoch);
+  EXPECT_EQ(old_snap.epoch(), old_snap_epoch);
   expect_ranks_identical(
       old->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1)), before);
 
-  const std::shared_ptr<const RankSnapshot> fresh = shared.snapshot();
+  const std::shared_ptr<const MetroView> fresh = shared.view();
   ASSERT_NE(fresh, nullptr);
   EXPECT_GT(fresh->epoch(), old_epoch);
   const auto after = fresh->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
@@ -117,33 +135,40 @@ TEST(RankSnapshotTest, SnapshotIsImmutableAcrossLaterIngest) {
 TEST(RankSnapshotTest, DijkstraMemoFillsOncePerOrigin) {
   NetworkMap map;
   map.ingest(simple_report(), at_ms(0));
-  const RankSnapshot snapshot{map, RankerConfig{}};
+  const RankSnapshot snapshot{map};
 
-  const std::vector<core::NodeId> candidates{core::NodeId{1}};
+  const net::ShortestPaths* first = snapshot.paths_from(core::NodeId{0});
+  ASSERT_NE(first, nullptr);
   for (int i = 0; i < 5; ++i) {
-    (void)snapshot.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1 + i));
+    EXPECT_EQ(snapshot.paths_from(core::NodeId{0}), first);
   }
   EXPECT_EQ(snapshot.memo_fills(), 1);
 
-  (void)snapshot.rank(core::NodeId{1}, candidates, RankingMetric::kDelay, at_ms(10));
+  ASSERT_NE(snapshot.paths_from(core::NodeId{1}), nullptr);
   EXPECT_EQ(snapshot.memo_fills(), 2);
 
-  // Unknown origin: computed locally, never memoized.
-  (void)snapshot.rank(core::NodeId{777}, candidates, RankingMetric::kDelay, at_ms(11));
+  // Unknown origin: no slot, nothing memoized.
+  EXPECT_EQ(snapshot.paths_from(core::NodeId{777}), nullptr);
   EXPECT_EQ(snapshot.memo_fills(), 2);
-}
 
-TEST(RankSnapshotTest, LockedFacadePublishesNoSnapshot) {
-  ConcurrentNetworkMap locked{{}, {}, ConcurrencyMode::kLockedFacade};
-  locked.ingest(simple_report(), at_ms(0));
-  EXPECT_EQ(locked.snapshot(), nullptr);
+  // Through a published view: repeated queries from one origin fill the
+  // region memo once; an unknown origin fills nothing.
+  ShardedNetworkMap shared{one_region()};
+  shared.ingest(simple_report(), at_ms(0));
+  const std::shared_ptr<const MetroView> view = shared.view();
+  const std::vector<core::NodeId> candidates{core::NodeId{1}};
+  for (int i = 0; i < 5; ++i) {
+    (void)view->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1 + i));
+  }
+  (void)view->rank(core::NodeId{777}, candidates, RankingMetric::kDelay, at_ms(11));
+  EXPECT_EQ(view->region_snapshot(core::RegionId{0}).memo_fills(), 1);
 }
 
 // Freshness/linearizability property: ingest() of report N publishes
 // before it returns, so any observation that starts after the return must
 // see epoch >= N. The writer advances a release-stored progress counter
 // only after each ingest returns; readers acquire-load the counter, then
-// load the snapshot — seeing an older epoch would be a publication-order
+// load the view — seeing an older epoch would be a publication-order
 // violation. Violations are counted per reader slot and asserted after
 // the join (gtest assertions are not thread-safe on worker threads).
 // Readers run a fixed observation count rather than polling a done flag:
@@ -155,7 +180,7 @@ TEST(RankSnapshotTest, FreshnessPropertyUnderConcurrentIngest) {
   constexpr int kReaders = 4;
   constexpr int kObservationsPerReader = 200;
 
-  ConcurrentNetworkMap shared;  // snapshot mode
+  ShardedNetworkMap shared{one_region()};
   shared.ingest(simple_report(), at_ms(0));
 
   std::atomic<std::int64_t> progress{1};  // reports whose ingest returned
@@ -173,8 +198,8 @@ TEST(RankSnapshotTest, FreshnessPropertyUnderConcurrentIngest) {
       const std::vector<core::NodeId> candidates{core::NodeId{1}};
       for (int i = 0; i < kObservationsPerReader; ++i) {
         const std::int64_t seen = progress.load(std::memory_order_acquire);
-        const std::shared_ptr<const RankSnapshot> snap = shared.snapshot();
-        if (snap->epoch() < Epoch{seen}) ++violations[static_cast<std::size_t>(t)];
+        const std::shared_ptr<const MetroView> view = shared.view();
+        if (view->epoch() < Epoch{seen}) ++violations[static_cast<std::size_t>(t)];
         (void)shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(static_cast<int>(seen)));
       }
     });
@@ -185,17 +210,18 @@ TEST(RankSnapshotTest, FreshnessPropertyUnderConcurrentIngest) {
 
   for (int t = 0; t < kReaders; ++t) {
     EXPECT_EQ(violations[static_cast<std::size_t>(t)], 0)
-        << "reader " << t << " observed a pre-ingest snapshot";
+        << "reader " << t << " observed a pre-ingest view";
   }
   EXPECT_EQ(shared.reports_ingested(), 1 + kReports);
-  // At quiescence the published snapshot is the newest epoch.
-  EXPECT_EQ(shared.snapshot()->epoch(), Epoch{1 + kReports});
+  // At quiescence the published view is the newest epoch.
+  EXPECT_EQ(shared.view()->epoch(), Epoch{1 + kReports});
 }
 
 // Torture: 8 readers hammering the lock-free path against 1 writer mixing
 // single and batched ingest, ~10k ops total. Asserts exact totals after
-// the join and that the final state replays byte-identically on a locked
-// facade — while giving TSan maximal snapshot-churn traffic.
+// the join and that the final state replays byte-identically through
+// Ranker over a flat NetworkMap — while giving TSan maximal view-churn
+// traffic.
 TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
   constexpr int kReaders = 8;
   constexpr int kRanksPerReader = 1000;   // 8k ranks
@@ -203,21 +229,25 @@ TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
   constexpr int kBatches = 250;           // 1k more reports, batched by 4
   constexpr int kBatchSize = 4;
 
-  ConcurrentNetworkMap shared;  // snapshot mode
+  const auto burst_of = [](int b) {
+    std::vector<telemetry::ProbeReport> burst;
+    burst.reserve(kBatchSize);
+    for (int j = 0; j < kBatchSize; ++j) {
+      burst.push_back(simple_report((b + j) % 11, (b * j) % 7));
+    }
+    return burst;
+  };
+
+  ShardedNetworkMap shared{one_region()};
   shared.ingest(simple_report(), at_ms(0));
 
   std::vector<std::function<void()>> tasks;
-  tasks.push_back([&shared] {
+  tasks.push_back([&shared, &burst_of] {
     for (int i = 0; i < kSingles; ++i) {
       shared.ingest(simple_report(i % 13, i % 8), at_ms(1 + i));
     }
     for (int b = 0; b < kBatches; ++b) {
-      std::vector<telemetry::ProbeReport> burst;
-      burst.reserve(kBatchSize);
-      for (int j = 0; j < kBatchSize; ++j) {
-        burst.push_back(simple_report((b + j) % 11, (b * j) % 7));
-      }
-      shared.ingest_batch(burst, at_ms(1 + kSingles + b));
+      shared.ingest_batch(burst_of(b), at_ms(1 + kSingles + b));
     }
   });
   std::vector<std::int64_t> bad_shapes(kReaders, 0);
@@ -247,28 +277,27 @@ TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
   EXPECT_EQ(shared.reports_ingested(), expected_reports);
   EXPECT_EQ(shared.queries_served(),
             static_cast<std::int64_t>(kReaders) * kRanksPerReader);
-  EXPECT_EQ(shared.snapshot()->epoch(), Epoch{expected_reports});
+  EXPECT_EQ(shared.view()->epoch(), Epoch{expected_reports});
 
-  // Quiesced state replays byte-identically on the locked facade.
-  ConcurrentNetworkMap locked{{}, {}, ConcurrencyMode::kLockedFacade};
-  locked.ingest(simple_report(), at_ms(0));
+  // Quiesced state replays byte-identically through the reference Ranker.
+  NetworkMap flat;
+  flat.ingest(simple_report(), at_ms(0));
   for (int i = 0; i < kSingles; ++i) {
-    locked.ingest(simple_report(i % 13, i % 8), at_ms(1 + i));
+    flat.ingest(simple_report(i % 13, i % 8), at_ms(1 + i));
   }
   for (int b = 0; b < kBatches; ++b) {
-    std::vector<telemetry::ProbeReport> burst;
-    for (int j = 0; j < kBatchSize; ++j) {
-      burst.push_back(simple_report((b + j) % 11, (b * j) % 7));
+    for (const telemetry::ProbeReport& r : burst_of(b)) {
+      flat.ingest(r, at_ms(1 + kSingles + b));
     }
-    locked.ingest_batch(burst, at_ms(1 + kSingles + b));
   }
+  const Ranker ranker{flat};
   const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
   const int final_t = 1 + kSingles + kBatches;
   for (const auto metric :
        {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
     expect_ranks_identical(
         shared.rank(core::NodeId{0}, candidates, metric, at_ms(final_t)),
-        locked.rank(core::NodeId{0}, candidates, metric, at_ms(final_t)));
+        ranker.rank(core::NodeId{0}, candidates, metric, at_ms(final_t)));
   }
 }
 

@@ -1,12 +1,18 @@
-// ShardedNetworkMap / MetroView: the two-level metro read path must be a
-// drop-in for the flat ConcurrentNetworkMap — field-exact rank agreement
-// in the delay-isolated metro regime, pick() == rank()[0] with real
-// region pruning, byte-identical results across rebuild-executor widths
-// (serial / 2 / 8 threads), and an 8-reader/1-writer torture run
-// mirroring the RankSnapshot one (this file rides in concurrency_tests,
-// ctest label `perf`, so the tsan preset hammers the same paths).
+// ShardedNetworkMap / MetroView: the scheduler's one concurrent read
+// path. On a metro it must agree with Ranker over a flat NetworkMap —
+// field-exact in the delay-isolated regime — with pick() == rank()[0]
+// under real region pruning, byte-identical results across
+// rebuild-executor widths (serial / 2 / 8 threads), and an
+// 8-reader/1-writer torture run mirroring the one-region one in
+// test_rank_snapshot.cpp. Batching and empty batches are checked on one
+// region and on a metro; the OneRegionMapTest cases pin the flat
+// deployment (every node in region 0): agreement with a plain NetworkMap
+// and Ranker, k-factor republish, and exact totals under concurrent
+// ingest and rank. This file
+// rides in concurrency_tests, ctest label `perf`, so the tsan preset
+// hammers the same paths.
 //
-// The torture test's cross-thread state is the maps themselves:
+// The torture tests' cross-thread state is the maps themselves:
 #include "intsched/core/sharded_map.hpp"
 
 #include <functional>
@@ -15,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "intsched/core/concurrent_map.hpp"
 #include "intsched/core/scheduler_service.hpp"
 #include "intsched/exp/fig4.hpp"
 #include "intsched/exp/metro.hpp"
@@ -76,10 +81,55 @@ struct MetroFixture {
   }
 };
 
+/// Feeds one epoch batch to the flat reference map, as ingest_batch does.
+void ingest_all(NetworkMap& flat,
+                const std::vector<telemetry::ProbeReport>& batch,
+                sim::SimTime now) {
+  for (const telemetry::ProbeReport& r : batch) flat.ingest(r, now);
+}
+
+sim::SimDuration ms(int v) { return sim::SimDuration::milliseconds(v); }
+sim::SimTime at_ms(int v) { return sim::SimTime::at(ms(v)); }
+
+net::IntStackEntry entry(core::NodeId device, std::int32_t in_port,
+                         std::int32_t out_port, std::int64_t queue,
+                         sim::SimDuration link_latency) {
+  net::IntStackEntry e;
+  e.device = device;
+  e.ingress_port = in_port;
+  e.egress_port = out_port;
+  e.max_queue_pkts = queue;
+  e.device_max_queue_pkts = queue;
+  e.ingress_link_latency = link_latency;
+  return e;
+}
+
+/// host 0 -> s10 -> s11 -> host 1 (candidate server / collector).
+telemetry::ProbeReport simple_report(std::int64_t q10 = 0,
+                                     std::int64_t q11 = 0) {
+  telemetry::ProbeReport r;
+  r.src = core::NodeId{0};
+  r.dst = core::NodeId{1};
+  r.entries = {
+      entry(core::NodeId{10}, 0, 2, q10, ms(10)),
+      entry(core::NodeId{11}, 1, 3, q11, ms(12)),
+  };
+  r.final_link_latency = ms(9);
+  return r;
+}
+
+/// Node ids 0..15 all in region 0 (candidate 99 lies outside the
+/// assignment and ranks unreachable, exactly as on a flat map).
+RegionAssignment one_region() {
+  return RegionAssignment{std::vector<core::RegionId>(16, core::RegionId{0}),
+                          core::RegionId{1}};
+}
+
 TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
   MetroFixture m{3, 8};
   ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
-  ConcurrentNetworkMap flat;  // snapshot mode
+  NetworkMap flat;
+  const Ranker ranker{flat};
   EXPECT_EQ(sharded.region_count(), core::RegionId{3});
 
   const std::vector<core::NodeId> origins = m.topo.hosts();
@@ -87,11 +137,11 @@ TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
   for (std::size_t e = 0; e < m.batches.size(); ++e) {
     const sim::SimTime now = MetroFixture::epoch_time(e);
     sharded.ingest_batch(m.batches[e], now);
-    flat.ingest_batch(m.batches[e], now);
+    ingest_all(flat, m.batches[e], now);
     for (const core::NodeId origin : origins) {
       for (const auto metric :
            {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-        const auto want = flat.rank(origin, candidates, metric, now);
+        const auto want = ranker.rank(origin, candidates, metric, now);
         const auto got = sharded.rank(origin, candidates, metric, now);
         expect_ranks_identical(got, want, "epoch");
 
@@ -209,22 +259,24 @@ TEST(ShardedMapTest, SetKFactorRepublishesEverything) {
   EXPECT_EQ(after->config().k_factor, sim::SimDuration::milliseconds(40));
 
   // The new k flows into delay estimates (flat map as the oracle).
-  ConcurrentNetworkMap flat{{}, RankerConfig{.k_factor =
-                                                 sim::SimDuration::milliseconds(40)}};
-  flat.ingest_batch(m.batches[0], MetroFixture::epoch_time(0));
+  NetworkMap flat;
+  ingest_all(flat, m.batches[0], MetroFixture::epoch_time(0));
+  const Ranker ranker{
+      flat, RankerConfig{.k_factor = sim::SimDuration::milliseconds(40)}};
   const std::vector<core::NodeId> candidates = m.topo.edge_servers();
   const sim::SimTime now = MetroFixture::epoch_time(1);
   expect_ranks_identical(
       sharded.rank(m.topo.hosts()[0], candidates, RankingMetric::kDelay, now),
-      flat.rank(m.topo.hosts()[0], candidates, RankingMetric::kDelay, now),
+      ranker.rank(m.topo.hosts()[0], candidates, RankingMetric::kDelay, now),
       "post set_k_factor");
 }
 
 // Torture: 8 readers hammering the lock-free two-level path (rank + pick)
 // against 1 writer streaming pre-generated refresh batches, mirroring
-// RankSnapshotTest.TortureEightReadersOneWriter. Assertions run after the
-// join; while running, the test's job is giving TSan real traffic over
-// the MetroView publish/load edge and the per-origin call_once contexts.
+// the one-region RankSnapshotTest.TortureEightReadersOneWriter.
+// Assertions run after the join; while running, the test's job is giving
+// TSan real traffic over the MetroView publish/load edge and the
+// per-origin call_once contexts.
 TEST(ShardedMapTest, TortureEightReadersOneWriter) {
   constexpr int kReaders = 8;
   constexpr int kOpsPerReader = 400;  // each op = one rank + one pick
@@ -282,16 +334,17 @@ TEST(ShardedMapTest, TortureEightReadersOneWriter) {
   EXPECT_EQ(shared.view()->epoch(), core::Epoch{expected_reports});
 
   // Quiesced state replays field-identically against the flat oracle.
-  ConcurrentNetworkMap flat;
+  NetworkMap flat;
   for (std::size_t e = 0; e < m.batches.size(); ++e) {
-    flat.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+    ingest_all(flat, m.batches[e], MetroFixture::epoch_time(e));
   }
+  const Ranker ranker{flat};
   const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
   for (const core::NodeId origin : {origins[0], origins[5]}) {
     for (const auto metric :
          {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
       expect_ranks_identical(shared.rank(origin, candidates, metric, now),
-                             flat.rank(origin, candidates, metric, now),
+                             ranker.rank(origin, candidates, metric, now),
                              "post torture");
     }
   }
@@ -332,6 +385,202 @@ TEST(ShardedMapTest, SchedulerServiceRoutesThroughAttachedMetro) {
 
   EXPECT_GT(metro.reports_ingested(), 0);
   expect_ranks_identical(with_metro, flat, "attach_metro");
+}
+
+// A burst through ingest_batch equals the same reports ingested one by
+// one, on one region and on a metro.
+TEST(ShardedMapTest, IngestBatchMatchesSequentialIngests) {
+  ShardedNetworkMap batched{one_region()};
+  ShardedNetworkMap sequential{one_region()};
+  std::vector<telemetry::ProbeReport> burst;
+  for (int i = 0; i < 8; ++i) {
+    burst.push_back(simple_report(i % 5, (i * 3) % 7));
+  }
+  batched.ingest_batch(burst, at_ms(5));
+  for (const auto& r : burst) sequential.ingest(r, at_ms(5));
+
+  EXPECT_EQ(batched.reports_ingested(), sequential.reports_ingested());
+  const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
+  for (const auto metric :
+       {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+    expect_ranks_identical(
+        batched.rank(core::NodeId{0}, candidates, metric, at_ms(6)),
+        sequential.rank(core::NodeId{0}, candidates, metric, at_ms(6)),
+        "one-region batch");
+  }
+
+  MetroFixture m{2, 2};
+  const RegionAssignment regions = RegionAssignment::from_topology(m.topo);
+  ShardedNetworkMap metro_batched{regions};
+  ShardedNetworkMap metro_sequential{regions};
+  for (std::size_t e = 0; e < m.batches.size(); ++e) {
+    const sim::SimTime now = MetroFixture::epoch_time(e);
+    metro_batched.ingest_batch(m.batches[e], now);
+    for (const auto& r : m.batches[e]) metro_sequential.ingest(r, now);
+  }
+  EXPECT_EQ(metro_batched.reports_ingested(),
+            metro_sequential.reports_ingested());
+  const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
+  for (const core::NodeId origin : m.topo.hosts()) {
+    for (const auto metric :
+         {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+      expect_ranks_identical(
+          metro_batched.rank(origin, m.topo.edge_servers(), metric, now),
+          metro_sequential.rank(origin, m.topo.edge_servers(), metric, now),
+          "metro batch");
+    }
+  }
+}
+
+// An empty burst publishes nothing: the view (and with it every warm
+// per-origin query context) stays the published one.
+TEST(ShardedMapTest, EmptyBatchIsANoOp) {
+  ShardedNetworkMap flat{one_region()};
+  const std::shared_ptr<const MetroView> flat_view = flat.view();
+  const std::int64_t flat_publishes = flat.view_publishes();
+  flat.ingest_batch({}, at_ms(0));
+  EXPECT_EQ(flat.reports_ingested(), 0);
+  EXPECT_EQ(flat.view().get(), flat_view.get());
+  EXPECT_EQ(flat.view_publishes(), flat_publishes);
+
+  MetroFixture m{2, 1};
+  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
+  sharded.ingest_batch(m.batches[0], MetroFixture::epoch_time(0));
+  const std::shared_ptr<const MetroView> before = sharded.view();
+  const std::int64_t publishes = sharded.view_publishes();
+  const std::int64_t builds = sharded.region_snapshot_builds();
+
+  sharded.ingest_batch({}, MetroFixture::epoch_time(1));
+  EXPECT_EQ(sharded.view().get(), before.get());
+  EXPECT_EQ(sharded.view_publishes(), publishes);
+  EXPECT_EQ(sharded.region_snapshot_builds(), builds);
+  EXPECT_EQ(sharded.reports_ingested(),
+            static_cast<std::int64_t>(m.batches[0].size()));
+}
+
+// -- the flat deployment: one region ---------------------------------------
+
+TEST(OneRegionMapTest, SingleThreadedIngestMatchesNetworkMap) {
+  ShardedNetworkMap shared{one_region()};
+  shared.ingest(simple_report(), at_ms(0));
+
+  NetworkMap plain;
+  plain.ingest(simple_report(), at_ms(0));
+
+  EXPECT_EQ(shared.region_count(), core::RegionId{1});
+  EXPECT_EQ(shared.reports_ingested(), 1);
+  EXPECT_EQ(shared.rejected_entries(), 0);
+  const NetworkMap& region =
+      shared.view()->region_snapshot(core::RegionId{0}).map();
+  EXPECT_TRUE(region.knows_node(core::NodeId{10}));
+  EXPECT_EQ(region.ingest_epoch(), plain.ingest_epoch());
+  EXPECT_EQ(region.link_delay(core::NodeId{0}, core::NodeId{10}),
+            plain.link_delay(core::NodeId{0}, core::NodeId{10}));
+  EXPECT_EQ(region.link_delay(core::NodeId{10}, core::NodeId{11}),
+            plain.link_delay(core::NodeId{10}, core::NodeId{11}));
+  EXPECT_EQ(shared.view()->summary_map().known_link_count(), 0);
+}
+
+TEST(OneRegionMapTest, RankMatchesRankerAndCountsQueries) {
+  ShardedNetworkMap shared{one_region()};
+  shared.ingest(simple_report(), at_ms(0));
+
+  NetworkMap plain;
+  plain.ingest(simple_report(), at_ms(0));
+  const Ranker ranker{plain};
+
+  const std::vector<core::NodeId> candidates{core::NodeId{1}};
+  expect_ranks_identical(
+      shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1)),
+      ranker.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1)),
+      "one region");
+  EXPECT_EQ(shared.queries_served(), 1);
+}
+
+// Regression: a k-factor change between ingests must take effect on the
+// very next rank. A published view carries the config it was built
+// under, so set_k_factor must republish — without it the old k would be
+// served until the next ingest.
+TEST(OneRegionMapTest, KFactorChangeAppliesWithoutNewIngest) {
+  ShardedNetworkMap shared{one_region()};
+  shared.ingest(simple_report(6, 4), at_ms(0));
+
+  const std::vector<core::NodeId> candidates{core::NodeId{1}};
+  const std::vector<ServerRank> before =
+      shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
+
+  shared.set_k_factor(ms(50));
+  const std::vector<ServerRank> after =
+      shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
+
+  NetworkMap plain;
+  plain.ingest(simple_report(6, 4), at_ms(0));
+  RankerConfig cfg;
+  cfg.k_factor = ms(50);
+  const Ranker ranker{plain, cfg};
+  const std::vector<ServerRank> want =
+      ranker.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
+
+  ASSERT_EQ(before.size(), 1u);
+  EXPECT_NE(before[0].delay_estimate, after[0].delay_estimate)
+      << "k change had no effect on the next rank";
+  expect_ranks_identical(after, want, "post set_k_factor");
+}
+
+// Concurrent ingest and rank through the sanctioned pool. Assertions are
+// interleaving-insensitive — totals after the join and the converged
+// ranking — so they hold under any schedule while giving TSan real
+// cross-thread traffic over the writer lock and the lock-free view.
+TEST(OneRegionMapTest, ConcurrentIngestAndRankKeepTotalsExact) {
+  constexpr int kIngestTasks = 4;
+  constexpr int kRankTasks = 4;
+  constexpr int kOpsPerTask = 50;
+
+  ShardedNetworkMap shared{one_region()};
+  // Seed the topology so rank tasks have a graph from the first instant.
+  shared.ingest(simple_report(), at_ms(0));
+
+  const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
+  std::vector<std::function<void()>> tasks;
+  for (int t = 0; t < kIngestTasks; ++t) {
+    tasks.push_back([&shared, t] {
+      for (int i = 0; i < kOpsPerTask; ++i) {
+        // Distinct queue values and times per task: every ingest really
+        // mutates the EWMAs, windows, and the published epoch.
+        shared.ingest(simple_report(i % 7, (i + t) % 5), at_ms(1 + i));
+      }
+    });
+  }
+  std::vector<std::int64_t> bad(kRankTasks, 0);
+  for (int t = 0; t < kRankTasks; ++t) {
+    tasks.push_back([&shared, &candidates, &bad, t] {
+      for (int i = 0; i < kOpsPerTask; ++i) {
+        const std::vector<ServerRank> ranked =
+            shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1 + i));
+        // Interleaving-insensitive: shape and ordering policy only.
+        if (ranked.size() != candidates.size() ||
+            ranked[0].delay_estimate > ranked[1].delay_estimate) {
+          ++bad[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+
+  const exp::SweepRunner runner{4};
+  runner.run(std::move(tasks));
+
+  for (int t = 0; t < kRankTasks; ++t) {
+    EXPECT_EQ(bad[static_cast<std::size_t>(t)], 0) << "rank task " << t;
+  }
+  EXPECT_EQ(shared.reports_ingested(), 1 + kIngestTasks * kOpsPerTask);
+  EXPECT_EQ(shared.queries_served(), kRankTasks * kOpsPerTask);
+
+  // After the join the state has quiesced: ranking is deterministic again.
+  const std::vector<ServerRank> final_rank =
+      shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(kOpsPerTask));
+  ASSERT_EQ(final_rank.size(), 2u);
+  EXPECT_EQ(final_rank[0].server, core::NodeId{1});
+  EXPECT_EQ(final_rank[1].server, core::NodeId{99});  // never probed: unreachable, last
 }
 
 }  // namespace

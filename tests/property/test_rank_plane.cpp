@@ -1,13 +1,15 @@
-// Compiled rank planes (DESIGN.md §15) — plane/legacy equivalence pack.
+// Compiled rank planes (DESIGN.md §15) — the plane/reference equivalence
+// pack.
 //
-// The compiled plane path must be *byte-identical* to the uncompiled
-// reference ranking: every field of every ServerRank, in every position,
-// for every metric, queue statistic, staleness regime, and candidate
-// shape (reachable, unreachable, unknown-id, origin-as-candidate) — over
-// seeded metro topologies, on both the flat RankSnapshot path and the
-// two-level sharded MetroView path. The oracle is the same build with
-// RankerConfig::compile_rank_plane = false, which routes every query
-// through rank_candidates / rank_paths_into untouched.
+// Every published view scores through its compiled planes, and they must
+// be *byte-identical* to the uncompiled legacy scorer: core::Ranker over
+// a flat NetworkMap fed the same reports, i.e. rank_candidates walking
+// the Dijkstra paths with the Algorithm-1 estimators. Checked for every
+// field of every ServerRank, in every position — rank(), rank_topk_into
+// at every k and pick() — for every metric, queue statistic, staleness
+// regime and candidate shape (reachable, unreachable, unknown id,
+// kInvalidNode, origin-as-candidate, unknown origin), over seeded metro
+// topologies, on a one-region (flat) map and on a multi-region metro.
 
 #include <cstring>
 #include <memory>
@@ -16,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "intsched/core/concurrent_map.hpp"
 #include "intsched/core/ranking.hpp"
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/exp/metro.hpp"
@@ -26,8 +27,7 @@ namespace intsched::core {
 namespace {
 
 // Field-exact (and for the floating-point field, bit-exact) comparison:
-// EXPECT_EQ on doubles already requires exact equality, which is the
-// contract — the plane kernels run the same arithmetic in the same order.
+// the plane kernels run the same arithmetic in the same order.
 void expect_ranks_identical(const std::vector<ServerRank>& got,
                             const std::vector<ServerRank>& want,
                             const char* what) {
@@ -72,16 +72,41 @@ struct MetroFixture {
     return sim::SimTime::seconds(static_cast<std::int64_t>(e) + 1);
   }
 
+  /// The flat deployment of this topology: every node in region 0.
+  [[nodiscard]] RegionAssignment one_region() const {
+    return RegionAssignment{
+        std::vector<core::RegionId>(topo.nodes.size(), core::RegionId{0}),
+        core::RegionId{1}};
+  }
+
+  /// Query origins: real hosts plus one id nothing ever probed.
+  [[nodiscard]] std::vector<core::NodeId> origins() const {
+    const std::vector<core::NodeId> hosts = topo.hosts();
+    return {hosts[0], hosts[hosts.size() / 2], hosts.back(),
+            core::NodeId{888888}};
+  }
+
   /// Candidate set exercising every row shape: real edge servers, an id
-  /// nothing has ever probed (no graph node, no plane row), and the
-  /// query origin itself (its path to itself has one node — unreachable
-  /// by the ranking contract).
+  /// nothing has ever probed (no graph node, no plane row), the invalid
+  /// id, and the query origin itself (its path to itself has one node —
+  /// unreachable by the ranking contract).
   [[nodiscard]] std::vector<core::NodeId> candidates_with_edge_cases(
       core::NodeId origin) const {
     std::vector<core::NodeId> c = topo.edge_servers();
     c.push_back(core::NodeId{999983});  // unknown everywhere
+    c.push_back(core::kInvalidNode);
     c.push_back(origin);
     return c;
+  }
+
+  /// Every candidate set the pack queries from `origin`: the edge-case
+  /// set above, plus two where nothing is reachable, so the winner is
+  /// the smallest id — kInvalidNode, whose id (-1) sorts first.
+  [[nodiscard]] std::vector<std::vector<core::NodeId>> candidate_sets(
+      core::NodeId origin) const {
+    return {candidates_with_edge_cases(origin),
+            {core::kInvalidNode},
+            {origin, core::kInvalidNode}};
   }
 };
 
@@ -102,154 +127,137 @@ const ConfigCase kCases[] = {
      sim::SimDuration::millis(1500)},
 };
 
-RankerConfig ranker_config(const ConfigCase& c, bool compile_plane) {
-  RankerConfig cfg;
-  cfg.queue_statistic = c.statistic;
-  cfg.compile_rank_plane = compile_plane;
+ShardedMapConfig map_config(const ConfigCase& c) {
+  ShardedMapConfig cfg;
+  cfg.map.link_staleness = c.staleness;
+  cfg.ranker.queue_statistic = c.statistic;
   return cfg;
 }
 
-NetworkMapConfig map_config(const ConfigCase& c) {
-  NetworkMapConfig cfg;
-  cfg.link_staleness = c.staleness;
-  return cfg;
+/// rank(), rank_topk_into at every k (1 .. n + 1) and pick() from one
+/// view, for both metrics, against the reference ranking of the same
+/// query. One scratch serves every call, as on a serving thread.
+void expect_view_matches_reference(const MetroView& view, const Ranker& ref,
+                                   core::NodeId origin,
+                                   const std::vector<core::NodeId>& candidates,
+                                   sim::SimTime now, const char* what) {
+  MetroView::RankScratch scratch;
+  std::vector<ServerRank> topk;
+  const std::size_t n = candidates.size();
+  for (const auto metric :
+       {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+    const std::vector<ServerRank> want =
+        ref.rank(origin, candidates, metric, now);
+    expect_ranks_identical(view.rank(origin, candidates, metric, now), want,
+                           what);
+    for (std::size_t k = 1; k <= n + 1; ++k) {
+      view.rank_topk_into(origin, candidates.data(), n, metric, now, k,
+                          scratch, topk);
+      expect_ranks_identical(
+          topk,
+          {want.begin(),
+           want.begin() + static_cast<std::ptrdiff_t>(std::min(k, n))},
+          what);
+    }
+    const std::optional<ServerRank> best =
+        view.pick_with(origin, candidates.data(), n, metric, now, scratch);
+    ASSERT_TRUE(best.has_value()) << what;
+    expect_ranks_identical({*best}, {want.front()}, what);
+  }
 }
 
-// Flat path: ConcurrentNetworkMap (snapshot mode) with planes on vs off.
-TEST(RankPlaneProperty, FlatSnapshotMatchesLegacyByteExact) {
-  MetroFixture m{3, 6};
+/// Feeds the same epochs to `map` and the flat reference map, checking
+/// every origin after every epoch.
+void run_pack(const MetroFixture& m, const RegionAssignment& regions) {
   for (const ConfigCase& c : kCases) {
-    ConcurrentNetworkMap with_plane{map_config(c), ranker_config(c, true)};
-    ConcurrentNetworkMap legacy{map_config(c), ranker_config(c, false)};
+    const ShardedMapConfig cfg = map_config(c);
+    ShardedNetworkMap map{regions, cfg};
+    NetworkMap flat{cfg.map};
+    const Ranker ref{flat, cfg.ranker};
     for (std::size_t e = 0; e < m.batches.size(); ++e) {
       const sim::SimTime now = MetroFixture::epoch_time(e);
-      with_plane.ingest_batch(m.batches[e], now);
-      legacy.ingest_batch(m.batches[e], now);
-      for (const core::NodeId origin :
-           {m.topo.hosts()[0], m.topo.hosts()[7], m.topo.hosts().back()}) {
-        const auto candidates = m.candidates_with_edge_cases(origin);
-        for (const auto metric :
-             {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-          expect_ranks_identical(
-              with_plane.rank(origin, candidates, metric, now),
-              legacy.rank(origin, candidates, metric, now), c.name);
+      map.ingest_batch(m.batches[e], now);
+      for (const telemetry::ProbeReport& r : m.batches[e]) flat.ingest(r, now);
+      const std::shared_ptr<const MetroView> view = map.view();
+      for (const core::NodeId origin : m.origins()) {
+        for (const std::vector<core::NodeId>& candidates :
+             m.candidate_sets(origin)) {
+          expect_view_matches_reference(*view, ref, origin, candidates, now,
+                                        c.name);
         }
       }
     }
   }
 }
 
-// Two-level path: ShardedNetworkMap / MetroView with planes on vs off,
-// including rank_topk_into prefixes and pick_with (answer + PickStats).
+// The flat deployment: a one-region map's published snapshots.
+TEST(RankPlaneProperty, FlatSnapshotMatchesLegacyByteExact) {
+  const MetroFixture m{3, 6};
+  run_pack(m, m.one_region());
+}
+
+// The two-level path: a 4-pod metro, region pruning in pick() included.
 TEST(RankPlaneProperty, ShardedMetroMatchesLegacyByteExact) {
-  MetroFixture m{4, 5};
-  const RegionAssignment regions = RegionAssignment::from_topology(m.topo);
-  for (const ConfigCase& c : kCases) {
-    ShardedMapConfig on_cfg;
-    on_cfg.map = map_config(c);
-    on_cfg.ranker = ranker_config(c, true);
-    ShardedMapConfig off_cfg = on_cfg;
-    off_cfg.ranker.compile_rank_plane = false;
-    ShardedNetworkMap with_plane{regions, on_cfg};
-    ShardedNetworkMap legacy{regions, off_cfg};
-    for (std::size_t e = 0; e < m.batches.size(); ++e) {
-      const sim::SimTime now = MetroFixture::epoch_time(e);
-      with_plane.ingest_batch(m.batches[e], now);
-      legacy.ingest_batch(m.batches[e], now);
-    }
-    const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
-    for (const core::NodeId origin :
-         {m.topo.hosts()[0], m.topo.hosts()[3], m.topo.hosts().back()}) {
-      const auto candidates = m.candidates_with_edge_cases(origin);
-      for (const auto metric :
-           {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-        expect_ranks_identical(with_plane.rank(origin, candidates, metric, now),
-                               legacy.rank(origin, candidates, metric, now),
-                               c.name);
-      }
-      // pick must agree in answer AND in pruning observability: the
-      // plane group kernel replaces only the per-group scoring, not the
-      // region pruning loop.
-      PickStats plane_stats;
-      PickStats legacy_stats;
-      const std::optional<ServerRank> got = with_plane.pick(
-          origin, candidates, RankingMetric::kDelay, now, &plane_stats);
-      const std::optional<ServerRank> want = legacy.pick(
-          origin, candidates, RankingMetric::kDelay, now, &legacy_stats);
-      ASSERT_EQ(got.has_value(), want.has_value()) << c.name;
-      if (got.has_value()) {
-        expect_ranks_identical({*got}, {*want}, c.name);
-      }
-      EXPECT_EQ(plane_stats.regions_considered, legacy_stats.regions_considered)
-          << c.name;
-      EXPECT_EQ(plane_stats.regions_pruned, legacy_stats.regions_pruned)
-          << c.name;
-      EXPECT_EQ(plane_stats.candidates_scored, legacy_stats.candidates_scored)
-          << c.name;
-    }
-  }
+  const MetroFixture m{4, 5};
+  run_pack(m, RegionAssignment::from_topology(m.topo));
 }
 
 // Deterministic top-k: for every k, the partial selection's output is
-// exactly the full ranking's first min(k, n) entries — on both the plane
-// path and the legacy fallback (which truncates a full sort).
+// exactly the full ranking's first min(k, n) entries.
 TEST(RankPlaneProperty, TopKPrefixMatchesFullRanking) {
   MetroFixture m{3, 3};
-  for (const bool compiled : {true, false}) {
-    ShardedMapConfig cfg;
-    cfg.ranker.compile_rank_plane = compiled;
-    ShardedNetworkMap map{RegionAssignment::from_topology(m.topo), cfg};
-    for (std::size_t e = 0; e < m.batches.size(); ++e) {
-      map.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
-    }
-    const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
-    const std::shared_ptr<const MetroView> view = map.view();
-    MetroView::RankScratch scratch;
-    std::vector<ServerRank> full;
-    std::vector<ServerRank> topk;
-    for (const core::NodeId origin : {m.topo.hosts()[0], m.topo.hosts()[9]}) {
-      const auto candidates = m.candidates_with_edge_cases(origin);
-      for (const auto metric :
-           {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-        view->rank_into(origin, candidates.data(), candidates.size(), metric,
-                        now, scratch, full);
-        ASSERT_EQ(full.size(), candidates.size());
-        for (const std::size_t k :
-             {std::size_t{1}, std::size_t{2}, std::size_t{7},
-              candidates.size() - 1, candidates.size(), candidates.size() + 8}) {
-          view->rank_topk_into(origin, candidates.data(), candidates.size(),
-                               metric, now, k, scratch, topk);
-          const std::size_t want = std::min(k, candidates.size());
-          ASSERT_EQ(topk.size(), want) << "k=" << k;
-          expect_ranks_identical(
-              topk, {full.begin(), full.begin() + static_cast<std::ptrdiff_t>(want)},
-              compiled ? "compiled topk" : "legacy topk");
-        }
+  ShardedNetworkMap map{RegionAssignment::from_topology(m.topo)};
+  for (std::size_t e = 0; e < m.batches.size(); ++e) {
+    map.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+  }
+  const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
+  const std::shared_ptr<const MetroView> view = map.view();
+  MetroView::RankScratch scratch;
+  std::vector<ServerRank> full;
+  std::vector<ServerRank> topk;
+  for (const core::NodeId origin : {m.topo.hosts()[0], m.topo.hosts()[9]}) {
+    const auto candidates = m.candidates_with_edge_cases(origin);
+    for (const auto metric :
+         {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+      view->rank_into(origin, candidates.data(), candidates.size(), metric,
+                      now, scratch, full);
+      ASSERT_EQ(full.size(), candidates.size());
+      for (const std::size_t k :
+           {std::size_t{1}, std::size_t{2}, std::size_t{7},
+            candidates.size() - 1, candidates.size(), candidates.size() + 8}) {
+        view->rank_topk_into(origin, candidates.data(), candidates.size(),
+                             metric, now, k, scratch, topk);
+        const std::size_t want = std::min(k, candidates.size());
+        ASSERT_EQ(topk.size(), want) << "k=" << k;
+        expect_ranks_identical(
+            topk, {full.begin(), full.begin() + static_cast<std::ptrdiff_t>(want)},
+            "topk");
       }
     }
   }
 }
 
-// Unknown origin (never probed, no slot anywhere): both paths must
-// rank every candidate unreachable, identically.
+// Unknown origin (never probed, no slot anywhere): the kernel runs over
+// an empty plane and ranks every candidate unreachable, ordered by id —
+// exactly what the reference does.
 TEST(RankPlaneProperty, UnknownOriginRanksIdentically) {
   MetroFixture m{2, 2};
-  ShardedMapConfig on_cfg;
-  ShardedMapConfig off_cfg;
-  off_cfg.ranker.compile_rank_plane = false;
-  ShardedNetworkMap with_plane{RegionAssignment::from_topology(m.topo), on_cfg};
-  ShardedNetworkMap legacy{RegionAssignment::from_topology(m.topo), off_cfg};
+  ShardedNetworkMap map{RegionAssignment::from_topology(m.topo)};
+  NetworkMap flat;
   for (std::size_t e = 0; e < m.batches.size(); ++e) {
-    with_plane.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
-    legacy.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+    map.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+    for (const telemetry::ProbeReport& r : m.batches[e]) {
+      flat.ingest(r, MetroFixture::epoch_time(e));
+    }
   }
+  const Ranker ref{flat};
   const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
   const core::NodeId ghost{888888};
   const auto candidates = m.topo.edge_servers();
   for (const auto metric :
        {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-    const auto got = with_plane.rank(ghost, candidates, metric, now);
-    expect_ranks_identical(got, legacy.rank(ghost, candidates, metric, now),
+    const auto got = map.rank(ghost, candidates, metric, now);
+    expect_ranks_identical(got, ref.rank(ghost, candidates, metric, now),
                            "unknown origin");
     for (const ServerRank& r : got) {
       EXPECT_EQ(r.delay_estimate, sim::SimDuration::max());

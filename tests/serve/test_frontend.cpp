@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "intsched/core/concurrent_map.hpp"
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/exp/metro.hpp"
 #include "intsched/net/topology_gen.hpp"

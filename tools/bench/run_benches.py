@@ -8,8 +8,8 @@ Outputs (written to --out-dir, committed at tools/bench/):
   BENCH_micro.json   merged google-benchmark JSON from bench/micro_core
                      (per-op ns for the event queue, window-max queries,
                      ranking, Dijkstra, switch pipeline, TCP) and
-                     bench/micro_concurrent (multi-threaded rank QPS in
-                     both concurrency modes, snapshot publish/batch
+                     bench/micro_concurrent (multi-threaded rank QPS
+                     over one shared map, snapshot publish/batch
                      cost); the "benchmarks" arrays are concatenated so
                      one baseline gates every micro binary.
   BENCH_suite.json   wall-clock seconds of the scaled Fig.-5 suite at

@@ -1,5 +1,5 @@
 // Corpus: the sanctioned snapshot-publish shape (RCU-style read path,
-// mirrors core::ConcurrentNetworkMap). One writer mutex with its guarded
+// mirrors core::ShardedNetworkMap). One writer mutex with its guarded
 // state named via GUARDED_BY; the published std::atomic<std::shared_ptr>
 // is deliberately unguarded — readers acquire-load it with zero locks,
 // writers rebuild and release-store it inside the critical section. The
