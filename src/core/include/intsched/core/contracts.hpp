@@ -1,13 +1,13 @@
 #pragma once
 
-// Hot-path contract annotations — the vocabulary of the whole-program
-// contract analyzer (tools/lint/contracts.py, DESIGN.md §14).
+// Hot-path contract annotations — the vocabulary of the static analyzer's
+// whole-program rules (tools/lint/detlint.py, DESIGN.md §14).
 //
 // The serving path's latency bound ("lock-free, allocation-free from
-// published MetroView snapshots", §13) used to be enforced only
-// dynamically (the counting operator-new test) and file-locally (the
-// detlint hotpath-alloc regex). These macros turn it into a declared,
-// build-time-verifiable contract:
+// published MetroView snapshots", §13) is enforced dynamically by the
+// counting operator-new test. These macros also make it a declared,
+// build-time-verifiable contract, and they are the only thing that
+// decides what is hot:
 //
 //   INTSCHED_HOTPATH   marks a per-decision entry point (or a helper
 //                      that is itself part of the decision path). The
@@ -25,9 +25,10 @@
 //                      site carries a named suppression.
 //
 // Escape hatch, always naming the violated rule (unknown rule names are
-// hard errors, unused suppressions are pruned by --strict-suppressions):
+// hard errors, unused suppressions are pruned by --strict-suppressions),
+// in the analyzer's one suppression grammar:
 //
-//   intsched-contract colon, then allow(RULE): why this site is sound
+//   intsched-lint colon, then allow(RULE): why this site is sound
 //   (spelled out here rather than shown verbatim so the analyzer does
 //   not read this documentation line as a real suppression)
 //

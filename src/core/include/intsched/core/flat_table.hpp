@@ -58,7 +58,6 @@ class FlatTable {
 
   /// Hot path: nullptr when absent. No allocation, no locks; probes a
   /// contiguous array with wrap-around.
-  // intsched-lint: hot-path
   [[nodiscard]] INTSCHED_HOTPATH const Value* find(Id key) const {
     if (!key.valid()) return nullptr;
     const std::size_t mask = slots_.size() - 1;

@@ -158,8 +158,8 @@ class NetworkMap {
 
   /// Estimated one-way delay of a directed link; falls back to the reverse
   /// direction (symmetry), then to the configured default.
-  [[nodiscard]] sim::SimDuration link_delay(core::NodeId from,
-                                            core::NodeId to) const;
+  [[nodiscard]] INTSCHED_HOTPATH sim::SimDuration link_delay(
+      core::NodeId from, core::NodeId to) const;
 
   /// Smoothed absolute deviation of the link-delay samples — the "jitter
   /// characteristics" the paper's probes capture (§III-A). Zero until two
@@ -192,8 +192,8 @@ class NetworkMap {
   /// Max directly-measured in-device dwell time within the window — the
   /// hop latency a full INT deployment reports (ablation alternative to
   /// the paper's k * max_queue heuristic).
-  [[nodiscard]] sim::SimDuration device_hop_latency(core::NodeId device,
-                                                    sim::SimTime now) const;
+  [[nodiscard]] INTSCHED_HOTPATH sim::SimDuration device_hop_latency(
+      core::NodeId device, sim::SimTime now) const;
 
   // -- resolved telemetry handles (compiled rank planes, DESIGN.md §15) --
   //

@@ -108,7 +108,7 @@ struct KCalibrationSample {
 /// a future work"): least-squares fit of extra_delay = k * max_queue
 /// through the origin, from Fig.-3-style calibration measurements.
 /// Returns the paper's default (20 ms) when the data carries no signal.
-[[nodiscard]] sim::SimDuration estimate_k_factor(
+[[nodiscard]] INTSCHED_HOTPATH sim::SimDuration estimate_k_factor(
     const std::vector<KCalibrationSample>& samples);
 
 // -- reference ranking (no hidden state) -----------------------------------
@@ -122,7 +122,7 @@ struct KCalibrationSample {
 
 /// Algorithm 1 for a single path: sum of link-delay estimates plus
 /// k * maxQueue (per cfg.queue_statistic) for every intermediate device.
-[[nodiscard]] sim::SimDuration estimate_path_delay(
+[[nodiscard]] INTSCHED_HOTPATH sim::SimDuration estimate_path_delay(
     const NetworkMap& map, const RankerConfig& cfg,
     const std::vector<core::NodeId>& path, sim::SimTime now);
 
@@ -677,7 +677,7 @@ class Ranker {
 
   /// Algorithm 1 for a single path: sum of link-delay estimates plus
   /// k * maxQueue for every intermediate device.
-  [[nodiscard]] sim::SimDuration path_delay_estimate(
+  [[nodiscard]] INTSCHED_HOTPATH sim::SimDuration path_delay_estimate(
       const std::vector<core::NodeId>& path, sim::SimTime now) const;
 
   /// §III-D: min over links of capacity * (1 - utilization(maxQueue)).

@@ -119,8 +119,9 @@ class MetroView {
   /// (rank_into / rank_topk_into / pick_with). Every vector retains its
   /// capacity across calls, so after a warm-up pass over the working set
   /// (origins seen, candidate counts seen), a query performs zero heap
-  /// allocations (the hotpath-alloc lint + the serve allocation-counting
-  /// test enforce this). One scratch per thread; never shared.
+  /// allocations (the analyzer's hot-alloc rule + the serve
+  /// allocation-counting test enforce this). One scratch per thread;
+  /// never shared.
   struct RankScratch {
     /// pick_with's region grouping: candidates tagged with their region
     /// and original position, sorted to form contiguous groups.
@@ -263,8 +264,8 @@ class MetroView {
     [[nodiscard]] const NetworkMapConfig& config() const {
       return view->summary_map_->config();
     }
-    [[nodiscard]] sim::SimDuration link_delay(core::NodeId from,
-                                              core::NodeId to) const {
+    [[nodiscard]] INTSCHED_HOTPATH sim::SimDuration link_delay(
+        core::NodeId from, core::NodeId to) const {
       return view->link_map(from, to).link_delay(from, to);
     }
 

@@ -169,9 +169,9 @@ const MetroView::QueryContext* MetroView::query_context(
   if (it == ctx_nodes_.end() || *it != origin) return nullptr;
   const CtxSlot& slot =
       ctx_slots_[static_cast<std::size_t>(it - ctx_nodes_.begin())];
-  // intsched-contract: allow(hot-lock): once-per-origin memo fill (§11)
+  // intsched-lint: allow(hot-lock): once-per-origin memo fill (§11)
   std::call_once(slot.once, [this, origin, &slot] {
-    // intsched-contract: allow(hot-coldcall): sanctioned once-only fill
+    // intsched-lint: allow(hot-coldcall): sanctioned once-only fill
     build_context(origin, slot.ctx);
   });
   return &slot.ctx;
@@ -263,7 +263,6 @@ sim::SimDuration MetroView::candidate_path_into(
   return best_total;
 }
 
-// intsched-lint: hot-path
 void MetroView::rank_into(core::NodeId origin, const core::NodeId* candidates,
                           std::size_t count, RankingMetric metric,
                           sim::SimTime now, RankScratch& scratch,
@@ -271,7 +270,6 @@ void MetroView::rank_into(core::NodeId origin, const core::NodeId* candidates,
   rank_topk_into(origin, candidates, count, metric, now, count, scratch, out);
 }
 
-// intsched-lint: hot-path
 void MetroView::rank_topk_into(core::NodeId origin,
                                const core::NodeId* candidates,
                                std::size_t count, RankingMetric metric,
@@ -290,14 +288,13 @@ void MetroView::rank_topk_into(core::NodeId origin,
 std::vector<ServerRank> MetroView::rank(
     core::NodeId origin, const std::vector<core::NodeId>& candidates,
     RankingMetric metric, sim::SimTime now) const {
-  // intsched-contract: allow(hot-alloc): allocating overload contract
+  // intsched-lint: allow(hot-alloc): allocating overload contract
   std::vector<ServerRank> out;
   rank_into(origin, candidates.data(), candidates.size(), metric, now,
             thread_scratch(), out);
   return out;
 }
 
-// intsched-lint: hot-path
 std::optional<ServerRank> MetroView::pick_with(
     core::NodeId origin, const core::NodeId* candidates, std::size_t count,
     RankingMetric metric, sim::SimTime now, RankScratch& scratch,

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "intsched/core/contracts.hpp"
 #include "intsched/net/packet.hpp"
 #include "intsched/net/queue.hpp"
 #include "intsched/sim/rng.hpp"
@@ -117,8 +118,8 @@ class Node {
   /// Extra per-packet service time charged by this node's data plane on the
   /// given egress port (0 for plain hosts; BMv2-like processing delay for
   /// P4 switches).
-  [[nodiscard]] virtual sim::SimDuration egress_service_delay(const Packet& p,
-                                                              const Port& out) {
+  [[nodiscard]] INTSCHED_HOTPATH virtual sim::SimDuration egress_service_delay(
+      const Packet& p, const Port& out) {
     (void)p; (void)out;
     return sim::SimDuration::zero();
   }

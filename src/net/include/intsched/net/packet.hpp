@@ -13,21 +13,6 @@
 
 namespace intsched::net {
 
-// The node identifier moved to intsched/core/types.hpp (core::NodeId): a
-// network address is not a packet concern, and the old home forced packet
-// includes everywhere an id was named. These compatibility aliases last
-// exactly one PR; the analyzer preset (INTSCHED_STRICT_TYPES) already
-// rejects them so no new in-tree use can appear.
-#if defined(INTSCHED_STRICT_TYPES)
-using NodeId [[deprecated("use core::NodeId (intsched/core/types.hpp)")]] =
-    core::NodeId;
-[[deprecated("use core::kInvalidNode (intsched/core/types.hpp)")]]
-inline constexpr core::NodeId kInvalidNode = core::kInvalidNode;
-#else
-using NodeId = core::NodeId;
-inline constexpr core::NodeId kInvalidNode = core::kInvalidNode;
-#endif
-
 /// Transport port number for application demultiplexing on hosts.
 using PortNumber = std::uint16_t;
 

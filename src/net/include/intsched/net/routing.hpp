@@ -51,7 +51,8 @@ struct ShortestPaths {
   /// allocation-free flavour of path_to for hot paths: with enough
   /// capacity in `out` no heap allocation happens (the serving path
   /// reuses one scratch vector per thread, DESIGN.md §13).
-  bool append_path_to(core::NodeId dst, std::vector<core::NodeId>& out) const;
+  INTSCHED_HOTPATH bool append_path_to(core::NodeId dst,
+                                       std::vector<core::NodeId>& out) const;
 };
 
 /// Dijkstra with deterministic tie-breaking (by distance, then node id) so

@@ -26,18 +26,6 @@
 
 namespace intsched::net {
 
-// The region index moved to intsched/core/types.hpp (core::RegionId);
-// compatibility aliases, kept one PR like net::NodeId (see packet.hpp).
-#if defined(INTSCHED_STRICT_TYPES)
-using RegionId [[deprecated("use core::RegionId (intsched/core/types.hpp)")]] =
-    core::RegionId;
-[[deprecated("use core::kNoRegion (intsched/core/types.hpp)")]]
-inline constexpr core::RegionId kNoRegion = core::kNoRegion;
-#else
-using RegionId = core::RegionId;
-inline constexpr core::RegionId kNoRegion = core::kNoRegion;
-#endif
-
 struct GenNode {
   core::NodeId id = core::kInvalidNode;  ///< == index into GenTopology::nodes
   NodeKind kind = NodeKind::kSwitch;

@@ -27,7 +27,6 @@ std::vector<core::NodeId> ShortestPaths::path_to(core::NodeId dst) const {
   return path;
 }
 
-// intsched-lint: hot-path
 bool ShortestPaths::append_path_to(core::NodeId dst,
                                    std::vector<core::NodeId>& out) const {
   const std::size_t begin = out.size();

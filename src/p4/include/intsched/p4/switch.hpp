@@ -61,7 +61,7 @@ class P4Switch : public net::Node {
   // -- Node interface --
   void receive(net::Packet&& p, std::int32_t ingress_port) override;
   void on_egress(net::Packet& p, net::Port& out) override;
-  [[nodiscard]] sim::SimDuration egress_service_delay(
+  [[nodiscard]] INTSCHED_HOTPATH sim::SimDuration egress_service_delay(
       const net::Packet& p, const net::Port& out) override;
   void set_route(core::NodeId dst, std::int32_t port_index) override;
 

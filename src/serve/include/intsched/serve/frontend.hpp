@@ -5,7 +5,7 @@
 // serve() concurrently with ingest, each with its own ServeContext.
 //
 // Hot-path budget per request — the contract the million-QPS harness
-// (bench/qps_serve.cpp) measures and the hotpath-alloc lint + the
+// (bench/qps_serve.cpp) measures and the analyzer's hot-alloc rule + the
 // allocation-counting test enforce:
 //
 //   * no locks: the answer is computed entirely from the immutable

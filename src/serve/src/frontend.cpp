@@ -8,8 +8,8 @@ namespace intsched::serve {
 
 namespace {
 
-// intsched-lint: hot-path
-void fill_entry(RankResponseEntry& e, const core::ServerRank& r) {
+INTSCHED_HOTPATH void fill_entry(RankResponseEntry& e,
+                                 const core::ServerRank& r) {
   e.server = r.server;
   e.stale = r.stale;
   e.delay_estimate = r.delay_estimate;
@@ -38,7 +38,6 @@ bool ServeFrontend::is_registered(core::NodeId server,
   return true;
 }
 
-// intsched-lint: hot-path
 bool ServeFrontend::serve(ServeContext& ctx, const std::byte* request_buf,
                           std::size_t request_len, std::byte* response_buf,
                           std::size_t response_cap,

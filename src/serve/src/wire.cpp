@@ -69,7 +69,6 @@ const char* to_string(WireError e) {
   return "unknown";
 }
 
-// intsched-lint: hot-path
 std::size_t encode_rank_request(const RankRequest& req, std::byte* buf,
                                 std::size_t cap) {
   if (req.candidate_count > kMaxRequestCandidates) return 0;
@@ -92,7 +91,6 @@ std::size_t encode_rank_request(const RankRequest& req, std::byte* buf,
   return need;
 }
 
-// intsched-lint: hot-path
 WireError decode_rank_request(const std::byte* buf, std::size_t len,
                               RankRequest& out) {
   std::size_t payload = 0;
@@ -126,7 +124,6 @@ WireError decode_rank_request(const std::byte* buf, std::size_t len,
   return WireError::kOk;
 }
 
-// intsched-lint: hot-path
 std::size_t encode_rank_response(const RankResponse& resp, std::byte* buf,
                                  std::size_t cap) {
   if (resp.entry_count > kMaxResponseEntries) return 0;
@@ -158,7 +155,6 @@ std::size_t encode_rank_response(const RankResponse& resp, std::byte* buf,
   return need;
 }
 
-// intsched-lint: hot-path
 WireError decode_rank_response(const std::byte* buf, std::size_t len,
                                RankResponse& out) {
   std::size_t payload = 0;

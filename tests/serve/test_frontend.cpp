@@ -3,7 +3,7 @@
 // underlying ShardedNetworkMap directly over a seeded metro topology —
 // the PR-6 agreement-test style, now through the binary protocol — and
 // the warm decision path must be allocation-free, enforced by a global
-// operator-new counter (the runtime check behind the hotpath-alloc lint).
+// operator-new counter (the runtime check behind the hot-alloc rule).
 #include "intsched/serve/frontend.hpp"
 
 #include <array>

@@ -71,6 +71,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -134,24 +135,23 @@ def run_suite(build_dir: str, jobs: int, reps: int) -> Dict:
     return result
 
 
-def run_metro(build_dir: str, pods: int, tasks: int, epochs: int,
-              seed: int, jobs: int) -> Dict:
+def run_metro(build_dir: str, scratch: str, pods: int, tasks: int,
+              epochs: int, seed: int, jobs: int) -> Dict:
     """Runs bench/metro_sweep at the given shape and returns its JSON
-    report (flat vs two-level arms, fingerprints, agreement)."""
+    report (flat vs two-level arms, fingerprints, agreement); the binary
+    writes it under the run's `scratch` directory."""
     exe = os.path.join(build_dir, "bench", "metro_sweep")
     if not os.path.exists(exe):
         print(f"run_benches: missing {exe} (build the metro_sweep target)",
               file=sys.stderr)
         sys.exit(2)
-    out = "/tmp/BENCH_metro_fresh.json"
+    out = os.path.join(scratch, "BENCH_metro_fresh.json")
     cmd = [exe, f"--pods={pods}", f"--tasks={tasks}", f"--epochs={epochs}",
            f"--seed={seed}", f"--jobs={jobs}", f"--json={out}"]
     print(f"run_benches: {' '.join(cmd)}")
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
     with open(out, encoding="utf-8") as f:
-        data = json.load(f)
-    os.remove(out)
-    return data
+        return json.load(f)
 
 
 def compare_metro(baseline: Dict, fresh: Dict,
@@ -189,13 +189,14 @@ def compare_metro(baseline: Dict, fresh: Dict,
     return lines, failures
 
 
-def check_metro(build_dir: str, baseline_path: str, threshold: float,
-                jobs: int) -> int:
+def check_metro(build_dir: str, scratch: str, baseline_path: str,
+                threshold: float, jobs: int) -> int:
     """Re-run the metro sweep at the baseline's shape/seed and gate wall
     clock, fingerprints, and agreement against the committed numbers."""
     with open(baseline_path, encoding="utf-8") as f:
         baseline = json.load(f)
-    fresh = run_metro(build_dir, baseline["pods"], baseline["tasks"],
+    fresh = run_metro(build_dir, scratch, baseline["pods"],
+                      baseline["tasks"],
                       baseline["epochs"], baseline["seed"], jobs)
     lines, failures = compare_metro(baseline, fresh, threshold)
     for line in lines:
@@ -208,25 +209,24 @@ def check_metro(build_dir: str, baseline_path: str, threshold: float,
     return 0
 
 
-def run_qps(build_dir: str, pods: int, threads: int, seconds: float,
-            offered: float, seed: int) -> Dict:
+def run_qps(build_dir: str, scratch: str, pods: int, threads: int,
+            seconds: float, offered: float, seed: int) -> Dict:
     """Runs bench/qps_serve at the given shape and returns its JSON
-    report (closed-loop ceiling + fixed open-loop trial)."""
+    report (closed-loop ceiling + fixed open-loop trial); the binary
+    writes it under the run's `scratch` directory."""
     exe = os.path.join(build_dir, "bench", "qps_serve")
     if not os.path.exists(exe):
         print(f"run_benches: missing {exe} (build the qps_serve target)",
               file=sys.stderr)
         sys.exit(2)
-    out = "/tmp/BENCH_qps_fresh.json"
+    out = os.path.join(scratch, "BENCH_qps_fresh.json")
     cmd = [exe, f"--pods={pods}", f"--threads={threads}",
            f"--seconds={seconds}", f"--offered={offered}", f"--seed={seed}",
            f"--json={out}"]
     print(f"run_benches: {' '.join(cmd)}")
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
     with open(out, encoding="utf-8") as f:
-        data = json.load(f)
-    os.remove(out)
-    return data
+        return json.load(f)
 
 
 def compare_qps(baseline: Dict, fresh: Dict,
@@ -272,12 +272,14 @@ def compare_qps(baseline: Dict, fresh: Dict,
     return lines, failures
 
 
-def check_qps(build_dir: str, baseline_path: str, threshold: float) -> int:
+def check_qps(build_dir: str, scratch: str, baseline_path: str,
+              threshold: float) -> int:
     """Re-run qps_serve at the baseline's shape/seed and gate throughput,
     ceiling, and service-time p99 against the committed numbers."""
     with open(baseline_path, encoding="utf-8") as f:
         baseline = json.load(f)
-    fresh = run_qps(build_dir, baseline["pods"], baseline["threads"],
+    fresh = run_qps(build_dir, scratch, baseline["pods"],
+                    baseline["threads"],
                     baseline["seconds"],
                     baseline["fixed"]["offered_qps"], baseline["seed"])
     lines, failures = compare_qps(baseline, fresh, threshold)
@@ -337,11 +339,12 @@ def compare_suite(baseline: Dict, fresh: Dict,
     return lines, failures
 
 
-def check_micro(build_dir: str, baseline_path: str,
+def check_micro(build_dir: str, scratch: str, baseline_path: str,
                 threshold: float) -> int:
     with open(baseline_path, encoding="utf-8") as f:
         baseline = json.load(f)
-    fresh = run_micro(build_dir, "/tmp/BENCH_micro_check.json")
+    fresh = run_micro(build_dir,
+                      os.path.join(scratch, "BENCH_micro_check.json"))
     lines, regressions = compare_micro(baseline, fresh, threshold)
     for line in lines:
         print(line)
@@ -568,7 +571,14 @@ def main(argv: List[str]) -> int:
 
     if args.self_test:
         return run_self_test()
+    # One scratch directory per run for the binaries' fresh JSON: nothing
+    # lands at a fixed path, so concurrent runs cannot overwrite each
+    # other, and nothing outlives the run.
+    with tempfile.TemporaryDirectory(prefix="run_benches-") as scratch:
+        return run(args, scratch)
 
+
+def run(args: argparse.Namespace, scratch: str) -> int:
     baseline = args.baseline or os.path.join(args.out_dir,
                                              "BENCH_micro.json")
     metro_baseline = os.path.join(args.out_dir, "BENCH_metro.json")
@@ -585,7 +595,8 @@ def main(argv: List[str]) -> int:
                       "without --check once and commit the artifact",
                       file=sys.stderr)
                 return 2
-            rc = check_micro(args.build_dir, baseline, args.threshold)
+            rc = check_micro(args.build_dir, scratch, baseline,
+                             args.threshold)
             if not args.skip_suite:
                 suite_baseline = os.path.join(args.out_dir,
                                               "BENCH_suite.json")
@@ -602,15 +613,16 @@ def main(argv: List[str]) -> int:
                       "run without --check once and commit the artifact",
                       file=sys.stderr)
                 return 2
-            rc = max(rc, check_metro(args.build_dir, metro_baseline,
-                                     args.threshold, args.jobs))
+            rc = max(rc, check_metro(args.build_dir, scratch,
+                                     metro_baseline, args.threshold,
+                                     args.jobs))
         if do_qps:
             if not os.path.exists(qps_baseline):
                 print(f"run_benches: no qps baseline at {qps_baseline}; "
                       "run without --check once and commit the artifact",
                       file=sys.stderr)
                 return 2
-            rc = max(rc, check_qps(args.build_dir, qps_baseline,
+            rc = max(rc, check_qps(args.build_dir, scratch, qps_baseline,
                                    args.threshold))
         return rc
 
@@ -630,8 +642,9 @@ def main(argv: List[str]) -> int:
                       file=sys.stderr)
                 return 1
     if do_metro:
-        metro = run_metro(args.build_dir, args.metro_pods, args.metro_tasks,
-                          args.metro_epochs, args.metro_seed, args.jobs)
+        metro = run_metro(args.build_dir, scratch, args.metro_pods,
+                          args.metro_tasks, args.metro_epochs,
+                          args.metro_seed, args.jobs)
         with open(metro_baseline, "w", encoding="utf-8") as f:
             json.dump(metro, f, indent=2)
             f.write("\n")
@@ -642,8 +655,9 @@ def main(argv: List[str]) -> int:
                   file=sys.stderr)
             return 1
     if do_qps:
-        qps = run_qps(args.build_dir, args.qps_pods, args.qps_threads,
-                      args.qps_seconds, args.qps_offered, args.qps_seed)
+        qps = run_qps(args.build_dir, scratch, args.qps_pods,
+                      args.qps_threads, args.qps_seconds, args.qps_offered,
+                      args.qps_seed)
         with open(qps_baseline, "w", encoding="utf-8") as f:
             json.dump(qps, f, indent=2)
             f.write("\n")

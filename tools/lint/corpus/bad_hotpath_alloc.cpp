@@ -1,11 +1,14 @@
 // Corpus: heap allocation inside scheduler hot-path functions. The
 // lock-free decision path budget is zero allocations per call; every
 // construct below either calls the allocator directly or constructs a
-// container that will.
+// container that will. The hot functions are INTSCHED_HOTPATH roots, so
+// the findings are the whole-program hot-alloc rule's.
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "contract_macros.hpp"
 
 struct Rank {
   int server = 0;
@@ -18,13 +21,12 @@ struct Scratch {
 struct Ranker {
   Scratch scratch_;
 
-  // Named hot-path function (HOT_PATH_FUNCTIONS).
-  int pick_server(int device) {
-    std::vector<Rank> local;  // expect(hotpath-alloc)
-    auto owned = std::make_unique<Rank>();  // expect(hotpath-alloc)
-    Rank* raw = new Rank{};  // expect(hotpath-alloc)
-    void* c = std::malloc(64);  // expect(hotpath-alloc)
-    std::string label = "srv";  // expect(hotpath-alloc)
+  INTSCHED_HOTPATH int pick_server(int device) {
+    std::vector<Rank> local;  // expect(hot-alloc)
+    auto owned = std::make_unique<Rank>();  // expect(hot-alloc)
+    Rank* raw = new Rank{};  // expect(hot-alloc)
+    void* c = std::malloc(64);  // expect(hot-alloc)
+    std::string label = "srv";  // expect(hot-alloc)
     std::free(c);
     delete raw;
     (void)owned;
@@ -32,10 +34,8 @@ struct Ranker {
     return device + static_cast<int>(local.size());
   }
 
-  // Marked hot via annotation rather than the built-in name set.
-  // intsched-lint: hot-path
-  int rescore(int device) {
-    std::vector<int> tmp;  // expect(hotpath-alloc)
+  INTSCHED_HOTPATH int rescore(int device) {
+    std::vector<int> tmp;  // expect(hot-alloc)
     tmp.push_back(device);
     return tmp.back();
   }

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "contract_macros.hpp"
+
 struct Rank {
   int server = 0;
 };
@@ -29,12 +31,11 @@ struct Frontend {
   Scheduler sched;
   const void* cached_ = nullptr;
 
-  // The wire-to-wire request loop, marked hot like the real serve().
-  // intsched-lint: hot-path
-  int serve_request(int origin) {
-    std::vector<Rank> staging;  // expect(hotpath-alloc)
-    std::string trace = "serve";  // expect(hotpath-alloc)
-    auto ctx = std::make_shared<Rank>();  // expect(hotpath-alloc)
+  // The wire-to-wire request loop, a hot root like the real serve().
+  INTSCHED_HOTPATH int serve_request(int origin) {
+    std::vector<Rank> staging;  // expect(hot-alloc)
+    std::string trace = "serve";  // expect(hot-alloc)
+    auto ctx = std::make_shared<Rank>();  // expect(hot-alloc)
     (void)trace;
     (void)ctx;
     staging.push_back(Rank{origin});
@@ -43,16 +44,16 @@ struct Frontend {
 
   const void* answer_and_leak() {
     auto view = map.metro_snapshot();
-    return &view;  // expect(snapshot-escape)
+    return &view;  // expect(snapshot-return)
   }
 
   void cache_view_pointer() {
     auto snap = map.metro_snapshot();
-    cached_ = &snap;  // expect(snapshot-escape)
+    cached_ = &snap;  // expect(snapshot-store)
   }
 
   void defer_over_borrowed_view() {
     auto snap = map.metro_snapshot();
-    sched.post([&] { (void)snap->best.server; });  // expect(snapshot-escape)
+    sched.post([&] { (void)snap->best.server; });  // expect(snapshot-store)
   }
 };

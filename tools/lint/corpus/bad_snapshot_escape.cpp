@@ -28,16 +28,17 @@ struct Service {
 
   const void* leak_return() {
     auto snap = map.rank_snapshot();
-    return &snap;  // expect(snapshot-escape)
+    return &snap;  // expect(snapshot-return)
   }
 
   void leak_member() {
     auto view = map.rank_snapshot();
-    stale_ = &view;  // expect(snapshot-escape)
+    stale_ = &view;  // expect(snapshot-store)
   }
 
   void leak_deferred() {
     auto snap = map.rank_snapshot();
-    sched.schedule_after(10, [&] { (void)snap->best.server; });  // expect(snapshot-escape)
+    sched.schedule_after(  // expect(snapshot-store)
+        10, [&] { (void)snap->best.server; });
   }
 };

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "contract_macros.hpp"
+
 struct Rank {
   int server = 0;
 };
@@ -11,8 +13,7 @@ struct Rank {
 struct Ranker {
   std::vector<Rank> scratch_;
 
-  // Cold path: allocation is fine here — not in HOT_PATH_FUNCTIONS and
-  // not annotated hot.
+  // Cold path: allocation is fine here — not reachable from a hot root.
   void rebuild(int servers) {
     scratch_.assign(static_cast<unsigned>(servers), Rank{});
     std::string log = "rebuilt";
@@ -20,7 +21,7 @@ struct Ranker {
   }
 
   // Hot path: reuses the member scratch, zero allocator calls.
-  int pick_server(int device) {
+  INTSCHED_HOTPATH int pick_server(int device) {
     int best = 0;
     for (const Rank& r : scratch_) {
       if (r.server < scratch_[static_cast<unsigned>(best)].server) {

@@ -6,6 +6,8 @@
 #include <memory>
 #include <vector>
 
+#include "contract_macros.hpp"
+
 struct Rank {
   int server = 0;
 };
@@ -35,8 +37,7 @@ struct Frontend {
 
   // Hot request loop: borrow the handle, reuse member scratch, no
   // allocator calls.
-  // intsched-lint: hot-path
-  int serve_request(int origin) {
+  INTSCHED_HOTPATH int serve_request(int origin) {
     auto snap = map.metro_snapshot();
     staging_.clear();
     staging_.push_back(Rank{origin + snap->best.server});
