@@ -53,16 +53,21 @@ namespace intsched::core {
 using ParallelFor =
     std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
 
-/// Static node -> region mapping the shards are keyed by. In the paper's
-/// deployment shape this is provisioning data (which pod a device was
-/// installed in), not something inferred from telemetry, so it is fixed
-/// at construction.
+/// Static node -> region mapping the shards are keyed by, plus the nodes
+/// provisioned as edge servers. In the paper's deployment shape both are
+/// provisioning data (which pod a device was installed in, which hosts
+/// run the edge service), not something inferred from telemetry, so they
+/// are fixed at construction.
 class RegionAssignment {
  public:
   RegionAssignment() = default;
-  RegionAssignment(std::vector<core::RegionId> by_node, core::RegionId count)
-      : by_node_{std::move(by_node)}, count_{count} {}
+  /// `servers` names the provisioned edge servers in any order (kept
+  /// sorted and unique). An assignment that names none makes every
+  /// origin's rank plane compile every node its view knows.
+  RegionAssignment(std::vector<core::RegionId> by_node, core::RegionId count,
+                   std::vector<core::NodeId> servers = {});
 
+  /// Regions from GenNode::region, servers from GenNode::edge_server.
   [[nodiscard]] static RegionAssignment from_topology(
       const net::GenTopology& topo);
 
@@ -73,10 +78,15 @@ class RegionAssignment {
     return by_node_[n.index()];
   }
   [[nodiscard]] core::RegionId count() const { return count_; }
+  /// Provisioned edge servers, ascending (empty = none named).
+  [[nodiscard]] const std::vector<core::NodeId>& servers() const {
+    return servers_;
+  }
 
  private:
   std::vector<core::RegionId> by_node_;
   core::RegionId count_{0};
+  std::vector<core::NodeId> servers_;
 };
 
 struct ShardedMapConfig {
@@ -101,13 +111,17 @@ struct PickStats {
 /// Thread-safety model mirrors RankSnapshot: everything is frozen at
 /// construction except the per-origin query-context memo, which fills
 /// lazily under a per-slot std::once_flag (slot set fixed at
-/// construction). Region snapshots are shared with — and may outlive —
-/// the publishing ShardedNetworkMap.
+/// construction), and each context's fallback plane, which fills under
+/// a second once_flag of its own. Region snapshots are shared with — and
+/// may outlive — the publishing ShardedNetworkMap.
 ///
-/// Determinism / exactness: every query scores through the origin's
-/// compiled rank plane (DESIGN.md §15), whose rows are the paths
-/// assembled from region + summary shortest paths, and the plane kernels
-/// are byte-identical to rank_candidates over those paths. When regions
+/// Determinism / exactness: every query scores through one of the
+/// origin's compiled rank planes (DESIGN.md §15), whose rows are the
+/// paths assembled from region + summary shortest paths, and the plane
+/// kernels are byte-identical to rank_candidates over those paths. A
+/// server plane holds a row per provisioned server the view knows; a
+/// query naming any other known node is answered from a fallback plane
+/// over every known node, compiled on first need. When regions
 /// are delay-isolated and shortest paths are unique (TopologyGen's jitter
 /// regime), the assembled path IS the flat shortest path and rank()
 /// agrees with Ranker field-exactly; the general error bound is DESIGN.md
@@ -227,6 +241,14 @@ class MetroView {
   }
   [[nodiscard]] const RankerConfig& config() const { return *cfg_; }
 
+  /// Plane rows compiled so far over every origin, server and fallback
+  /// planes alike (observability for tests and benches; relaxed counter,
+  /// exact only after threads quiesce).
+  [[nodiscard]] std::int64_t rows_compiled() const {
+    // intsched-lint: allow(atomic-ordering): quiescent counter read
+    return rows_compiled_.load(std::memory_order_relaxed);
+  }
+
  private:
   /// Everything the two-level query path derives, per origin, memoized
   /// once: the origin's region, its region-local shortest paths (borrowed
@@ -243,10 +265,18 @@ class MetroView {
     /// context build so pick_with reads one contiguous array instead of
     /// hashing into summary_sp per border per query.
     std::vector<sim::SimDuration> region_bound;
-    /// Compiled rank plane over every node the view knows (DESIGN.md
-    /// §15): the two-level candidate paths resolved once at context
-    /// build, frozen into the CSR arena. Empty while !valid.
+    /// Compiled rank plane over plane_nodes_ — the provisioned servers
+    /// the view knows, or every known node when the assignment names no
+    /// servers (DESIGN.md §15): the two-level candidate paths resolved
+    /// once at context build, frozen into the CSR arena. Empty while
+    /// !valid.
     RankPlane plane;
+    /// Fallback plane over every node the view knows, for a query naming
+    /// a known node `plane` has no row for (a non-server host, a switch,
+    /// the origin itself). Filled under its own once_flag by the first
+    /// such query; all-server queries never fill it.
+    mutable std::once_flag fallback_once;
+    mutable RankPlane fallback_plane;
   };
   struct CtxSlot {
     mutable std::once_flag once;
@@ -274,8 +304,8 @@ class MetroView {
       return view->device_map(d);
     }
     /// Owning map of the link's delay and staleness records.
-    [[nodiscard]] const NetworkMap& plane_link_stale_map(core::NodeId from,
-                                                         core::NodeId to) const {
+    [[nodiscard]] const NetworkMap& plane_link_stale_map(
+        core::NodeId from, core::NodeId to) const {
       return view->link_map(from, to);
     }
     /// The port series link_max_queue's port branch reads: same-region
@@ -314,6 +344,18 @@ class MetroView {
   [[nodiscard]] const QueryContext* query_context(core::NodeId origin) const;
   INTSCHED_COLDPATH void build_context(core::NodeId origin,
                                        QueryContext& ctx) const;
+  /// The plane that answers `candidates` from `ctx`: its server plane,
+  /// unless some candidate the view knows has no row there, in which
+  /// case the fallback plane (filled on first use). Unknown ids and
+  /// kInvalidNode have a row in neither plane, so they never force it.
+  [[nodiscard]] const RankPlane& plane_for(
+      core::NodeId origin, const QueryContext& ctx,
+      const core::NodeId* candidates, std::size_t count) const;
+  /// Compiles ctx's rows for `nodes` (ascending) into `out`.
+  INTSCHED_COLDPATH void compile_plane(const QueryContext& ctx,
+                                       core::NodeId origin,
+                                       const std::vector<core::NodeId>& nodes,
+                                       RankPlane& out) const;
 
   /// Summary-spine and region-segment buffers for path assembly, reused
   /// across the candidates of one plane compile.
@@ -345,12 +387,18 @@ class MetroView {
   net::Graph summary_graph_;
   /// Which region a transit edge crosses, for path expansion. Ordered map:
   /// built deterministically, read-only afterwards.
-  std::map<std::pair<core::NodeId, core::NodeId>, core::RegionId> transit_region_;
+  std::map<std::pair<core::NodeId, core::NodeId>, core::RegionId>
+      transit_region_;
   /// Nodes known to any region graph or the summary graph, ascending;
   /// ctx_slots_[i] is ctx_nodes_[i]'s query context. Fixed at
   /// construction, one contiguous slot array per view.
   std::vector<core::NodeId> ctx_nodes_;
   std::unique_ptr<CtxSlot[]> ctx_slots_;
+  /// Rows of every origin's server plane, ascending: the provisioned
+  /// servers found in ctx_nodes_, or all of ctx_nodes_ when the
+  /// assignment names no servers.
+  std::vector<core::NodeId> plane_nodes_;
+  mutable std::atomic<std::int64_t> rows_compiled_{0};
 };
 
 /// Thread-safe scheduler state: a region-sharded NetworkMap fed by

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace intsched::core {
 
@@ -17,12 +18,23 @@ const RankPlane kNoPlane{};
 /// is grow-only and epoch-stamped, so reuse across views and origins is
 /// safe).
 MetroView::RankScratch& thread_scratch() {
-  // intsched-lint: allow(thread-share): per-thread query buffers, no result state
+  // intsched-lint: allow(thread-share): per-thread buffers, no result state
   static thread_local MetroView::RankScratch scratch;
   return scratch;
 }
 
 }  // namespace
+
+RegionAssignment::RegionAssignment(std::vector<core::RegionId> by_node,
+                                   core::RegionId count,
+                                   std::vector<core::NodeId> servers)
+    : by_node_{std::move(by_node)},
+      count_{count},
+      servers_{std::move(servers)} {
+  std::sort(servers_.begin(), servers_.end());
+  servers_.erase(std::unique(servers_.begin(), servers_.end()),
+                 servers_.end());
+}
 
 RegionAssignment RegionAssignment::from_topology(
     const net::GenTopology& topo) {
@@ -31,7 +43,8 @@ RegionAssignment RegionAssignment::from_topology(
   for (const net::GenNode& node : topo.nodes) {
     by_node.push_back(node.region);
   }
-  return RegionAssignment{std::move(by_node), topo.regions};
+  return RegionAssignment{std::move(by_node), topo.regions,
+                          topo.edge_servers()};
 }
 
 // ---------------------------------------------------------------------------
@@ -91,9 +104,22 @@ MetroView::MetroView(
   ctx_nodes_.erase(std::unique(ctx_nodes_.begin(), ctx_nodes_.end()),
                    ctx_nodes_.end());
   ctx_slots_ = std::make_unique<CtxSlot[]>(ctx_nodes_.size());
+
+  // Server-plane rows: the provisioned servers this view knows, or every
+  // known node when the assignment names no servers. A server the view
+  // has never heard of has no row in any plane, exactly like an unknown
+  // id.
+  const std::vector<core::NodeId>& servers = regions_->servers();
+  if (servers.empty()) {
+    plane_nodes_ = ctx_nodes_;
+  } else {
+    std::set_intersection(servers.begin(), servers.end(), ctx_nodes_.begin(),
+                          ctx_nodes_.end(), std::back_inserter(plane_nodes_));
+  }
 }
 
-const NetworkMap& MetroView::link_map(core::NodeId from, core::NodeId to) const {
+const NetworkMap& MetroView::link_map(core::NodeId from,
+                                     core::NodeId to) const {
   const core::RegionId ra = regions_->region_of(from);
   const core::RegionId rb = regions_->region_of(to);
   if (ra == rb && valid_region(ra)) return region_map(ra);
@@ -145,21 +171,29 @@ void MetroView::build_context(core::NodeId origin, QueryContext& ctx) const {
     }
   }
 
-  // Compile the origin's rank plane (DESIGN.md §15): resolve the
-  // two-level candidate path to every node the view knows — in ascending
-  // id order, so the arena layout is deterministic — and freeze each into a
-  // CSR row. Cold by contract: this runs once per origin inside the
-  // query-context call_once.
+  // Compile the origin's server plane. Cold by contract: this runs once
+  // per origin inside the query-context call_once.
+  compile_plane(ctx, origin, plane_nodes_, ctx.plane);
+}
+
+void MetroView::compile_plane(const QueryContext& ctx, core::NodeId origin,
+                              const std::vector<core::NodeId>& nodes,
+                              RankPlane& out) const {
+  // Resolve the two-level candidate path to every node of `nodes` — in
+  // ascending id order, so the arena layout is deterministic — and freeze
+  // each into a CSR row (DESIGN.md §15).
   RankPlaneBuilder builder{cfg_->queue_statistic};
   PathScratch scratch;
   std::vector<core::NodeId> path;
   const HierMap hier{this};
-  for (const core::NodeId node : ctx_nodes_) {
+  for (const core::NodeId node : nodes) {
     const sim::SimDuration baseline =
         candidate_path_into(ctx, origin, node, path, scratch);
     builder.add_path(hier, node, path, baseline);
   }
-  ctx.plane = builder.finish();
+  out = builder.finish();
+  rows_compiled_.fetch_add(static_cast<std::int64_t>(nodes.size()),
+                           std::memory_order_relaxed);
 }
 
 const MetroView::QueryContext* MetroView::query_context(
@@ -175,6 +209,27 @@ const MetroView::QueryContext* MetroView::query_context(
     build_context(origin, slot.ctx);
   });
   return &slot.ctx;
+}
+
+const RankPlane& MetroView::plane_for(core::NodeId origin,
+                                      const QueryContext& ctx,
+                                      const core::NodeId* candidates,
+                                      std::size_t count) const {
+  // An invalid context compiled nothing: every candidate is unreachable.
+  if (!ctx.valid) return ctx.plane;
+  const auto known_without_row = [this, &ctx](core::NodeId c) {
+    return ctx.plane.row_for(c) == nullptr &&
+           std::binary_search(ctx_nodes_.begin(), ctx_nodes_.end(), c);
+  };
+  if (std::none_of(candidates, candidates + count, known_without_row)) {
+    return ctx.plane;
+  }
+  // intsched-lint: allow(hot-lock): once-per-origin fallback fill (§15)
+  std::call_once(ctx.fallback_once, [this, origin, &ctx] {
+    // intsched-lint: allow(hot-coldcall): sanctioned once-only fill
+    compile_plane(ctx, origin, ctx_nodes_, ctx.fallback_plane);
+  });
+  return ctx.fallback_plane;
 }
 
 void MetroView::expand_summary_path_into(const QueryContext& ctx,
@@ -281,8 +336,10 @@ void MetroView::rank_topk_into(core::NodeId origin,
   // memo does not know, has no compiled rows: the kernel over an empty
   // plane ranks every candidate unreachable, ordered by id.
   const QueryContext* ctx = query_context(origin);
-  rank_plane_into(HierMap{this}, *cfg_, ctx != nullptr ? ctx->plane : kNoPlane,
-                  candidates, count, metric, now, top_k, scratch.plane, out);
+  const RankPlane& plane =
+      ctx != nullptr ? plane_for(origin, *ctx, candidates, count) : kNoPlane;
+  rank_plane_into(HierMap{this}, *cfg_, plane, candidates, count, metric, now,
+                  top_k, scratch.plane, out);
 }
 
 std::vector<ServerRank> MetroView::rank(
@@ -313,6 +370,7 @@ std::optional<ServerRank> MetroView::pick_with(
     }
     return scratch.ranked.front();
   }
+  const RankPlane& plane = plane_for(origin, *ctx, candidates, count);
 
   // Group candidates by region, keeping candidate order within a group:
   // tag each candidate with (region, original index) and sort — the
@@ -365,7 +423,7 @@ std::optional<ServerRank> MetroView::pick_with(
   // scored against an already tight bound (the argmin's static-delay
   // short-circuit skips most of their rows), and the full ServerRank is
   // materialized exactly once at the end.
-  scratch.plane.begin(ctx->plane);
+  scratch.plane.begin(plane);
   PlaneIncumbent best;
   PickStats local{};
   for (const RankScratch::GroupBound& gb : scratch.order) {
@@ -383,15 +441,15 @@ std::optional<ServerRank> MetroView::pick_with(
     for (std::size_t i = 0; i < group_size; ++i) {
       scratch.group_servers.push_back(scratch.grouped[gb.begin + i].server);
     }
-    pick_plane_argmin(*cfg_, ctx->plane, scratch.group_servers.data(),
-                      group_size, now, scratch.plane, best);
+    pick_plane_argmin(*cfg_, plane, scratch.group_servers.data(), group_size,
+                      now, scratch.plane, best);
   }
   if (stats != nullptr) *stats = local;
   const HierMap hier{this};
   ServerRank r;
   plane_detail::fill_rank(
-      *cfg_, ctx->plane, scratch.plane, ctx->plane.row_for(best.server),
-      best.server, best.delay, now, hier.config().nominal_capacity.bps(),
+      *cfg_, plane, scratch.plane, plane.row_for(best.server), best.server,
+      best.delay, now, hier.config().nominal_capacity.bps(),
       hier.config().link_staleness > sim::SimDuration::zero(), r);
   return r;
 }

@@ -15,6 +15,7 @@
 // The torture tests' cross-thread state is the maps themselves:
 #include "intsched/core/sharded_map.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -123,6 +124,19 @@ telemetry::ProbeReport simple_report(std::int64_t q10 = 0,
 RegionAssignment one_region() {
   return RegionAssignment{std::vector<core::RegionId>(16, core::RegionId{0}),
                           core::RegionId{1}};
+}
+
+/// Nodes `view` knows — its query-context origins and the rows of a
+/// fallback plane: every region graph's nodes plus the summary graph's.
+std::int64_t known_nodes(const MetroView& view) {
+  std::vector<core::NodeId> nodes = view.summary_map().delay_graph().nodes();
+  for (std::int32_t r = 0; r < view.region_count().value(); ++r) {
+    const std::vector<core::NodeId>& region =
+        view.region_snapshot(core::RegionId{r}).nodes();
+    nodes.insert(nodes.end(), region.begin(), region.end());
+  }
+  std::sort(nodes.begin(), nodes.end());
+  return std::unique(nodes.begin(), nodes.end()) - nodes.begin();
 }
 
 TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
@@ -294,23 +308,33 @@ TEST(ShardedMapTest, TortureEightReadersOneWriter) {
       shared.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
     }
   });
+  // Odd readers also name a host that is not a server, so the first
+  // query per origin and view fills that context's fallback plane while
+  // other readers score the same context.
+  std::vector<core::NodeId> with_host = candidates;
+  with_host.push_back(origins.back());
+  ASSERT_FALSE(std::binary_search(candidates.begin(), candidates.end(),
+                                  origins.back()));
+
   std::vector<std::int64_t> bad(kReaders, 0);
   for (int t = 0; t < kReaders; ++t) {
-    tasks.push_back([&shared, &origins, &candidates, &bad, t] {
+    tasks.push_back([&shared, &origins, &candidates, &with_host, &bad, t] {
+      const std::vector<core::NodeId>& mine =
+          t % 2 == 0 ? candidates : with_host;
       for (int i = 0; i < kOpsPerReader; ++i) {
         const core::NodeId origin =
             origins[static_cast<std::size_t>(t * 31 + i) % origins.size()];
         const auto metric = (i % 2 == 0) ? RankingMetric::kDelay
                                          : RankingMetric::kBandwidth;
         const sim::SimTime now = sim::SimTime::seconds(1 + i % 40);
-        const auto ranked = shared.rank(origin, candidates, metric, now);
+        const auto ranked = shared.rank(origin, mine, metric, now);
         // pick-vs-rank consistency must hold on ONE view: the wrapper
         // calls above may straddle a publish.
         const auto view = shared.view();
-        const auto vranked = view->rank(origin, candidates, metric, now);
-        const auto vbest = view->pick(origin, candidates, metric, now);
-        if (ranked.size() != candidates.size() ||
-            vranked.size() != candidates.size() || !vbest.has_value() ||
+        const auto vranked = view->rank(origin, mine, metric, now);
+        const auto vbest = view->pick(origin, mine, metric, now);
+        if (ranked.size() != mine.size() || vranked.size() != mine.size() ||
+            !vbest.has_value() ||
             vbest->server != vranked.front().server) {
           ++bad[static_cast<std::size_t>(t)];
         }
@@ -343,11 +367,90 @@ TEST(ShardedMapTest, TortureEightReadersOneWriter) {
   for (const core::NodeId origin : {origins[0], origins[5]}) {
     for (const auto metric :
          {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-      expect_ranks_identical(shared.rank(origin, candidates, metric, now),
-                             ranker.rank(origin, candidates, metric, now),
-                             "post torture");
+      for (const std::vector<core::NodeId>& c : {candidates, with_host}) {
+        expect_ranks_identical(shared.rank(origin, c, metric, now),
+                               ranker.rank(origin, c, metric, now),
+                               "post torture");
+      }
     }
   }
+}
+
+// What a context compiles. With the servers provisioned, an origin's
+// plane holds one row per server, and server-only queries never build the
+// fallback plane. The first query that names a known non-server node
+// compiles the fallback once, over every known node, and answers exactly
+// as Ranker. A hand-built assignment that names no servers compiles every
+// known node up front.
+TEST(ShardedMapTest, PlanesCompileOnlyProvisionedServers) {
+  MetroFixture m{4, 2};
+  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
+  NetworkMap flat;
+  for (std::size_t e = 0; e < m.batches.size(); ++e) {
+    sharded.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+    ingest_all(flat, m.batches[e], MetroFixture::epoch_time(e));
+  }
+  const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
+  const std::shared_ptr<const MetroView> view = sharded.view();
+  const std::vector<core::NodeId> servers = m.topo.edge_servers();
+  const std::vector<core::NodeId> hosts = m.topo.hosts();
+  ASSERT_EQ(sharded.region_count(), core::RegionId{4});
+  EXPECT_EQ(view->rows_compiled(), 0);
+
+  for (const core::NodeId origin : hosts) {
+    EXPECT_TRUE(
+        view->pick(origin, servers, RankingMetric::kDelay, now).has_value());
+    EXPECT_EQ(
+        view->rank(origin, servers, RankingMetric::kBandwidth, now).size(),
+        servers.size());
+  }
+  const auto server_rows =
+      static_cast<std::int64_t>(hosts.size() * servers.size());
+  EXPECT_EQ(view->rows_compiled(), server_rows);
+
+  const core::NodeId origin = hosts[0];
+  std::vector<core::NodeId> mixed = servers;
+  mixed.push_back(hosts.back());
+  ASSERT_FALSE(
+      std::binary_search(servers.begin(), servers.end(), hosts.back()));
+  const Ranker ranker{flat};
+  for (const auto metric :
+       {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+    const std::vector<ServerRank> want =
+        ranker.rank(origin, mixed, metric, now);
+    expect_ranks_identical(view->rank(origin, mixed, metric, now), want,
+                           "fallback rank");
+    const std::optional<ServerRank> best =
+        view->pick(origin, mixed, metric, now);
+    ASSERT_TRUE(best.has_value());
+    expect_ranks_identical({*best}, {want.front()}, "fallback pick");
+  }
+  const std::int64_t known = known_nodes(*view);
+  EXPECT_EQ(view->rows_compiled(), server_rows + known);
+
+  // A switch from the same origin reuses the filled fallback plane.
+  const auto sw = std::find_if(
+      m.topo.nodes.begin(), m.topo.nodes.end(), [](const net::GenNode& n) {
+        return n.kind == net::NodeKind::kSwitch;
+      });
+  ASSERT_NE(sw, m.topo.nodes.end());
+  mixed.push_back(sw->id);
+  expect_ranks_identical(
+      view->rank(origin, mixed, RankingMetric::kDelay, now),
+      ranker.rank(origin, mixed, RankingMetric::kDelay, now),
+      "fallback reuse");
+  EXPECT_EQ(view->rows_compiled(), server_rows + known);
+
+  // Hand-built, no servers named: nodes 0, 1, 10 and 11 all get a row.
+  ShardedNetworkMap hand{one_region()};
+  hand.ingest(simple_report(), at_ms(0));
+  const std::shared_ptr<const MetroView> hand_view = hand.view();
+  EXPECT_EQ(hand_view->rank(core::NodeId{0}, {core::NodeId{1}},
+                            RankingMetric::kDelay, at_ms(1))
+                .size(),
+            1u);
+  EXPECT_EQ(known_nodes(*hand_view), 4);
+  EXPECT_EQ(hand_view->rows_compiled(), 4);
 }
 
 // SchedulerService with an attached single-region metro map must behave
@@ -378,8 +481,8 @@ TEST(ShardedMapTest, SchedulerServiceRoutesThroughAttachedMetro) {
   };
 
   // Fig. 4's node-id space (hosts + switches) mapped onto one region.
-  ShardedNetworkMap metro{
-      RegionAssignment{std::vector<core::RegionId>(32, core::RegionId{0}), core::RegionId{1}}};
+  ShardedNetworkMap metro{RegionAssignment{
+      std::vector<core::RegionId>(32, core::RegionId{0}), core::RegionId{1}}};
   const std::vector<ServerRank> with_metro = run_service(&metro);
   const std::vector<ServerRank> flat = run_service(nullptr);
 
@@ -555,8 +658,8 @@ TEST(OneRegionMapTest, ConcurrentIngestAndRankKeepTotalsExact) {
   for (int t = 0; t < kRankTasks; ++t) {
     tasks.push_back([&shared, &candidates, &bad, t] {
       for (int i = 0; i < kOpsPerTask; ++i) {
-        const std::vector<ServerRank> ranked =
-            shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1 + i));
+        const std::vector<ServerRank> ranked = shared.rank(
+            core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1 + i));
         // Interleaving-insensitive: shape and ordering policy only.
         if (ranked.size() != candidates.size() ||
             ranked[0].delay_estimate > ranked[1].delay_estimate) {
@@ -577,10 +680,12 @@ TEST(OneRegionMapTest, ConcurrentIngestAndRankKeepTotalsExact) {
 
   // After the join the state has quiesced: ranking is deterministic again.
   const std::vector<ServerRank> final_rank =
-      shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(kOpsPerTask));
+      shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay,
+                  at_ms(kOpsPerTask));
   ASSERT_EQ(final_rank.size(), 2u);
   EXPECT_EQ(final_rank[0].server, core::NodeId{1});
-  EXPECT_EQ(final_rank[1].server, core::NodeId{99});  // never probed: unreachable, last
+  // Never probed: unreachable, last.
+  EXPECT_EQ(final_rank[1].server, core::NodeId{99});
 }
 
 }  // namespace

@@ -8,9 +8,13 @@
 // field of every ServerRank, in every position — rank(), rank_topk_into
 // at every k and pick() — for every metric, queue statistic, staleness
 // regime and candidate shape (reachable, unreachable, unknown id,
-// kInvalidNode, origin-as-candidate, unknown origin), over seeded metro
-// topologies, on a one-region (flat) map and on a multi-region metro.
+// kInvalidNode, origin-as-candidate, a known node that is not a server,
+// unknown origin), over seeded metro topologies, on a one-region (flat)
+// map and on a multi-region metro. Both maps name the topology's edge
+// servers, so the non-server candidates are answered from the all-node
+// fallback plane; the flat pack also runs with no servers named.
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -60,9 +64,8 @@ struct MetroFixture {
     topo = net::TopologyGen::ring_of_pods(cfg);
     exp::MetroTelemetryGen gen{topo, exp::MetroTelemetryConfig{.seed = seed}};
     batches.push_back(gen.full_sweep());
-    const auto refresh =
-        std::max<std::int64_t>(1,
-                               static_cast<std::int64_t>(topo.links.size()) / 4);
+    const auto refresh = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(topo.links.size()) / 4);
     for (std::int32_t e = 1; e < epochs; ++e) {
       batches.push_back(gen.refresh(refresh));
     }
@@ -72,11 +75,22 @@ struct MetroFixture {
     return sim::SimTime::seconds(static_cast<std::int64_t>(e) + 1);
   }
 
-  /// The flat deployment of this topology: every node in region 0.
-  [[nodiscard]] RegionAssignment one_region() const {
+  /// The flat deployment of this topology: every node in region 0, with
+  /// the edge servers provisioned as on the metro, or with none named
+  /// (every origin's plane then compiles every known node).
+  [[nodiscard]] RegionAssignment one_region(bool name_servers) const {
     return RegionAssignment{
         std::vector<core::RegionId>(topo.nodes.size(), core::RegionId{0}),
-        core::RegionId{1}};
+        core::RegionId{1},
+        name_servers ? topo.edge_servers() : std::vector<core::NodeId>{}};
+  }
+
+  /// A switch: known to every view, never a server.
+  [[nodiscard]] core::NodeId first_switch() const {
+    for (const net::GenNode& node : topo.nodes) {
+      if (node.kind == net::NodeKind::kSwitch) return node.id;
+    }
+    return core::kInvalidNode;
   }
 
   /// Query origins: real hosts plus one id nothing ever probed.
@@ -86,13 +100,17 @@ struct MetroFixture {
             core::NodeId{888888}};
   }
 
-  /// Candidate set exercising every row shape: real edge servers, an id
+  /// Candidate set exercising every row shape: real edge servers, the
+  /// last host and a switch (known nodes that are not servers: they have
+  /// no server-plane row, so they force the fallback plane), an id
   /// nothing has ever probed (no graph node, no plane row), the invalid
   /// id, and the query origin itself (its path to itself has one node —
   /// unreachable by the ranking contract).
   [[nodiscard]] std::vector<core::NodeId> candidates_with_edge_cases(
       core::NodeId origin) const {
     std::vector<core::NodeId> c = topo.edge_servers();
+    c.push_back(topo.hosts().back());  // the last pod's last host
+    c.push_back(first_switch());
     c.push_back(core::NodeId{999983});  // unknown everywhere
     c.push_back(core::kInvalidNode);
     c.push_back(origin);
@@ -169,6 +187,10 @@ void expect_view_matches_reference(const MetroView& view, const Ranker& ref,
 /// Feeds the same epochs to `map` and the flat reference map, checking
 /// every origin after every epoch.
 void run_pack(const MetroFixture& m, const RegionAssignment& regions) {
+  const std::vector<core::NodeId> servers = m.topo.edge_servers();
+  ASSERT_FALSE(std::binary_search(servers.begin(), servers.end(),
+                                  m.topo.hosts().back()))
+      << "the pack's non-server host is a server";
   for (const ConfigCase& c : kCases) {
     const ShardedMapConfig cfg = map_config(c);
     ShardedNetworkMap map{regions, cfg};
@@ -190,10 +212,12 @@ void run_pack(const MetroFixture& m, const RegionAssignment& regions) {
   }
 }
 
-// The flat deployment: a one-region map's published snapshots.
+// The flat deployment: a one-region map's published snapshots, with the
+// servers named and without.
 TEST(RankPlaneProperty, FlatSnapshotMatchesLegacyByteExact) {
   const MetroFixture m{3, 6};
-  run_pack(m, m.one_region());
+  run_pack(m, m.one_region(true));
+  run_pack(m, m.one_region(false));
 }
 
 // The two-level path: a 4-pod metro, region pruning in pick() included.
@@ -230,7 +254,8 @@ TEST(RankPlaneProperty, TopKPrefixMatchesFullRanking) {
         const std::size_t want = std::min(k, candidates.size());
         ASSERT_EQ(topk.size(), want) << "k=" << k;
         expect_ranks_identical(
-            topk, {full.begin(), full.begin() + static_cast<std::ptrdiff_t>(want)},
+            topk,
+            {full.begin(), full.begin() + static_cast<std::ptrdiff_t>(want)},
             "topk");
       }
     }
