@@ -144,9 +144,10 @@ struct KCalibrationSample {
 // -- compiled rank planes (DESIGN.md §15) -----------------------------------
 //
 // A RankPlane "compiles" one origin's candidate paths — frozen for the
-// lifetime of the snapshot that owns them — into a flat CSR arena: one
-// row per candidate server holding the precomputed static link-delay sum
-// and the path's device/link index spans into two deduplicated tables.
+// lifetime of the view that owns them — into a flat CSR arena: one row
+// per candidate server holding the precomputed static link-delay sum and
+// the path's device/link index spans into the view's PlaneCatalog, which
+// resolves every known device and learned directed link once per view.
 // Per-query work then collapses to one queue-window gather per *distinct*
 // device (epoch-stamped marks, no per-query clearing) plus a fused
 // structure-of-arrays scoring loop over the rows; no path vector is ever
@@ -168,38 +169,24 @@ struct KCalibrationSample {
 //    a total order, so a top-k partial sort's prefix is byte-identical
 //    to the full sort's prefix, and the k=1 argmin is its first element.
 
-struct RankPlane {
-  /// row_of sentinel: node has no compiled row.
-  static constexpr std::uint32_t kNoRow = 0xffffffffu;
+/// Telemetry catalog shared by every rank plane of one view: each known
+/// device's resolved queue series, and each learned directed link — in
+/// CSR form by `from`, ascending `to` within a range — with its frozen
+/// static delay and resolved handles. Handles and delays are the same
+/// for every origin of a view, so they are resolved once per view, not
+/// once per origin. Node ids index the tables directly: they are dense
+/// topology indices (RegionAssignment indexes by them too), so the tables
+/// span the largest known id. Every pointer is valid exactly as long as
+/// the frozen maps it was resolved from (the catalog and the maps share
+/// an owner).
+struct PlaneCatalog {
+  /// find_link sentinel: the directed link was never learned.
+  static constexpr std::uint32_t kNoLink = 0xffffffffu;
 
-  struct Row {
-    core::NodeId server = core::kInvalidNode;
-    /// Sum of the path's link-delay estimates, frozen at build time (the
-    /// delay graph never changes within a snapshot).
-    sim::SimDuration static_delay = sim::SimDuration::zero();
-    /// Pure link-delay distance of the compiled path (the Dijkstra
-    /// distance).
-    sim::SimDuration baseline_delay = sim::SimDuration::max();
-    /// False = unreachable (path had fewer than two nodes): ranked last
-    /// with delay = max / bandwidth = 0, exactly as rank_candidates.
-    bool reachable = false;
-    /// [begin, end) span into dev_ix: intermediate devices, path order.
-    std::uint32_t dev_begin = 0;
-    std::uint32_t dev_end = 0;
-    /// [begin, end) span into link_ix: every path link, path order. The
-    /// bandwidth estimator charges links from the first switch onward —
-    /// [link_begin + 1, link_end) — while staleness scans the full span.
-    std::uint32_t link_begin = 0;
-    std::uint32_t link_end = 0;
-  };
-
-  /// Resolved telemetry handle for one deduplicated device: the owning
-  /// map (the device's region map, or the summary map for region-less
-  /// nodes) plus the series matching the compiling config's queue
-  /// statistic, resolved once so the per-query gather is pointer-direct —
-  /// no region routing, no hash find. Valid exactly as long as the frozen
-  /// snapshot the plane was compiled from (the plane and the maps share
-  /// an owner).
+  /// Resolved telemetry handle for one device: the owning map (the
+  /// device's region map, or the summary map for region-less nodes) plus
+  /// the series matching the view's queue statistic, so the per-query
+  /// gather is pointer-direct — no region routing, no hash find.
   struct DevRef {
     const NetworkMap* map = nullptr;
     const NetworkMap::QueueSeries* series = nullptr;
@@ -216,106 +203,46 @@ struct RankPlane {
     const NetworkMap::DelayEstimate* rev = nullptr;
   };
 
-  std::vector<Row> rows;
-  std::vector<std::uint32_t> dev_ix;   ///< indices into devices
-  std::vector<std::uint32_t> link_ix;  ///< indices into links
-  std::vector<core::NodeId> devices;   ///< deduplicated device table
-  std::vector<LinkKey> links;          ///< deduplicated directed links
-  std::vector<DevRef> dev_refs;        ///< parallel to devices
-  std::vector<LinkRef> link_refs;      ///< parallel to links
-  /// Dense node-index -> row lookup (kNoRow where absent). Node ids are
-  /// dense topology indices (RegionAssignment indexes by them too), so
-  /// the table is as long as the largest compiled id. A default plane
-  /// has no rows: every candidate scores unreachable.
-  std::vector<std::uint32_t> row_of;
+  std::vector<DevRef> dev_refs;  ///< indexed by node id
+  /// Links leaving node n are [link_begin[n], link_begin[n + 1]) in the
+  /// three parallel link tables below (dev_refs.size() + 1 entries).
+  std::vector<std::uint32_t> link_begin;
+  std::vector<core::NodeId> link_to;
+  /// The link's static delay estimate (the MapLike's link_delay), frozen.
+  std::vector<sim::SimDuration> link_delay;
+  std::vector<LinkRef> link_refs;
 
-  [[nodiscard]] const Row* row_for(core::NodeId n) const {
-    if (!n.valid() || n.index() >= row_of.size()) return nullptr;
-    const std::uint32_t r = row_of[n.index()];
-    return r == kNoRow ? nullptr : &rows[r];
+  [[nodiscard]] std::size_t link_count() const { return link_to.size(); }
+
+  /// Index of the directed link from->to, or kNoLink when it was never
+  /// learned: a binary search in `from`'s CSR range, no hashing.
+  [[nodiscard]] std::uint32_t find_link(core::NodeId from,
+                                        core::NodeId to) const {
+    if (!from.valid() || from.index() >= dev_refs.size()) return kNoLink;
+    const auto first = link_to.begin() + link_begin[from.index()];
+    const auto last = link_to.begin() + link_begin[from.index() + 1];
+    const auto it = std::lower_bound(first, last, to);
+    return it == last || *it != to
+               ? kNoLink
+               : static_cast<std::uint32_t>(it - link_to.begin());
   }
-};
 
-/// Accumulates compiled rows (dedup tables included) and seals them into
-/// a RankPlane. Cold by construction: planes are built inside the
-/// per-origin once-only memo fill, never on the query path.
-class RankPlaneBuilder {
- public:
-  /// `statistic` must be the queue statistic of the RankerConfig the
-  /// plane will be queried under (the view's own config): device
-  /// series are resolved for exactly that statistic at compile time.
-  explicit RankPlaneBuilder(QueueStatistic statistic)
-      : stat_{statistic} {}
-
-  /// Compiles one candidate path (fewer than two nodes = unreachable;
-  /// `baseline` is its pure link-delay distance); static
-  /// link delays and the resolved telemetry handles are read from `map`,
-  /// which must be the same frozen MapLike queries will run against.
+  /// Resolves a catalog over node ids [0, node_span) and `links`, which
+  /// must be sorted by (from, to), unique, with both ends valid ids below
+  /// node_span. Devices resolve to the series of `statistic`; delays and
+  /// handles are read from `map`, the frozen MapLike the planes will be
+  /// queried against.
   template <typename MapLike>
-  INTSCHED_COLDPATH void add_path(const MapLike& map, core::NodeId server,
-                                  const std::vector<core::NodeId>& path,
-                                  sim::SimDuration baseline) {
-    RankPlane::Row row;
-    row.server = server;
-    if (path.size() >= 2) {
-      row.reachable = true;
-      row.baseline_delay = baseline;
-      sim::SimDuration static_delay = sim::SimDuration::zero();
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        static_delay += map.link_delay(path[i], path[i + 1]);
-      }
-      row.static_delay = static_delay;
-      row.dev_begin = static_cast<std::uint32_t>(plane_.dev_ix.size());
-      for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-        plane_.dev_ix.push_back(intern_device(map, path[i]));
-      }
-      row.dev_end = static_cast<std::uint32_t>(plane_.dev_ix.size());
-      row.link_begin = static_cast<std::uint32_t>(plane_.link_ix.size());
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        plane_.link_ix.push_back(intern_link(map, path[i], path[i + 1]));
-      }
-      row.link_end = static_cast<std::uint32_t>(plane_.link_ix.size());
-    }
-    plane_.rows.push_back(row);
-  }
-
-  /// Seals and returns the plane (dense row lookup built), leaving the
-  /// builder reusable.
-  [[nodiscard]] INTSCHED_COLDPATH RankPlane finish() {
-    RankPlane plane = std::move(plane_);
-    plane_ = RankPlane{};
-    dev_id_.clear();
-    link_id_.clear();
-    std::size_t table_size = 0;
-    for (const RankPlane::Row& row : plane.rows) {
-      if (row.server.valid()) {
-        table_size = std::max(table_size, row.server.index() + 1);
-      }
-    }
-    plane.row_of.assign(table_size, RankPlane::kNoRow);
-    for (std::size_t r = 0; r < plane.rows.size(); ++r) {
-      const core::NodeId n = plane.rows[r].server;
-      if (n.valid()) {
-        plane.row_of[n.index()] = static_cast<std::uint32_t>(r);
-      }
-    }
-    return plane;
-  }
-
- private:
-  /// First sighting of a device resolves its telemetry handle: owning
-  /// map per the MapLike's routing, series per the compiling statistic.
-  template <typename MapLike>
-  [[nodiscard]] std::uint32_t intern_device(const MapLike& map,
-                                            core::NodeId d) {
-    const auto [it, inserted] = dev_id_.try_emplace(
-        d, static_cast<std::uint32_t>(plane_.devices.size()));
-    if (inserted) {
-      plane_.devices.push_back(d);
-      RankPlane::DevRef ref;
+  [[nodiscard]] INTSCHED_COLDPATH static PlaneCatalog compile(
+      const MapLike& map, QueueStatistic statistic, std::size_t node_span,
+      const std::vector<LinkKey>& links) {
+    PlaneCatalog c;
+    c.dev_refs.resize(node_span);
+    core::NodeId d{0};
+    for (DevRef& ref : c.dev_refs) {
       const NetworkMap& owner = map.plane_device_map(d);
       ref.map = &owner;
-      switch (stat_) {
+      switch (statistic) {
         case QueueStatistic::kMaximum:
           ref.series = owner.find_device_queue(d);
           break;
@@ -326,44 +253,151 @@ class RankPlaneBuilder {
           ref.series = owner.find_device_hop_latency(d);
           break;
       }
-      plane_.dev_refs.push_back(ref);
+      ++d;
     }
-    return it->second;
-  }
-  /// First sighting of a directed link resolves link_max_queue's two
-  /// candidate series (port register + device fallback, both under the
-  /// device's owning map) and link_stale's forward/reverse delay records
-  /// (under the link's owning map).
-  template <typename MapLike>
-  [[nodiscard]] std::uint32_t intern_link(const MapLike& map,
-                                          core::NodeId from, core::NodeId to) {
-    const auto [it, inserted] = link_id_.try_emplace(
-        LinkKey{from, to}, static_cast<std::uint32_t>(plane_.links.size()));
-    if (inserted) {
-      plane_.links.push_back(LinkKey{from, to});
-      RankPlane::LinkRef ref;
-      const NetworkMap& qm = map.plane_device_map(from);
+    c.link_begin.assign(node_span + 1, 0);
+    c.link_to.reserve(links.size());
+    c.link_delay.reserve(links.size());
+    c.link_refs.reserve(links.size());
+    for (const LinkKey& k : links) {
+      ++c.link_begin[k.from.index() + 1];
+      c.link_to.push_back(k.to);
+      c.link_delay.push_back(map.link_delay(k.from, k.to));
+      LinkRef ref;
+      const NetworkMap& qm = map.plane_device_map(k.from);
       ref.queue_map = &qm;
-      ref.port_series = map.plane_link_port_series(from, to);
-      ref.dev_series = qm.find_device_queue(from);
-      const NetworkMap& sm = map.plane_link_stale_map(from, to);
+      ref.port_series = map.plane_link_port_series(k.from, k.to);
+      ref.dev_series = qm.find_device_queue(k.from);
+      const NetworkMap& sm = map.plane_link_stale_map(k.from, k.to);
       ref.stale_map = &sm;
-      ref.fwd = sm.find_link_delay(from, to);
-      ref.rev = sm.find_link_delay(to, from);
-      plane_.link_refs.push_back(ref);
+      ref.fwd = sm.find_link_delay(k.from, k.to);
+      ref.rev = sm.find_link_delay(k.to, k.from);
+      c.link_refs.push_back(ref);
     }
-    return it->second;
+    for (std::size_t n = 0; n < node_span; ++n) {
+      c.link_begin[n + 1] += c.link_begin[n];
+    }
+    return c;
+  }
+};
+
+struct RankPlane {
+  /// Row-index sentinel: node has no compiled row.
+  static constexpr std::uint32_t kNoRow = 0xffffffffu;
+
+  struct Row {
+    /// Sum of the path's link-delay estimates, frozen at build time (the
+    /// delay graph never changes within a snapshot).
+    sim::SimDuration static_delay = sim::SimDuration::zero();
+    /// Pure link-delay distance of the compiled path (the Dijkstra
+    /// distance).
+    sim::SimDuration baseline_delay = sim::SimDuration::max();
+    /// [begin, end) span into dev_ix: intermediate devices, path order.
+    std::uint32_t dev_begin = 0;
+    std::uint32_t dev_end = 0;
+    /// [begin, end) span into link_ix: every path link, path order. The
+    /// bandwidth estimator charges links from the first switch onward —
+    /// [link_begin + 1, link_end) — while staleness scans the full span.
+    std::uint32_t link_begin = 0;
+    std::uint32_t link_end = 0;
+    /// False = unreachable (path had fewer than two nodes): ranked last
+    /// with delay = max / bandwidth = 0, exactly as rank_candidates.
+    bool reachable = false;
+  };
+
+  std::vector<Row> rows;
+  std::vector<std::uint32_t> dev_ix;   ///< node ids into catalog->dev_refs
+  std::vector<std::uint32_t> link_ix;  ///< indices into catalog's links
+  /// The owning view's catalog; null for a plane with no rows.
+  const PlaneCatalog* catalog = nullptr;
+  /// Node id -> row (kNoRow where absent), owned by the view and shared
+  /// by every plane compiled over the same node list: each such plane
+  /// adds its rows in that list's order. A default plane has no rows:
+  /// every candidate scores unreachable.
+  const std::vector<std::uint32_t>* row_index = nullptr;
+
+  [[nodiscard]] const Row* row_for(core::NodeId n) const {
+    if (row_index == nullptr || !n.valid() || n.index() >= row_index->size()) {
+      return nullptr;
+    }
+    const std::uint32_t r = (*row_index)[n.index()];
+    return r == kNoRow ? nullptr : &rows[r];
+  }
+};
+
+/// Compiles one origin's rows against its view's PlaneCatalog and seals
+/// them into an exactly sized RankPlane. Cold by construction: planes are
+/// built inside the per-origin once-only memo fill, never on the query
+/// path. Per hop, one binary search in the catalog's CSR range of the
+/// hop's source; no hashing.
+class RankPlaneBuilder {
+ public:
+  /// `row_index` is the view's row index of the node list the caller
+  /// compiles: exactly `rows` add_path calls follow, one per node of the
+  /// list, in its order.
+  RankPlaneBuilder(const PlaneCatalog& catalog,
+                   const std::vector<std::uint32_t>& row_index,
+                   std::size_t rows) {
+    plane_.catalog = &catalog;
+    plane_.row_index = &row_index;
+    plane_.rows.reserve(rows);
   }
 
+  /// Compiles one candidate path (fewer than two nodes = unreachable;
+  /// `baseline` is its pure link-delay distance). The static sum adds the
+  /// catalog's frozen link delays in path order. A hop the catalog has
+  /// no link for leaves the row unreachable; assembled paths only follow
+  /// learned links, so this is a defensive case.
+  INTSCHED_COLDPATH void add_path(const std::vector<core::NodeId>& path,
+                                  sim::SimDuration baseline) {
+    const PlaneCatalog& catalog = *plane_.catalog;
+    const std::size_t dev_begin = dev_ix_.size();
+    const std::size_t link_begin = link_ix_.size();
+    sim::SimDuration static_delay = sim::SimDuration::zero();
+    bool linked = path.size() >= 2;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      const std::uint32_t l = catalog.find_link(path[i], path[i + 1]);
+      linked = l != PlaneCatalog::kNoLink;
+      if (!linked) break;
+      static_delay += catalog.link_delay[l];
+      link_ix_.push_back(l);
+      // A found link proves path[i] a valid id inside the catalog.
+      if (i > 0) {
+        dev_ix_.push_back(static_cast<std::uint32_t>(path[i].index()));
+      }
+    }
+    RankPlane::Row row;
+    if (linked) {
+      row.static_delay = static_delay;
+      row.baseline_delay = baseline;
+      row.dev_begin = static_cast<std::uint32_t>(dev_begin);
+      row.dev_end = static_cast<std::uint32_t>(dev_ix_.size());
+      row.link_begin = static_cast<std::uint32_t>(link_begin);
+      row.link_end = static_cast<std::uint32_t>(link_ix_.size());
+      row.reachable = true;
+    } else {
+      dev_ix_.resize(dev_begin);
+      link_ix_.resize(link_begin);
+    }
+    plane_.rows.push_back(row);
+  }
+
+  /// Seals and returns the plane, its index pools copied to exact size.
+  [[nodiscard]] INTSCHED_COLDPATH RankPlane finish() {
+    plane_.dev_ix.assign(dev_ix_.begin(), dev_ix_.end());
+    plane_.link_ix.assign(link_ix_.begin(), link_ix_.end());
+    return std::move(plane_);
+  }
+
+ private:
   RankPlane plane_;
-  QueueStatistic stat_;
-  std::unordered_map<core::NodeId, std::uint32_t> dev_id_;
-  std::unordered_map<LinkKey, std::uint32_t, LinkKeyHash> link_id_;
+  std::vector<std::uint32_t> dev_ix_;
+  std::vector<std::uint32_t> link_ix_;
 };
 
 /// Per-thread gather + selection scratch for the plane kernels. Every
 /// vector grows monotonically (capacity retained across queries *and*
-/// across planes — index spaces differ per plane, but the epoch stamp
+/// across views — index spaces differ per catalog, but the epoch stamp
 /// makes stale marks unreadable); nothing is cleared per query.
 struct PlaneScratch {
   /// Gather generation stamp (not a snapshot Epoch: it orders nothing
@@ -382,17 +416,20 @@ struct PlaneScratch {
   std::vector<std::uint32_t> sel;
 
   /// Starts one query against `plane`: bumps the gather epoch and grows
-  /// the mark arrays to the plane's table sizes. Grow-only, so a warmed
+  /// the mark arrays to its catalog's table sizes. Grow-only, so a warmed
   /// serving thread never reallocates here.
   INTSCHED_HOTPATH void begin(const RankPlane& plane) {
-    if (dev_mark.size() < plane.devices.size()) {
-      dev_mark.resize(plane.devices.size(), 0);
-      dev_term.resize(plane.devices.size(), sim::SimDuration::zero());
-    }
-    if (link_mark.size() < plane.links.size()) {
-      link_mark.resize(plane.links.size(), 0);
-      link_avail.resize(plane.links.size(), 0.0);
-      link_is_stale.resize(plane.links.size(), 0);
+    if (plane.catalog != nullptr) {
+      const PlaneCatalog& catalog = *plane.catalog;
+      if (dev_mark.size() < catalog.dev_refs.size()) {
+        dev_mark.resize(catalog.dev_refs.size(), 0);
+        dev_term.resize(catalog.dev_refs.size(), sim::SimDuration::zero());
+      }
+      if (link_mark.size() < catalog.link_count()) {
+        link_mark.resize(catalog.link_count(), 0);
+        link_avail.resize(catalog.link_count(), 0.0);
+        link_is_stale.resize(catalog.link_count(), 0);
+      }
     }
     ++stamp;
   }
@@ -400,9 +437,9 @@ struct PlaneScratch {
 
 namespace plane_detail {
 
-/// Gathered hop-delay term for unique-device index `d`: one queue-window
-/// query per distinct device per plane query, whatever the candidate
-/// fan-in — evaluated through the ref resolved at compile time, so the
+/// Gathered hop-delay term for device `d`: one queue-window query per
+/// distinct device per plane query, whatever the candidate fan-in —
+/// evaluated through the catalog's resolved ref, so the
 /// gather is pointer-direct (no region routing, no hash find). The term
 /// is the exact per-hop contribution of estimate_path_delay under
 /// cfg.queue_statistic (kAverage's /100.0 mean scaling and double ->
@@ -415,7 +452,7 @@ INTSCHED_HOTPATH inline sim::SimDuration dev_term(const RankerConfig& cfg,
                                                   sim::SimTime now) {
   if (scratch.dev_mark[d] != scratch.stamp) {
     scratch.dev_mark[d] = scratch.stamp;
-    const RankPlane::DevRef& ref = plane.dev_refs[d];
+    const PlaneCatalog::DevRef& ref = plane.catalog->dev_refs[d];
     sim::SimDuration term = sim::SimDuration::zero();
     switch (cfg.queue_statistic) {
       case QueueStatistic::kMaximum:
@@ -438,7 +475,7 @@ INTSCHED_HOTPATH inline sim::SimDuration dev_term(const RankerConfig& cfg,
 }
 
 /// Gathers availability (and, when staleness tracking is on, the stale
-/// bit) for unique-link index `l` — once per distinct link per query,
+/// bit) for catalog link `l` — once per distinct link per query,
 /// replaying link_max_queue (fresh port series, else device register)
 /// and link_stale over the resolved handles.
 INTSCHED_HOTPATH inline void gather_link(const RankerConfig& cfg,
@@ -448,7 +485,7 @@ INTSCHED_HOTPATH inline void gather_link(const RankerConfig& cfg,
                                          bool staleness_on) {
   if (scratch.link_mark[l] == scratch.stamp) return;
   scratch.link_mark[l] = scratch.stamp;
-  const RankPlane::LinkRef& ref = plane.link_refs[l];
+  const PlaneCatalog::LinkRef& ref = plane.catalog->link_refs[l];
   const std::int64_t q =
       ref.queue_map->port_series_fresh(ref.port_series, now)
           ? ref.queue_map->window_max_of(ref.port_series, now)

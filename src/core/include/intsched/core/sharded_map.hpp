@@ -109,11 +109,12 @@ struct PickStats {
 /// costs are region shortest-path distances).
 ///
 /// Thread-safety model mirrors RankSnapshot: everything is frozen at
-/// construction except the per-origin query-context memo, which fills
-/// lazily under a per-slot std::once_flag (slot set fixed at
-/// construction), and each context's fallback plane, which fills under
-/// a second once_flag of its own. Region snapshots are shared with — and
-/// may outlive — the publishing ShardedNetworkMap.
+/// construction except three lazy memos, each filled once under its own
+/// std::once_flag: the per-origin query contexts (one slot per known
+/// node, slot set fixed at construction), each context's fallback plane,
+/// and the view's telemetry catalog, which the first context build fills
+/// and every plane of the view indexes. Region snapshots are shared with
+/// — and may outlive — the publishing ShardedNetworkMap.
 ///
 /// Determinism / exactness: every query scores through one of the
 /// origin's compiled rank planes (DESIGN.md §15), whose rows are the
@@ -248,6 +249,13 @@ class MetroView {
     // intsched-lint: allow(atomic-ordering): quiescent counter read
     return rows_compiled_.load(std::memory_order_relaxed);
   }
+  /// Directed links the view's telemetry catalog resolved: 0 until the
+  /// first context build fills it, then every link the view learned (the
+  /// same relaxed, quiescent-exact counter as rows_compiled()).
+  [[nodiscard]] std::int64_t catalog_links() const {
+    // intsched-lint: allow(atomic-ordering): quiescent counter read
+    return catalog_links_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// Everything the two-level query path derives, per origin, memoized
@@ -268,8 +276,8 @@ class MetroView {
     /// Compiled rank plane over plane_nodes_ — the provisioned servers
     /// the view knows, or every known node when the assignment names no
     /// servers (DESIGN.md §15): the two-level candidate paths resolved
-    /// once at context build, frozen into the CSR arena. Empty while
-    /// !valid.
+    /// once at context build, frozen into the CSR arena over the view's
+    /// catalog. Empty while !valid.
     RankPlane plane;
     /// Fallback plane over every node the view knows, for a query naming
     /// a known node `plane` has no row for (a non-server host, a switch,
@@ -278,12 +286,24 @@ class MetroView {
     mutable std::once_flag fallback_once;
     mutable RankPlane fallback_plane;
   };
+  /// One per known node. The context is allocated by the fill, so a node
+  /// that never queries as an origin costs the flag and a null pointer.
   struct CtxSlot {
     mutable std::once_flag once;
-    mutable QueryContext ctx;
+    mutable std::unique_ptr<QueryContext> ctx;
   };
+  /// The view's telemetry catalog (DESIGN.md §15) plus one row index per
+  /// plane kind: every server plane adds its rows in plane_nodes_ order
+  /// and every fallback plane in ctx_nodes_ order, so one index per kind
+  /// serves every origin of the view.
+  struct Catalog {
+    PlaneCatalog telemetry;
+    std::vector<std::uint32_t> server_rows;  ///< node id -> plane_nodes_ pos
+    std::vector<std::uint32_t> node_rows;    ///< node id -> ctx_nodes_ pos
+  };
+  enum class PlaneKind : std::uint8_t { kServers, kAllNodes };
 
-  /// The plane compiler's view of the sharded state (RankPlaneBuilder's
+  /// The catalog compiler's view of the sharded state (PlaneCatalog's
   /// MapLike): same-region links and per-device telemetry resolve in the
   /// owning region snapshot's frozen map, cross-region links in the
   /// summary map — the exact split flat ingest would have stored in one
@@ -340,10 +360,14 @@ class MetroView {
   [[nodiscard]] const NetworkMap& device_map(core::NodeId device) const;
 
   /// Memoized query context for `origin` (nullptr when the origin is
-  /// unknown to every region graph). Lock-free after the once-fill.
+  /// unknown to every region graph; a stable address once filled).
+  /// Lock-free after the once-fill.
   [[nodiscard]] const QueryContext* query_context(core::NodeId origin) const;
-  INTSCHED_COLDPATH void build_context(core::NodeId origin,
-                                       QueryContext& ctx) const;
+  [[nodiscard]] INTSCHED_COLDPATH std::unique_ptr<QueryContext>
+  build_context(core::NodeId origin) const;
+  /// The view's catalog, filled by the first call (a context build).
+  [[nodiscard]] INTSCHED_COLDPATH const Catalog& catalog() const;
+  INTSCHED_COLDPATH void fill_catalog() const;
   /// The plane that answers `candidates` from `ctx`: its server plane,
   /// unless some candidate the view knows has no row there, in which
   /// case the fallback plane (filled on first use). Unknown ids and
@@ -351,17 +375,28 @@ class MetroView {
   [[nodiscard]] const RankPlane& plane_for(
       core::NodeId origin, const QueryContext& ctx,
       const core::NodeId* candidates, std::size_t count) const;
-  /// Compiles ctx's rows for `nodes` (ascending) into `out`.
+  /// Compiles ctx's rows for the plane kind's nodes (plane_nodes_ or
+  /// ctx_nodes_, ascending) into `out`.
   INTSCHED_COLDPATH void compile_plane(const QueryContext& ctx,
-                                       core::NodeId origin,
-                                       const std::vector<core::NodeId>& nodes,
+                                       core::NodeId origin, PlaneKind kind,
                                        RankPlane& out) const;
 
   /// Summary-spine and region-segment buffers for path assembly, reused
-  /// across the candidates of one plane compile.
+  /// across the candidates of one plane compile, and that compile's
+  /// expanded summary prefixes: every server of a region entered through
+  /// the same border shares the prefix, so each border is expanded once.
   struct PathScratch {
     std::vector<core::NodeId> spine;
     std::vector<core::NodeId> seg;
+    /// prefix_nodes[begin, end) is `border`'s expanded prefix; ascending
+    /// by border.
+    struct Prefix {
+      core::NodeId border = core::kInvalidNode;
+      std::size_t begin = 0;
+      std::size_t end = 0;
+    };
+    std::vector<Prefix> prefixes;
+    std::vector<core::NodeId> prefix_nodes;
   };
 
   /// Resolves one candidate to its concrete node path, written into
@@ -398,7 +433,10 @@ class MetroView {
   /// servers found in ctx_nodes_, or all of ctx_nodes_ when the
   /// assignment names no servers.
   std::vector<core::NodeId> plane_nodes_;
+  mutable std::once_flag catalog_once_;
+  mutable Catalog catalog_;
   mutable std::atomic<std::int64_t> rows_compiled_{0};
+  mutable std::atomic<std::int64_t> catalog_links_{0};
 };
 
 /// Thread-safe scheduler state: a region-sharded NetworkMap fed by

@@ -23,6 +23,33 @@ MetroView::RankScratch& thread_scratch() {
   return scratch;
 }
 
+/// Node id -> position in `nodes` (ascending), kNoRow elsewhere: the row
+/// index every plane compiled over `nodes` shares.
+std::vector<std::uint32_t> row_index(const std::vector<core::NodeId>& nodes) {
+  std::vector<std::uint32_t> rows(
+      nodes.empty() || !nodes.back().valid() ? 0 : nodes.back().index() + 1,
+      RankPlane::kNoRow);
+  for (std::size_t r = 0; r < nodes.size(); ++r) {
+    if (nodes[r].valid()) {
+      rows[nodes[r].index()] = static_cast<std::uint32_t>(r);
+    }
+  }
+  return rows;
+}
+
+/// Appends every directed link of `g` whose ends are valid ids, walking
+/// `nodes` (the graph's nodes, ascending) rather than the hash order.
+void append_links(const net::Graph& g, const std::vector<core::NodeId>& nodes,
+                  std::vector<LinkKey>& out) {
+  for (const core::NodeId from : nodes) {
+    const auto adj = g.adjacency.find(from);
+    if (!from.valid() || adj == g.adjacency.end()) continue;
+    for (const net::Graph::Edge& e : adj->second) {
+      if (e.to.valid()) out.push_back(LinkKey{from, e.to});
+    }
+  }
+}
+
 }  // namespace
 
 RegionAssignment::RegionAssignment(std::vector<core::RegionId> by_node,
@@ -132,11 +159,14 @@ const NetworkMap& MetroView::device_map(core::NodeId device) const {
   return *summary_map_;
 }
 
-void MetroView::build_context(core::NodeId origin, QueryContext& ctx) const {
+std::unique_ptr<MetroView::QueryContext> MetroView::build_context(
+    core::NodeId origin) const {
+  auto built = std::make_unique<QueryContext>();
+  QueryContext& ctx = *built;
   ctx.region = regions_->region_of(origin);
-  if (!valid_region(ctx.region)) return;
+  if (!valid_region(ctx.region)) return built;
   ctx.sp0 = region_snaps_[ctx.region.index()]->paths_from(origin);
-  if (ctx.sp0 == nullptr) return;
+  if (ctx.sp0 == nullptr) return built;
 
   // Summary-level Dijkstra from the origin: copy the augmented summary
   // graph and add synthetic origin->border edges costed by the
@@ -146,7 +176,7 @@ void MetroView::build_context(core::NodeId origin, QueryContext& ctx) const {
   for (const core::NodeId b :
        borders_by_region_[ctx.region.index()]) {
     const auto d = ctx.sp0->distance.find(b);
-    if (d == ctx.sp0->distance.end()) continue;
+    if (b == origin || d == ctx.sp0->distance.end()) continue;
     g.add_edge(origin, b, -1, d->second);
   }
   ctx.summary_sp = net::dijkstra(g, origin);
@@ -173,23 +203,59 @@ void MetroView::build_context(core::NodeId origin, QueryContext& ctx) const {
 
   // Compile the origin's server plane. Cold by contract: this runs once
   // per origin inside the query-context call_once.
-  compile_plane(ctx, origin, plane_nodes_, ctx.plane);
+  compile_plane(ctx, origin, PlaneKind::kServers, ctx.plane);
+  return built;
+}
+
+const MetroView::Catalog& MetroView::catalog() const {
+  std::call_once(catalog_once_, [this] { fill_catalog(); });
+  return catalog_;
+}
+
+void MetroView::fill_catalog() const {
+  // Every directed link the view learned — the region graphs' and the
+  // summary map's, which the sharded ingest keeps disjoint — sorted by
+  // (from, to). Every end is a known node, so ctx_nodes_' largest id
+  // spans the catalog.
+  std::vector<LinkKey> links;
+  for (const std::shared_ptr<const RankSnapshot>& snap : region_snaps_) {
+    append_links(snap->delay_graph(), snap->nodes(), links);
+  }
+  const net::Graph& summary = summary_map_->graph();
+  append_links(summary, summary.nodes(), links);
+  std::sort(links.begin(), links.end(),
+            [](const LinkKey& a, const LinkKey& b) {
+              return a.from != b.from ? a.from < b.from : a.to < b.to;
+            });
+  const std::size_t span = ctx_nodes_.empty() || !ctx_nodes_.back().valid()
+                               ? 0
+                               : ctx_nodes_.back().index() + 1;
+  catalog_.telemetry = PlaneCatalog::compile(
+      HierMap{this}, cfg_->queue_statistic, span, links);
+  catalog_.server_rows = row_index(plane_nodes_);
+  catalog_.node_rows = row_index(ctx_nodes_);
+  catalog_links_.fetch_add(static_cast<std::int64_t>(links.size()),
+                           std::memory_order_relaxed);
 }
 
 void MetroView::compile_plane(const QueryContext& ctx, core::NodeId origin,
-                              const std::vector<core::NodeId>& nodes,
-                              RankPlane& out) const {
-  // Resolve the two-level candidate path to every node of `nodes` — in
-  // ascending id order, so the arena layout is deterministic — and freeze
-  // each into a CSR row (DESIGN.md §15).
-  RankPlaneBuilder builder{cfg_->queue_statistic};
+                              PlaneKind kind, RankPlane& out) const {
+  // Resolve the two-level candidate path to every node of the kind's
+  // list — in ascending id order, which is the order of the kind's row
+  // index — and freeze each into a CSR row over the view's catalog
+  // (DESIGN.md §15).
+  const Catalog& cat = catalog();
+  const bool servers = kind == PlaneKind::kServers;
+  const std::vector<core::NodeId>& nodes = servers ? plane_nodes_ : ctx_nodes_;
+  RankPlaneBuilder builder{cat.telemetry,
+                           servers ? cat.server_rows : cat.node_rows,
+                           nodes.size()};
   PathScratch scratch;
   std::vector<core::NodeId> path;
-  const HierMap hier{this};
   for (const core::NodeId node : nodes) {
     const sim::SimDuration baseline =
         candidate_path_into(ctx, origin, node, path, scratch);
-    builder.add_path(hier, node, path, baseline);
+    builder.add_path(path, baseline);
   }
   out = builder.finish();
   rows_compiled_.fetch_add(static_cast<std::int64_t>(nodes.size()),
@@ -206,9 +272,9 @@ const MetroView::QueryContext* MetroView::query_context(
   // intsched-lint: allow(hot-lock): once-per-origin memo fill (§11)
   std::call_once(slot.once, [this, origin, &slot] {
     // intsched-lint: allow(hot-coldcall): sanctioned once-only fill
-    build_context(origin, slot.ctx);
+    slot.ctx = build_context(origin);
   });
-  return &slot.ctx;
+  return slot.ctx.get();
 }
 
 const RankPlane& MetroView::plane_for(core::NodeId origin,
@@ -227,7 +293,7 @@ const RankPlane& MetroView::plane_for(core::NodeId origin,
   // intsched-lint: allow(hot-lock): once-per-origin fallback fill (§15)
   std::call_once(ctx.fallback_once, [this, origin, &ctx] {
     // intsched-lint: allow(hot-coldcall): sanctioned once-only fill
-    compile_plane(ctx, origin, ctx_nodes_, ctx.fallback_plane);
+    compile_plane(ctx, origin, PlaneKind::kAllNodes, ctx.fallback_plane);
   });
   return ctx.fallback_plane;
 }
@@ -246,14 +312,15 @@ void MetroView::expand_summary_path_into(const QueryContext& ctx,
     const core::NodeId v = scratch.spine[i];
     if (u == origin) {
       // Synthetic first edge: splice the region-local path origin..v.
-      // (If the origin is itself a summary node, a real edge u->v has
+      // (If the origin is itself a summary node, a transit edge u->v has
       // the same cost as this splice, so either interpretation is
-      // sound.)
+      // sound; a real cross-region edge leaves the region, so sp0 does
+      // not reach v and the hop is taken below.)
       scratch.seg.clear();
       if (ctx.sp0->append_path_to(v, scratch.seg)) {
         out.insert(out.end(), scratch.seg.begin() + 1, scratch.seg.end());
+        continue;
       }
-      continue;
     }
     const auto t = transit_region_.find({u, v});
     if (t != transit_region_.end()) {
@@ -307,7 +374,25 @@ sim::SimDuration MetroView::candidate_path_into(
   }
   if (best_border == core::kInvalidNode) return sim::SimDuration::max();
 
-  expand_summary_path_into(ctx, origin, best_border, path, scratch);
+  // The border's expanded summary prefix, memoised for this compile.
+  auto prefix = std::lower_bound(
+      scratch.prefixes.begin(), scratch.prefixes.end(), best_border,
+      [](const PathScratch::Prefix& p, core::NodeId b) {
+        return p.border < b;
+      });
+  if (prefix == scratch.prefixes.end() || prefix->border != best_border) {
+    expand_summary_path_into(ctx, origin, best_border, path, scratch);
+    const std::size_t begin = scratch.prefix_nodes.size();
+    scratch.prefix_nodes.insert(scratch.prefix_nodes.end(), path.begin(),
+                                path.end());
+    scratch.prefixes.insert(
+        prefix, PathScratch::Prefix{best_border, begin,
+                                    scratch.prefix_nodes.size()});
+  } else {
+    const auto nodes = scratch.prefix_nodes.begin();
+    path.assign(nodes + static_cast<std::ptrdiff_t>(prefix->begin),
+                nodes + static_cast<std::ptrdiff_t>(prefix->end));
+  }
   scratch.seg.clear();
   best_tail->append_path_to(server, scratch.seg);
   if (path.empty() || scratch.seg.empty()) {

@@ -19,12 +19,12 @@ using PortNumber = std::uint16_t;
 enum class IpProtocol : std::uint8_t { kUdp, kTcp };
 
 /// Well-known ports used by the system (values are arbitrary but fixed).
-inline constexpr PortNumber kProbePort = 5001;       ///< INT probe sink
-inline constexpr PortNumber kSchedulerPort = 5002;   ///< scheduler service
-inline constexpr PortNumber kTaskPort = 5003;        ///< edge-server task intake
-inline constexpr PortNumber kTaskDonePort = 5004;    ///< completion notices
-inline constexpr PortNumber kIperfPort = 5201;       ///< background traffic
-inline constexpr PortNumber kPingPort = 7;           ///< echo
+inline constexpr PortNumber kProbePort = 5001;      ///< INT probe sink
+inline constexpr PortNumber kSchedulerPort = 5002;  ///< scheduler service
+inline constexpr PortNumber kTaskPort = 5003;       ///< edge-server task intake
+inline constexpr PortNumber kTaskDonePort = 5004;   ///< completion notices
+inline constexpr PortNumber kIperfPort = 5201;      ///< background traffic
+inline constexpr PortNumber kPingPort = 7;          ///< echo
 
 struct UdpHeader {
   PortNumber src_port = 0;
@@ -50,8 +50,8 @@ enum class TcpFlag : std::uint8_t {
 struct TcpHeader {
   PortNumber src_port = 0;
   PortNumber dst_port = 0;
-  std::int64_t seq = 0;        ///< first payload byte carried (byte index)
-  std::int64_t ack = 0;        ///< next byte expected by the sender of this seg
+  std::int64_t seq = 0;  ///< first payload byte carried (byte index)
+  std::int64_t ack = 0;  ///< next byte expected by the sender of this seg
   TcpFlag flags = TcpFlag::kNone;
 };
 
@@ -68,9 +68,10 @@ inline constexpr std::uint8_t kIntProbeOptionType = 0x42;
 /// plane program. Entries appear in traversal order, which is what lets the
 /// scheduler reconstruct the topology (paper §III-B).
 struct IntStackEntry {
-  core::NodeId device = core::kInvalidNode;       ///< switch that appended this entry
-  std::int32_t ingress_port = -1;     ///< port the probe arrived on
-  std::int32_t egress_port = -1;      ///< port the probe left through
+  /// Switch that appended this entry.
+  core::NodeId device = core::kInvalidNode;
+  std::int32_t ingress_port = -1;  ///< port the probe arrived on
+  std::int32_t egress_port = -1;   ///< port the probe left through
   /// Max egress-queue occupancy (packets) observed on the probe's egress
   /// port since the previous probe collected (and reset) the register.
   std::int64_t max_queue_pkts = 0;

@@ -453,6 +453,69 @@ TEST(ShardedMapTest, PlanesCompileOnlyProvisionedServers) {
   EXPECT_EQ(hand_view->rows_compiled(), 4);
 }
 
+/// Directed links `view` learned, over its region maps and summary map.
+std::int64_t learned_links(const MetroView& view) {
+  std::int64_t links = view.summary_map().known_link_count();
+  for (std::int32_t r = 0; r < view.region_count().value(); ++r) {
+    links += view.region_snapshot(core::RegionId{r}).map().known_link_count();
+  }
+  return links;
+}
+
+// The view's telemetry catalog is lazy and filled once per view. A
+// publish no query follows resolves nothing, nor does a query from an
+// origin the view cannot route from. The first context build resolves
+// every link the view learned; queries from every host, and a query that
+// fills a fallback plane, resolve nothing more.
+TEST(ShardedMapTest, CatalogFillsOncePerView) {
+  MetroFixture m{4, 2};
+  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
+  sharded.ingest_batch(m.batches[0], MetroFixture::epoch_time(0));
+  const sim::SimTime now = MetroFixture::epoch_time(1);
+  const std::shared_ptr<const MetroView> view = sharded.view();
+  const std::vector<core::NodeId> servers = m.topo.edge_servers();
+  const std::vector<core::NodeId> hosts = m.topo.hosts();
+  const std::int64_t links = learned_links(*view);
+  ASSERT_GT(links, 0);
+  EXPECT_EQ(view->catalog_links(), 0);
+
+  EXPECT_EQ(view->rank(core::NodeId{888888}, servers, RankingMetric::kDelay,
+                       now)
+                .size(),
+            servers.size());
+  EXPECT_EQ(view->catalog_links(), 0);
+  EXPECT_EQ(view->rows_compiled(), 0);
+
+  EXPECT_TRUE(
+      view->pick(hosts[0], servers, RankingMetric::kDelay, now).has_value());
+  EXPECT_EQ(view->catalog_links(), links);
+
+  for (const core::NodeId origin : hosts) {
+    EXPECT_TRUE(
+        view->pick(origin, servers, RankingMetric::kDelay, now).has_value());
+    EXPECT_EQ(
+        view->rank(origin, servers, RankingMetric::kBandwidth, now).size(),
+        servers.size());
+  }
+  const auto server_rows =
+      static_cast<std::int64_t>(hosts.size() * servers.size());
+  EXPECT_EQ(view->rows_compiled(), server_rows);
+  EXPECT_EQ(view->catalog_links(), links);
+
+  std::vector<core::NodeId> mixed = servers;
+  mixed.push_back(hosts.back());
+  EXPECT_EQ(view->rank(hosts[0], mixed, RankingMetric::kDelay, now).size(),
+            mixed.size());
+  EXPECT_EQ(view->rows_compiled(), server_rows + known_nodes(*view));
+  EXPECT_EQ(view->catalog_links(), links);
+
+  // The next publish starts with an empty catalog of its own.
+  sharded.ingest_batch(m.batches[1], now);
+  EXPECT_NE(sharded.view().get(), view.get());
+  EXPECT_EQ(sharded.view()->catalog_links(), 0);
+  EXPECT_EQ(view->catalog_links(), links);
+}
+
 // SchedulerService with an attached single-region metro map must behave
 // exactly like the stock flat service: same probe traffic, same answers.
 TEST(ShardedMapTest, SchedulerServiceRoutesThroughAttachedMetro) {

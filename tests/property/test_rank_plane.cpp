@@ -9,10 +9,11 @@
 // at every k and pick() — for every metric, queue statistic, staleness
 // regime and candidate shape (reachable, unreachable, unknown id,
 // kInvalidNode, origin-as-candidate, a known node that is not a server,
-// unknown origin), over seeded metro topologies, on a one-region (flat)
-// map and on a multi-region metro. Both maps name the topology's edge
-// servers, so the non-server candidates are answered from the all-node
-// fallback plane; the flat pack also runs with no servers named.
+// unknown origin, a border gateway as origin), over seeded metro
+// topologies, on a one-region (flat) map and on a multi-region metro, and
+// from a view held across later publishes. Both maps name the topology's
+// edge servers, so the non-server candidates are answered from the
+// all-node fallback plane; the flat pack also runs with no servers named.
 
 #include <algorithm>
 #include <cstring>
@@ -93,11 +94,13 @@ struct MetroFixture {
     return core::kInvalidNode;
   }
 
-  /// Query origins: real hosts plus one id nothing ever probed.
+  /// Query origins: real hosts, a border gateway (on a metro, a summary
+  /// node with cross-region links of its own) and one id nothing ever
+  /// probed.
   [[nodiscard]] std::vector<core::NodeId> origins() const {
     const std::vector<core::NodeId> hosts = topo.hosts();
     return {hosts[0], hosts[hosts.size() / 2], hosts.back(),
-            core::NodeId{888888}};
+            topo.border_links().front().a, core::NodeId{888888}};
   }
 
   /// Candidate set exercising every row shape: real edge servers, the
@@ -224,6 +227,56 @@ TEST(RankPlaneProperty, FlatSnapshotMatchesLegacyByteExact) {
 TEST(RankPlaneProperty, ShardedMetroMatchesLegacyByteExact) {
   const MetroFixture m{4, 5};
   run_pack(m, RegionAssignment::from_topology(m.topo));
+}
+
+// A view held across later publishes still answers exactly as Ranker fed
+// the reports it was published from. Contexts and fallback planes are
+// built in the held view first; three more publishes then replace it in
+// the map, each queried so it fills a catalog of its own. The held
+// view's planes index its own catalog, so under asan-ubsan a plane
+// pointing into another view's catalog would fault here once that view
+// is dropped.
+TEST(RankPlaneProperty, HeldViewMatchesLegacyAfterLaterPublishes) {
+  const MetroFixture m{4, 4};
+  for (const ConfigCase& c : kCases) {
+    const ShardedMapConfig cfg = map_config(c);
+    ShardedNetworkMap map{RegionAssignment::from_topology(m.topo), cfg};
+    NetworkMap flat{cfg.map};
+    const Ranker ref{flat, cfg.ranker};
+    const sim::SimTime held_at = MetroFixture::epoch_time(0);
+    map.ingest_batch(m.batches[0], held_at);
+    for (const telemetry::ProbeReport& r : m.batches[0]) {
+      flat.ingest(r, held_at);
+    }
+    const std::shared_ptr<const MetroView> held = map.view();
+    for (const core::NodeId origin : m.origins()) {
+      for (const std::vector<core::NodeId>& candidates :
+           m.candidate_sets(origin)) {
+        (void)held->rank(origin, candidates, RankingMetric::kDelay, held_at);
+      }
+    }
+    const std::int64_t rows = held->rows_compiled();
+    ASSERT_GT(rows, 0);
+    for (std::size_t e = 1; e < m.batches.size(); ++e) {
+      const sim::SimTime now = MetroFixture::epoch_time(e);
+      map.ingest_batch(m.batches[e], now);
+      const core::NodeId origin = m.origins().front();
+      (void)map.view()->rank(origin, m.candidates_with_edge_cases(origin),
+                             RankingMetric::kDelay, now);
+    }
+    ASSERT_NE(map.view().get(), held.get());
+    const sim::SimTime last = MetroFixture::epoch_time(m.batches.size() - 1);
+    for (const sim::SimTime now : {held_at, last}) {
+      for (const core::NodeId origin : m.origins()) {
+        for (const std::vector<core::NodeId>& candidates :
+             m.candidate_sets(origin)) {
+          expect_view_matches_reference(*held, ref, origin, candidates, now,
+                                        c.name);
+        }
+      }
+    }
+    EXPECT_EQ(held->rows_compiled(), rows) << c.name;
+  }
 }
 
 // Deterministic top-k: for every k, the partial selection's output is
