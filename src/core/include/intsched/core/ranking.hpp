@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "intsched/core/contracts.hpp"
@@ -115,10 +113,10 @@ struct KCalibrationSample {
 //
 // Algorithm 1 written out directly over a NetworkMap: every input is
 // explicit (the map, the config, and a precomputed shortest-path
-// result). Ranker layers its epoch cache on top; the published views
-// (MetroView) score through the compiled rank planes below instead, and
-// the equivalence property tests hold the planes byte-identical to this
-// transcription.
+// result). Ranker is exactly this over a fresh Dijkstra run; the
+// published views (MetroView) score through the compiled rank planes
+// below instead, and the equivalence property tests hold the planes
+// byte-identical to this transcription.
 
 /// Algorithm 1 for a single path: sum of link-delay estimates plus
 /// k * maxQueue (per cfg.queue_statistic) for every intermediate device.
@@ -696,10 +694,12 @@ INTSCHED_HOTPATH inline void pick_plane_argmin(
   }
 }
 
-/// The paper's scheduler-side ranking engine. Given the live NetworkMap it
-/// computes, for an initiating edge node, the estimated end-to-end delay
-/// (Algorithm 1) and bottleneck bandwidth (§III-D) to every candidate
-/// server, and sorts by the requested metric.
+/// The paper's scheduler-side ranking engine and the reference every other
+/// ranking path is checked against: Algorithm 1 transcribed directly,
+/// holding nothing but the map and a config fixed at construction. Each
+/// rank() runs Dijkstra over the map's current delay graph and scores the
+/// candidates with rank_candidates, so it always answers from the latest
+/// ingest and is as read-only as its const signature says.
 class Ranker {
  public:
   Ranker(const NetworkMap& map, RankerConfig config = {})
@@ -712,111 +712,11 @@ class Ranker {
       core::NodeId origin, const std::vector<core::NodeId>& candidates,
       RankingMetric metric, sim::SimTime now) const;
 
-  /// Algorithm 1 for a single path: sum of link-delay estimates plus
-  /// k * maxQueue for every intermediate device.
-  [[nodiscard]] INTSCHED_HOTPATH sim::SimDuration path_delay_estimate(
-      const std::vector<core::NodeId>& path, sim::SimTime now) const;
-
-  /// §III-D: min over links of capacity * (1 - utilization(maxQueue)).
-  [[nodiscard]] sim::DataRate path_bandwidth_estimate(
-      const std::vector<core::NodeId>& path, sim::SimTime now) const;
-
   [[nodiscard]] const RankerConfig& config() const { return cfg_; }
 
-  /// Changes Algorithm 1's k and invalidates the path cache: cached state
-  /// must never outlive the config it was computed under, so the next
-  /// rank() rebuilds from scratch instead of trusting an epoch match.
-  /// (Today's cache contents — delay graph + Dijkstra memo — happen not
-  /// to depend on k, but the invalidation contract is on the config as a
-  /// whole; concurrent deployments additionally republish their view,
-  /// see ShardedNetworkMap::set_k_factor.)
-  void set_k_factor(sim::SimDuration k) {
-    cfg_.k_factor = k;
-    cache_.epoch = Epoch::none();
-    cache_.sp_by_origin.clear();
-    cache_.edge_index.clear();
-  }
-
-  // -- path-cache observability (tests + micro benches) --
-
-  /// Ingest epoch the cached delay-graph snapshot was built at
-  /// (Epoch::none() before the first rank).
-  [[nodiscard]] Epoch path_cache_epoch() const { return cache_.epoch; }
-  [[nodiscard]] std::int64_t path_cache_hits() const { return cache_.hits; }
-  [[nodiscard]] std::int64_t path_cache_misses() const {
-    return cache_.misses;
-  }
-  /// Epoch changes absorbed incrementally (per-origin invalidation) vs by
-  /// clearing the whole Dijkstra memo.
-  [[nodiscard]] std::int64_t delta_refreshes() const {
-    return cache_.delta_refreshes;
-  }
-  [[nodiscard]] std::int64_t full_rebuilds() const {
-    return cache_.full_rebuilds;
-  }
-  /// Cached origins carried across delta refreshes vs dropped by the
-  /// invalidation rule (cumulative over all refreshes).
-  [[nodiscard]] std::int64_t origins_kept() const {
-    return cache_.origins_kept;
-  }
-  [[nodiscard]] std::int64_t origins_dropped() const {
-    return cache_.origins_dropped;
-  }
-
  private:
-  /// Epoch-invalidated snapshot of the map's delay graph plus memoized
-  /// per-origin Dijkstra runs. The link-delay estimates feeding
-  /// delay_graph() change only inside NetworkMap::ingest, and every ingest
-  /// bumps reports_ingested(), so that counter is the cache epoch: reuse
-  /// while it is unchanged, refresh the moment it moves. Congestion terms
-  /// (queue windows) are *not* cached — they depend on the query's `now`
-  /// and are recomputed on every rank.
-  ///
-  /// A refresh is *incremental*: the previous graph's edges are kept in
-  /// `edge_index` (cost + egress port), the fresh delay graph is diffed
-  /// against it, and only origins whose shortest-path result could be
-  /// affected by a changed edge are dropped from the memo (see
-  /// refresh_cache in ranking.cpp for the invalidation rule). On
-  /// metro-scale maps where an ingest batch touches a handful of links,
-  /// most origins keep their Dijkstra results across the epoch bump.
-  struct PathCache {
-    Epoch epoch = Epoch::none();
-    net::Graph graph;
-    std::map<core::NodeId, net::ShortestPaths> sp_by_origin;
-    /// What we remember about each directed edge of `graph`, for diffing
-    /// against the next epoch's delay graph.
-    struct EdgeFacts {
-      sim::SimDuration cost = sim::SimDuration::zero();
-      std::int32_t port = -1;
-    };
-    std::unordered_map<LinkKey, EdgeFacts, LinkKeyHash> edge_index;
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t delta_refreshes = 0;
-    std::int64_t full_rebuilds = 0;
-    std::int64_t origins_kept = 0;
-    std::int64_t origins_dropped = 0;
-  };
-
-  /// Brings the cache to the map's current ingest epoch: no-op when the
-  /// epoch is unchanged, otherwise an incremental (or, when the diff is
-  /// large, full) refresh of the graph snapshot and Dijkstra memo.
-  void refresh_cache() const;
-
-  /// Shortest paths from `origin` over a delay-graph snapshot no older
-  /// than the map's current ingest epoch.
-  [[nodiscard]] const net::ShortestPaths& shortest_paths_from(
-      core::NodeId origin) const;
-
   const NetworkMap* map_;
   RankerConfig cfg_;
-  // rank() is const (callable from the scheduler's read path); the cache
-  // is a performance side-channel, hence mutable. That also means const
-  // rank() is NOT a read-only operation: concurrent rank() calls on a
-  // shared Ranker race on this cache. Cross-thread deployments use
-  // core::ShardedNetworkMap instead, whose published views are immutable
-  // (DESIGN.md Concurrency model).
-  mutable PathCache cache_;
 };
 
 }  // namespace intsched::core

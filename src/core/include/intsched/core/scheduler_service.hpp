@@ -13,8 +13,6 @@
 
 namespace intsched::core {
 
-class ShardedNetworkMap;
-
 /// Edge-device query: "give me candidate edge servers ranked by <metric>".
 struct CandidateRequest : net::AppMessage {
   std::uint64_t query_id = 0;
@@ -75,17 +73,7 @@ class SchedulerService {
 
   [[nodiscard]] NetworkMap& network_map() { return map_; }
   [[nodiscard]] const NetworkMap& network_map() const { return map_; }
-  [[nodiscard]] Ranker& ranker() { return ranker_; }
   [[nodiscard]] telemetry::IntCollector& collector() { return collector_; }
-
-  /// Routes the service through a region-sharded metro map (DESIGN.md
-  /// §11): probe reports ingest into `metro` instead of the flat map, and
-  /// rank_for answers from its two-level view. Pass nullptr to detach.
-  /// The map must outlive the service (or a later detach); ownership
-  /// stays with the caller — metro deployments share one
-  /// ShardedNetworkMap across scheduler frontends.
-  void attach_metro(ShardedNetworkMap* metro) { metro_ = metro; }
-  [[nodiscard]] ShardedNetworkMap* metro() const { return metro_; }
 
   [[nodiscard]] std::int64_t queries_served() const { return queries_; }
 
@@ -119,7 +107,6 @@ class SchedulerService {
   telemetry::IntCollector collector_;
   NetworkMap map_;
   Ranker ranker_;
-  ShardedNetworkMap* metro_ = nullptr;  ///< non-owning; see attach_metro
   SchedulerConfig cfg_;
   std::vector<core::NodeId> servers_;
   std::unordered_map<core::NodeId, std::vector<std::string>> capabilities_;

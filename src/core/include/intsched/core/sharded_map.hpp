@@ -211,7 +211,9 @@ class MetroView {
   /// metric whole regions are pruned by lower bound (a region whose
   /// cheapest entry already costs more than the best full estimate seen
   /// cannot win), so most regions are never scored. `stats`, when
-  /// non-null, reports how much work the pruning saved.
+  /// non-null, reports how much work the pruning saved; every field is
+  /// written on every return, so a reused PickStats never carries an
+  /// earlier pick's counts.
   [[nodiscard]] INTSCHED_HOTPATH std::optional<ServerRank> pick(
       core::NodeId origin, const std::vector<core::NodeId>& candidates,
       RankingMetric metric, sim::SimTime now,
@@ -489,11 +491,6 @@ class ShardedNetworkMap {
       RankingMetric metric, sim::SimTime now,
       PickStats* stats = nullptr) const INTSCHED_EXCLUDES(mutex_);
 
-  /// Changes Algorithm 1's k and republishes (all regions rebuilt: cached
-  /// state must never outlive the config it was computed under).
-  INTSCHED_COLDPATH void set_k_factor(sim::SimDuration k)
-      INTSCHED_EXCLUDES(mutex_);
-
   /// Currently published view; never null after construction.
   [[nodiscard]] std::shared_ptr<const MetroView> view() const {
     return view_.load(std::memory_order_acquire);
@@ -543,9 +540,9 @@ class ShardedNetworkMap {
   std::shared_ptr<const RegionAssignment> regions_;
   ShardedMapConfig cfg_;
   mutable AnnotatedMutex mutex_;
-  /// cfg_.ranker as published views read it: one shared immutable copy
-  /// per config change, not one per publish.
-  std::shared_ptr<const RankerConfig> ranker_ INTSCHED_GUARDED_BY(mutex_);
+  /// cfg_.ranker as published views read it: one immutable copy, built
+  /// at construction and shared by every view.
+  const std::shared_ptr<const RankerConfig> ranker_;
   std::vector<NetworkMap> region_maps_ INTSCHED_GUARDED_BY(mutex_);
   NetworkMap summary_map_ INTSCHED_GUARDED_BY(mutex_);
   /// Sorted unique border nodes (endpoints of cross-region links) per

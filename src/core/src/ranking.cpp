@@ -69,9 +69,9 @@ double QueueToUtilization::utilization(std::int64_t max_queue_pkts) const {
   // first `q <= points_[i].max_queue_pkts`, found in O(log n). dx/du are
   // the same subtraction results the scan computed per call, so the lerp
   // below is arithmetically unchanged.
-  const auto it =
-      std::lower_bound(segments_.begin(), segments_.end(), q,
-                       [](const Segment& s, double key) { return s.hi_x < key; });
+  const auto it = std::lower_bound(
+      segments_.begin(), segments_.end(), q,
+      [](const Segment& s, double key) { return s.hi_x < key; });
   const Segment& seg = *it;
   const double t = (q - seg.lo_x) / seg.dx;
   return seg.lo_u + t * seg.du;
@@ -184,134 +184,12 @@ std::vector<ServerRank> rank_candidates(
   return out;
 }
 
-sim::SimDuration Ranker::path_delay_estimate(const std::vector<core::NodeId>& path,
-                                         sim::SimTime now) const {
-  return estimate_path_delay(*map_, cfg_, path, now);
-}
-
-sim::DataRate Ranker::path_bandwidth_estimate(
-    const std::vector<core::NodeId>& path, sim::SimTime now) const {
-  return estimate_path_bandwidth(*map_, cfg_, path, now);
-}
-
-void Ranker::refresh_cache() const {
-  const Epoch epoch = map_->ingest_epoch();
-  if (cache_.epoch == epoch) {
-    return;
-  }
-
-  net::Graph fresh = map_->delay_graph();
-
-  // Diff the fresh delay graph against the cached epoch's edge facts.
-  // Iteration order over the unordered adjacency is irrelevant here: the
-  // diff only *collects* the changed-edge set, and every decision below is
-  // an order-insensitive OR / count over it.
-  std::vector<std::pair<LinkKey, PathCache::EdgeFacts>> changed;
-  std::size_t fresh_edges = 0;
-  std::size_t matched = 0;
-  // intsched-lint: allow(unordered-iter)
-  for (const auto& [from, edges] : fresh.adjacency) {
-    for (const net::Graph::Edge& e : edges) {
-      ++fresh_edges;
-      const LinkKey key{from, e.to};
-      const PathCache::EdgeFacts facts{e.cost, e.out_port};
-      const auto it = cache_.edge_index.find(key);
-      if (it == cache_.edge_index.end()) {
-        changed.emplace_back(key, facts);
-      } else {
-        ++matched;
-        if (it->second.cost != facts.cost || it->second.port != facts.port) {
-          changed.emplace_back(key, facts);
-        }
-      }
-    }
-  }
-
-  // NetworkMap never forgets a learned link, so a cached edge missing from
-  // the fresh graph should be impossible — but if it ever happens the diff
-  // below would be unsound, so fall back to a full rebuild. Likewise when
-  // the memo is empty (nothing to save) or the diff touches so much of the
-  // graph that per-origin checks cost more than recomputing.
-  const bool edges_removed = matched != cache_.edge_index.size();
-  const bool churned = changed.size() * 4 > fresh_edges;
-  if (cache_.sp_by_origin.empty() || edges_removed || churned) {
-    cache_.sp_by_origin.clear();
-    ++cache_.full_rebuilds;
-  } else {
-    ++cache_.delta_refreshes;
-    // Keep an origin's memoized Dijkstra result unless some changed edge
-    // (u, v) can alter it:
-    //  (a) the edge is on the origin's shortest-path tree (pred[v] == u) —
-    //      any change, cost or egress port, invalidates paths through it;
-    //  (b) the origin reaches u and the new cost ties or beats v's old
-    //      distance (d(u) + cost <= d(v), or v was unreachable) — `<=`
-    //      because a new tie can flip the deterministic tie-break.
-    // Cascaded effects are covered: any path whose cost improves must
-    // cross a *first* changed edge whose prefix is unchanged, so that
-    // edge's tail distance is finite in the old result and (b) fires.
-    for (auto it = cache_.sp_by_origin.begin();
-         it != cache_.sp_by_origin.end();) {
-      const net::ShortestPaths& sp = it->second;
-      bool affected = false;
-      for (const auto& [key, facts] : changed) {
-        const auto pred = sp.predecessor.find(key.to);
-        if (pred != sp.predecessor.end() && pred->second == key.from) {
-          affected = true;
-          break;
-        }
-        const auto du = sp.distance.find(key.from);
-        if (du == sp.distance.end()) {
-          continue;  // origin never reaches the tail: edge cannot matter
-        }
-        const auto dv = sp.distance.find(key.to);
-        if (dv == sp.distance.end() ||
-            du->second + facts.cost <= dv->second) {
-          affected = true;
-          break;
-        }
-      }
-      if (affected) {
-        ++cache_.origins_dropped;
-        it = cache_.sp_by_origin.erase(it);
-      } else {
-        ++cache_.origins_kept;
-        ++it;
-      }
-    }
-  }
-
-  cache_.epoch = epoch;
-  cache_.graph = std::move(fresh);
-  cache_.edge_index.clear();
-  cache_.edge_index.reserve(fresh_edges);
-  // Building a keyed index is order-insensitive.
-  // intsched-lint: allow(unordered-iter)
-  for (const auto& [from, edges] : cache_.graph.adjacency) {
-    for (const net::Graph::Edge& e : edges) {
-      cache_.edge_index.emplace(LinkKey{from, e.to},
-                                PathCache::EdgeFacts{e.cost, e.out_port});
-    }
-  }
-}
-
-const net::ShortestPaths& Ranker::shortest_paths_from(
-    core::NodeId origin) const {
-  refresh_cache();
-  const auto [it, inserted] = cache_.sp_by_origin.try_emplace(origin);
-  if (inserted) {
-    ++cache_.misses;
-    it->second = net::dijkstra(cache_.graph, origin);
-  } else {
-    ++cache_.hits;
-  }
-  return it->second;
-}
-
 std::vector<ServerRank> Ranker::rank(
     core::NodeId origin, const std::vector<core::NodeId>& candidates,
     RankingMetric metric, sim::SimTime now) const {
-  return rank_candidates(*map_, cfg_, shortest_paths_from(origin), candidates,
-                         metric, now);
+  return rank_candidates(*map_, cfg_,
+                         net::dijkstra(map_->delay_graph(), origin),
+                         candidates, metric, now);
 }
 
 }  // namespace intsched::core

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "intsched/core/sharded_map.hpp"
-
 namespace intsched::core {
 namespace {
 
@@ -30,10 +28,6 @@ SchedulerService::SchedulerService(transport::HostStack& stack,
     collector_.handle_packet(p);
   });
   collector_.set_handler([this](const telemetry::ProbeReport& report) {
-    if (metro_ != nullptr) {
-      metro_->ingest(report, stack_.host().local_time());
-      return;
-    }
     map_.ingest(report, stack_.host().local_time());
   });
   // Query + load-report front-end.
@@ -90,11 +84,7 @@ std::vector<ServerRank> SchedulerService::rank_for(
     if (s != device && satisfies(s, requirements)) candidates.push_back(s);
   }
   std::vector<ServerRank> ranked =
-      metro_ != nullptr
-          ? metro_->rank(device, candidates, metric,
-                         stack_.host().local_time())
-          : ranker_.rank(device, candidates, metric,
-                         stack_.host().local_time());
+      ranker_.rank(device, candidates, metric, stack_.host().local_time());
   for (ServerRank& r : ranked) r.outstanding_tasks = server_load(r.server);
 
   if (cfg_.compute_aware) {

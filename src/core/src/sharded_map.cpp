@@ -176,7 +176,7 @@ std::unique_ptr<MetroView::QueryContext> MetroView::build_context(
   for (const core::NodeId b :
        borders_by_region_[ctx.region.index()]) {
     const auto d = ctx.sp0->distance.find(b);
-    if (b == origin || d == ctx.sp0->distance.end()) continue;
+    if (d == ctx.sp0->distance.end()) continue;
     g.add_edge(origin, b, -1, d->second);
   }
   ctx.summary_sp = net::dijkstra(g, origin);
@@ -441,7 +441,10 @@ std::optional<ServerRank> MetroView::pick_with(
     core::NodeId origin, const core::NodeId* candidates, std::size_t count,
     RankingMetric metric, sim::SimTime now, RankScratch& scratch,
     PickStats* stats) const {
-  if (count == 0) return std::nullopt;
+  if (count == 0) {
+    if (stats != nullptr) *stats = PickStats{};
+    return std::nullopt;
+  }
   const QueryContext* ctx = query_context(origin);
   if (ctx == nullptr || !ctx->valid || metric != RankingMetric::kDelay) {
     // Bandwidth has no admissible region lower bound (a distant region
@@ -450,8 +453,10 @@ std::optional<ServerRank> MetroView::pick_with(
     rank_topk_into(origin, candidates, count, metric, now, 1, scratch,
                    scratch.ranked);
     if (stats != nullptr) {
-      stats->regions_considered = 1;
-      stats->candidates_scored = static_cast<std::int64_t>(count);
+      PickStats local{};
+      local.regions_considered = 1;
+      local.candidates_scored = static_cast<std::int64_t>(count);
+      *stats = local;
     }
     return scratch.ranked.front();
   }
@@ -719,17 +724,6 @@ std::optional<ServerRank> ShardedNetworkMap::pick(
   const std::shared_ptr<const MetroView> v =
       view_.load(std::memory_order_acquire);
   return v->pick(origin, candidates, metric, now, stats);
-}
-
-void ShardedNetworkMap::set_k_factor(sim::SimDuration k) {
-  LockGuard lock{mutex_};
-  cfg_.ranker.k_factor = k;
-  ranker_ = std::make_shared<const RankerConfig>(cfg_.ranker);
-  // Cached state must never outlive the config it was computed under:
-  // drop every snapshot so publish rebuilds them under the new config.
-  std::fill(last_snaps_.begin(), last_snaps_.end(), nullptr);
-  last_summary_ = nullptr;
-  publish_locked();
 }
 
 std::int64_t ShardedNetworkMap::reports_ingested() const {

@@ -57,6 +57,8 @@ struct ShortestPaths {
 
 /// Dijkstra with deterministic tie-breaking (by distance, then node id) so
 /// route tables — and therefore every experiment — are reproducible.
+/// Edge costs must be non-negative; an edge into the source is never
+/// relaxed, so zero-cost cycles through it leave it the tree's root.
 [[nodiscard]] INTSCHED_COLDPATH ShortestPaths dijkstra(const Graph& g,
                                                        core::NodeId source);
 

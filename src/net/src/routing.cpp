@@ -73,6 +73,10 @@ ShortestPaths dijkstra(const Graph& g, core::NodeId source) {
     const auto adj = g.adjacency.find(node);
     if (adj == g.adjacency.end()) continue;
     for (const auto& edge : adj->second) {
+      // The source sits at distance 0 and costs are non-negative, so no
+      // edge into it can improve it; a zero-cost edge would only tie, and
+      // the source has no predecessor for the tie-break to compare.
+      if (edge.to == source) continue;
       const sim::SimDuration next_dist = dist + edge.cost;
       const auto cur = result.distance.find(edge.to);
       const bool improves = cur == result.distance.end() ||

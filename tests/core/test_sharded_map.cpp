@@ -7,8 +7,8 @@
 // test_rank_snapshot.cpp. Batching and empty batches are checked on one
 // region and on a metro; the OneRegionMapTest cases pin the flat
 // deployment (every node in region 0): agreement with a plain NetworkMap
-// and Ranker, k-factor republish, and exact totals under concurrent
-// ingest and rank. This file
+// and Ranker, a non-default k, and exact totals under concurrent ingest
+// and rank. This file
 // rides in concurrency_tests, ctest label `perf`, so the tsan preset
 // hammers the same paths.
 //
@@ -22,12 +22,9 @@
 
 #include <gtest/gtest.h>
 
-#include "intsched/core/scheduler_service.hpp"
-#include "intsched/exp/fig4.hpp"
 #include "intsched/exp/metro.hpp"
 #include "intsched/exp/sweep_runner.hpp"
 #include "intsched/net/topology_gen.hpp"
-#include "intsched/telemetry/probe_agent.hpp"
 
 namespace intsched::core {
 namespace {
@@ -223,6 +220,44 @@ TEST(ShardedMapTest, PickPrunesRegionsAndAgreesWithRank) {
                                       candidates.size()));
 }
 
+// A PickStats reused across picks reports only the latest pick: the
+// bandwidth pick (no pruning) and the empty pick overwrite every count a
+// pruning delay pick left behind.
+TEST(ShardedMapTest, PickStatsWrittenWholeOnEveryReturn) {
+  MetroFixture m{5, 2};
+  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
+  for (std::size_t e = 0; e < m.batches.size(); ++e) {
+    sharded.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+  }
+  const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
+  const std::vector<core::NodeId> candidates = m.topo.edge_servers();
+  const core::NodeId origin = m.topo.hosts()[0];
+
+  PickStats stats;
+  ASSERT_TRUE(
+      sharded.pick(origin, candidates, RankingMetric::kDelay, now, &stats)
+          .has_value());
+  ASSERT_GT(stats.regions_pruned, 0);
+
+  ASSERT_TRUE(
+      sharded.pick(origin, candidates, RankingMetric::kBandwidth, now, &stats)
+          .has_value());
+  EXPECT_EQ(stats.regions_considered, 1);
+  EXPECT_EQ(stats.regions_pruned, 0);
+  EXPECT_EQ(stats.candidates_scored,
+            static_cast<std::int64_t>(candidates.size()));
+
+  ASSERT_TRUE(
+      sharded.pick(origin, candidates, RankingMetric::kDelay, now, &stats)
+          .has_value());
+  ASSERT_GT(stats.regions_pruned, 0);
+  EXPECT_FALSE(
+      sharded.pick(origin, {}, RankingMetric::kDelay, now, &stats).has_value());
+  EXPECT_EQ(stats.regions_considered, 0);
+  EXPECT_EQ(stats.regions_pruned, 0);
+  EXPECT_EQ(stats.candidates_scored, 0);
+}
+
 TEST(ShardedMapTest, ByteIdenticalAcrossRebuildExecutorWidths) {
   MetroFixture m{4, 6};
   const RegionAssignment regions = RegionAssignment::from_topology(m.topo);
@@ -261,28 +296,48 @@ TEST(ShardedMapTest, ByteIdenticalAcrossRebuildExecutorWidths) {
   }
 }
 
+// The ranking config is fixed at construction: a metro built with a
+// non-default k publishes it in every view, from the empty construction
+// view on, and every view ranks like a Ranker built with the same k.
 TEST(ShardedMapTest, SetKFactorRepublishesEverything) {
+  const RankerConfig k40{.k_factor = ms(40)};
   MetroFixture m{2, 2};
-  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
-  sharded.ingest_batch(m.batches[0], MetroFixture::epoch_time(0));
-  const auto before = sharded.view();
+  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo),
+                            ShardedMapConfig{.ranker = k40}};
+  EXPECT_EQ(sharded.view()->config().k_factor, ms(40));
 
-  sharded.set_k_factor(sim::SimDuration::milliseconds(40));
-  const auto after = sharded.view();
-  EXPECT_NE(before.get(), after.get());
-  EXPECT_EQ(after->config().k_factor, sim::SimDuration::milliseconds(40));
-
-  // The new k flows into delay estimates (flat map as the oracle).
   NetworkMap flat;
-  ingest_all(flat, m.batches[0], MetroFixture::epoch_time(0));
-  const Ranker ranker{
-      flat, RankerConfig{.k_factor = sim::SimDuration::milliseconds(40)}};
+  const Ranker ranker{flat, k40};
+  const Ranker default_k{flat};
   const std::vector<core::NodeId> candidates = m.topo.edge_servers();
-  const sim::SimTime now = MetroFixture::epoch_time(1);
-  expect_ranks_identical(
-      sharded.rank(m.topo.hosts()[0], candidates, RankingMetric::kDelay, now),
-      ranker.rank(m.topo.hosts()[0], candidates, RankingMetric::kDelay, now),
-      "post set_k_factor");
+  bool k_moved_a_delay = false;
+  for (std::size_t e = 0; e < m.batches.size(); ++e) {
+    // Queried at ingest time, inside the queue window, so k applies.
+    const sim::SimTime now = MetroFixture::epoch_time(e);
+    sharded.ingest_batch(m.batches[e], now);
+    ingest_all(flat, m.batches[e], now);
+    EXPECT_EQ(sharded.view()->config().k_factor, ms(40));
+    for (const core::NodeId origin : m.topo.hosts()) {
+      for (const auto metric :
+           {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+        const std::vector<ServerRank> want =
+            ranker.rank(origin, candidates, metric, now);
+        expect_ranks_identical(sharded.rank(origin, candidates, metric, now),
+                               want, "k = 40 ms");
+        const std::vector<ServerRank> at_20ms =
+            default_k.rank(origin, candidates, metric, now);
+        k_moved_a_delay =
+            k_moved_a_delay ||
+            !std::equal(want.begin(), want.end(), at_20ms.begin(),
+                        at_20ms.end(),
+                        [](const ServerRank& a, const ServerRank& b) {
+                          return a.server == b.server &&
+                                 a.delay_estimate == b.delay_estimate;
+                        });
+      }
+    }
+  }
+  EXPECT_TRUE(k_moved_a_delay) << "no queue on any path: k went untested";
 }
 
 // Torture: 8 readers hammering the lock-free two-level path (rank + pick)
@@ -516,43 +571,6 @@ TEST(ShardedMapTest, CatalogFillsOncePerView) {
   EXPECT_EQ(view->catalog_links(), links);
 }
 
-// SchedulerService with an attached single-region metro map must behave
-// exactly like the stock flat service: same probe traffic, same answers.
-TEST(ShardedMapTest, SchedulerServiceRoutesThroughAttachedMetro) {
-  const auto run_service =
-      [](ShardedNetworkMap* metro) -> std::vector<ServerRank> {
-    sim::Simulator sim;
-    exp::Fig4Network network{sim, exp::Fig4Config{}};
-    std::vector<std::unique_ptr<transport::HostStack>> stacks;
-    for (net::Host* h : network.hosts()) {
-      stacks.push_back(std::make_unique<transport::HostStack>(*h));
-    }
-    SchedulerService service{*stacks[5], RankerConfig{}, NetworkMapConfig{}};
-    if (metro != nullptr) service.attach_metro(metro);
-    for (const core::NodeId id : network.host_ids()) {
-      service.register_edge_server(id);
-    }
-    std::vector<std::unique_ptr<telemetry::ProbeAgent>> agents;
-    for (net::Host* h : network.hosts()) {
-      if (h->id() == network.scheduler_host().id()) continue;
-      agents.push_back(std::make_unique<telemetry::ProbeAgent>(
-          *h, network.scheduler_host().id()));
-      agents.back()->start();
-    }
-    sim.run_until(sim::SimTime::seconds(2));
-    return service.rank_for(core::NodeId{0}, RankingMetric::kDelay);
-  };
-
-  // Fig. 4's node-id space (hosts + switches) mapped onto one region.
-  ShardedNetworkMap metro{RegionAssignment{
-      std::vector<core::RegionId>(32, core::RegionId{0}), core::RegionId{1}}};
-  const std::vector<ServerRank> with_metro = run_service(&metro);
-  const std::vector<ServerRank> flat = run_service(nullptr);
-
-  EXPECT_GT(metro.reports_ingested(), 0);
-  expect_ranks_identical(with_metro, flat, "attach_metro");
-}
-
 // A burst through ingest_batch equals the same reports ingested one by
 // one, on one region and on a metro.
 TEST(ShardedMapTest, IngestBatchMatchesSequentialIngests) {
@@ -663,34 +681,33 @@ TEST(OneRegionMapTest, RankMatchesRankerAndCountsQueries) {
   EXPECT_EQ(shared.queries_served(), 1);
 }
 
-// Regression: a k-factor change between ingests must take effect on the
-// very next rank. A published view carries the config it was built
-// under, so set_k_factor must republish — without it the old k would be
-// served until the next ingest.
+// A one-region map built with k = 50 ms serves that k from the view of
+// its one ingest: the answer differs from the default k's and matches a
+// Ranker built with the same k.
 TEST(OneRegionMapTest, KFactorChangeAppliesWithoutNewIngest) {
-  ShardedNetworkMap shared{one_region()};
-  shared.ingest(simple_report(6, 4), at_ms(0));
+  ShardedNetworkMap default_k{one_region()};
+  ShardedNetworkMap k50{one_region(),
+                        ShardedMapConfig{.ranker = {.k_factor = ms(50)}}};
+  default_k.ingest(simple_report(6, 4), at_ms(0));
+  k50.ingest(simple_report(6, 4), at_ms(0));
 
   const std::vector<core::NodeId> candidates{core::NodeId{1}};
-  const std::vector<ServerRank> before =
-      shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
-
-  shared.set_k_factor(ms(50));
+  const std::vector<ServerRank> before = default_k.rank(
+      core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
   const std::vector<ServerRank> after =
-      shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
+      k50.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
 
   NetworkMap plain;
   plain.ingest(simple_report(6, 4), at_ms(0));
-  RankerConfig cfg;
-  cfg.k_factor = ms(50);
-  const Ranker ranker{plain, cfg};
+  const Ranker ranker{plain, RankerConfig{.k_factor = ms(50)}};
   const std::vector<ServerRank> want =
       ranker.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
 
   ASSERT_EQ(before.size(), 1u);
+  ASSERT_EQ(after.size(), 1u);
   EXPECT_NE(before[0].delay_estimate, after[0].delay_estimate)
-      << "k change had no effect on the next rank";
-  expect_ranks_identical(after, want, "post set_k_factor");
+      << "k had no effect on the rank";
+  expect_ranks_identical(after, want, "k = 50 ms");
 }
 
 // Concurrent ingest and rank through the sanctioned pool. Assertions are

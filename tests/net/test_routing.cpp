@@ -103,6 +103,27 @@ TEST(DijkstraTest, UnknownSourceReachesOnlyItself) {
   EXPECT_TRUE(sp.path_to(nid(1)).empty());
 }
 
+// A host uplink measured at 0 ns in both directions gives the zero-cost
+// cycle source -> 1 -> source. The edge back into the source ties its
+// distance, and it must neither throw nor give the source a predecessor.
+TEST(DijkstraTest, ZeroCostCycleThroughSourceKeepsSourceRoot) {
+  Graph g;
+  g.add_edge(nid(0), nid(1), 0, ms(0));
+  g.add_edge(nid(1), nid(0), 2, ms(0));
+  g.add_edge(nid(1), nid(2), 1, ms(10));
+  g.add_edge(nid(2), nid(1), 0, ms(10));
+  g.add_edge(nid(2), nid(0), 3, ms(10));
+  const ShortestPaths sp = dijkstra(g, nid(0));
+  EXPECT_EQ(sp.distance.at(nid(0)), ms(0));
+  EXPECT_EQ(sp.distance.at(nid(1)), ms(0));
+  EXPECT_EQ(sp.distance.at(nid(2)), ms(10));
+  EXPECT_FALSE(sp.predecessor.contains(nid(0)));
+  EXPECT_EQ(sp.path_to(nid(0)), (std::vector<core::NodeId>{nid(0)}));
+  EXPECT_EQ(sp.path_to(nid(2)),
+            (std::vector<core::NodeId>{nid(0), nid(1), nid(2)}));
+  EXPECT_EQ(sp.first_hop_port.at(nid(2)), 0);
+}
+
 TEST(DijkstraTest, RingBothDirections) {
   Graph g;  // ring 0-1-2-3-0, unit cost
   for (int i = 0; i < 4; ++i) {

@@ -104,7 +104,6 @@ TEST_P(RankerProperty, EstimateMatchesBruteForce) {
 
   core::RankerConfig cfg;
   cfg.k_factor = sim::SimDuration::milliseconds(rng.uniform_int(1, 40));
-  core::Ranker ranker{map, cfg};
 
   std::vector<core::NodeId> path{core::NodeId{0}};
   for (std::int64_t h = 0; h < hops; ++h) {
@@ -117,7 +116,7 @@ TEST_P(RankerProperty, EstimateMatchesBruteForce) {
     expected += delays[static_cast<std::size_t>(h)];
     expected += cfg.k_factor * queues[static_cast<std::size_t>(h)];
   }
-  EXPECT_EQ(ranker.path_delay_estimate(path, sim::SimTime::zero()),
+  EXPECT_EQ(core::estimate_path_delay(map, cfg, path, sim::SimTime::zero()),
             expected);
 }
 
@@ -151,7 +150,9 @@ TEST_P(RankerProperty, RankingOrderConsistentWithEstimates) {
     map.ingest(r, sim::SimTime::zero());
   }
   core::Ranker ranker{map};
-  const std::vector<core::NodeId> candidates{core::NodeId{10}, core::NodeId{11}, core::NodeId{12}, core::NodeId{13}, core::NodeId{14}};
+  const std::vector<core::NodeId> candidates{
+      core::NodeId{10}, core::NodeId{11}, core::NodeId{12}, core::NodeId{13},
+      core::NodeId{14}};
   const auto by_delay =
       ranker.rank(core::NodeId{1}, candidates, core::RankingMetric::kDelay,
                   sim::SimTime::zero());
@@ -186,12 +187,15 @@ TEST_P(RankerProperty, RankingInvariantToCandidateOrder) {
   map.ingest(r, sim::SimTime::zero());
 
   core::Ranker ranker{map};
-  std::vector<core::NodeId> candidates{core::NodeId{10}, core::NodeId{1}, core::NodeId{99}, core::NodeId{100}};
-  const auto sorted_once = ranker.rank(
-      core::NodeId{10}, candidates, core::RankingMetric::kDelay, sim::SimTime::zero());
+  std::vector<core::NodeId> candidates{core::NodeId{10}, core::NodeId{1},
+                                       core::NodeId{99}, core::NodeId{100}};
+  const auto sorted_once =
+      ranker.rank(core::NodeId{10}, candidates, core::RankingMetric::kDelay,
+                  sim::SimTime::zero());
   std::reverse(candidates.begin(), candidates.end());
-  const auto sorted_again = ranker.rank(
-      core::NodeId{10}, candidates, core::RankingMetric::kDelay, sim::SimTime::zero());
+  const auto sorted_again =
+      ranker.rank(core::NodeId{10}, candidates, core::RankingMetric::kDelay,
+                  sim::SimTime::zero());
   ASSERT_EQ(sorted_once.size(), sorted_again.size());
   for (std::size_t i = 0; i < sorted_once.size(); ++i) {
     EXPECT_EQ(sorted_once[i].server, sorted_again[i].server);

@@ -1,21 +1,15 @@
-// Property suites for the two hot-path data structures introduced by the
-// sweep-engine overhaul:
-//  - the NetworkMap's monotonic max-deque (window-max congestion queries)
-//    must answer exactly like a naive scan over every sample ever
-//    ingested, for randomized sequences including late stragglers;
-//  - the Ranker's epoch-invalidated path cache must never serve a ranking
-//    computed before the latest ingest.
+// Property suite for the NetworkMap's monotonic max-deque (window-max
+// congestion queries): it must answer exactly like a naive scan over
+// every sample ever ingested, for randomized sequences including late
+// stragglers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "intsched/core/network_map.hpp"
-#include "intsched/core/ranking.hpp"
 #include "intsched/sim/rng.hpp"
 
 namespace intsched {
@@ -114,123 +108,21 @@ TEST(WindowMaxProperty, EmptyAndExpiredWindowsReadZero) {
   core::NetworkMap map{cfg};
 
   // Unknown device: the paper's "assume uncongested" fallback.
-  EXPECT_EQ(map.device_max_queue(core::NodeId{3}, sim::SimTime::seconds(1)), 0);
+  EXPECT_EQ(map.device_max_queue(core::NodeId{3}, sim::SimTime::seconds(1)),
+            0);
 
   map.ingest(queue_report(core::NodeId{3}, 40, 1000, sim::SimDuration::zero()),
              sim::SimTime::seconds(1));
-  EXPECT_EQ(map.device_max_queue(core::NodeId{3}, sim::SimTime::seconds(1)), 40);
+  EXPECT_EQ(map.device_max_queue(core::NodeId{3}, sim::SimTime::seconds(1)),
+            40);
   // Every sample older than the window: back to zero, without mutation.
-  EXPECT_EQ(map.device_max_queue(core::NodeId{3}, sim::SimTime::seconds(10)), 0);
+  EXPECT_EQ(map.device_max_queue(core::NodeId{3}, sim::SimTime::seconds(10)),
+            0);
   // The sample is still there for a query window that covers it.
   EXPECT_EQ(map.device_max_queue(core::NodeId{3},
                                  sim::SimTime::seconds(1) +
                                      sim::SimDuration::milliseconds(50)),
             40);
-}
-
-// ---------------------------------------------------------------------
-// Epoch-invalidated path cache: cached rankings must be indistinguishable
-// from a cache-cold Ranker's, before and after every ingest.
-
-std::string render_ranks(const std::vector<core::ServerRank>& ranks) {
-  std::ostringstream out;
-  for (const core::ServerRank& r : ranks) {
-    out << r.server << '|' << r.delay_estimate.ns() << '|'
-        << r.bandwidth_estimate.bps() << '|'
-        << r.baseline_delay.ns() << '\n';
-  }
-  return out.str();
-}
-
-/// A probe report that walks a two-switch chain src -> s1 -> s2 -> dst,
-/// teaching the map the chain topology with the given per-hop delays.
-telemetry::ProbeReport chain_report(core::NodeId src, core::NodeId s1,
-                                    core::NodeId s2, core::NodeId dst,
-                                    sim::SimDuration hop_delay,
-                                    std::int64_t max_q) {
-  telemetry::ProbeReport report;
-  report.src = src;
-  report.dst = dst;
-  net::IntStackEntry first;
-  first.device = s1;
-  first.ingress_port = 0;
-  first.egress_port = 1;
-  first.device_max_queue_pkts = max_q;
-  first.ingress_link_latency = hop_delay;
-  report.entries.push_back(first);
-  net::IntStackEntry second = first;
-  second.device = s2;
-  report.entries.push_back(second);
-  report.final_link_latency = hop_delay;
-  return report;
-}
-
-TEST(PathCacheProperty, NeverServesPreIngestRankings) {
-  sim::Rng rng{99};
-  core::NetworkMap map;
-  const core::Ranker cached{map};
-  const std::vector<core::NodeId> candidates{core::NodeId{20}, core::NodeId{21}};
-
-  sim::SimTime now = sim::SimTime::zero();
-  for (int round = 0; round < 30; ++round) {
-    now += sim::SimDuration::milliseconds(rng.uniform_int(1, 50));
-    // Mutate the map: fresh delays (EWMA moves) and queue registers on
-    // two chains reaching the two candidate servers.
-    const auto delay =
-        sim::SimDuration::microseconds(rng.uniform_int(500, 20'000));
-    map.ingest(chain_report(core::NodeId{10}, core::NodeId{11}, core::NodeId{12}, core::NodeId{20}, delay,
-                            rng.uniform_int(0, 32)),
-               now);
-    map.ingest(chain_report(core::NodeId{10}, core::NodeId{11}, core::NodeId{13}, core::NodeId{21}, delay * 2,
-                            rng.uniform_int(0, 32)),
-               now);
-
-    // The cached ranker must answer exactly like a cache-cold one built
-    // on the same map — i.e. it must observe every ingest so far.
-    const core::Ranker cold{map};
-    for (const auto metric :
-         {core::RankingMetric::kDelay, core::RankingMetric::kBandwidth}) {
-      ASSERT_EQ(render_ranks(cached.rank(core::NodeId{10}, candidates, metric, now)),
-                render_ranks(cold.rank(core::NodeId{10}, candidates, metric, now)))
-          << "round=" << round;
-    }
-    // The cache tracked the map's epoch (it may not have needed a rebuild
-    // this round only if nothing was ingested — impossible here).
-    EXPECT_EQ(cached.path_cache_epoch(), core::Epoch{map.reports_ingested()});
-  }
-  // The cache actually cached: with two rank calls per round sharing one
-  // origin and epoch, at least half of the lookups were hits.
-  EXPECT_GT(cached.path_cache_hits(), 0);
-  EXPECT_GT(cached.path_cache_misses(), 0);
-  EXPECT_LT(cached.path_cache_misses(), cached.path_cache_hits() +
-                                            cached.path_cache_misses());
-}
-
-TEST(PathCacheProperty, CountersSeparateHitsFromRebuilds) {
-  core::NetworkMap map;
-  map.ingest(chain_report(core::NodeId{10}, core::NodeId{11}, core::NodeId{12}, core::NodeId{20}, sim::SimDuration::milliseconds(1), 0),
-             sim::SimTime::milliseconds(1));
-  const core::Ranker ranker{map};
-  const std::vector<core::NodeId> candidates{core::NodeId{20}};
-  const sim::SimTime t1 = sim::SimTime::milliseconds(2);
-
-  EXPECT_EQ(ranker.path_cache_epoch(), core::Epoch::none());
-  (void)ranker.rank(core::NodeId{10}, candidates, core::RankingMetric::kDelay, t1);
-  EXPECT_EQ(ranker.path_cache_misses(), 1);
-  EXPECT_EQ(ranker.path_cache_epoch(), core::Epoch{map.reports_ingested()});
-
-  // Same epoch, same origin: pure hit.
-  (void)ranker.rank(core::NodeId{10}, candidates, core::RankingMetric::kDelay, t1);
-  EXPECT_EQ(ranker.path_cache_misses(), 1);
-  EXPECT_EQ(ranker.path_cache_hits(), 1);
-
-  // New ingest bumps the epoch: the next rank must rebuild.
-  map.ingest(chain_report(core::NodeId{10}, core::NodeId{11}, core::NodeId{12}, core::NodeId{20}, sim::SimDuration::milliseconds(5), 0),
-             sim::SimTime::milliseconds(3));
-  (void)ranker.rank(core::NodeId{10}, candidates, core::RankingMetric::kDelay,
-                    sim::SimTime::milliseconds(4));
-  EXPECT_EQ(ranker.path_cache_misses(), 2);
-  EXPECT_EQ(ranker.path_cache_epoch(), core::Epoch{map.reports_ingested()});
 }
 
 }  // namespace
