@@ -1,9 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "intsched/core/contracts.hpp"
@@ -20,30 +19,6 @@ struct LinkKey {
   core::NodeId from = core::kInvalidNode;
   core::NodeId to = core::kInvalidNode;
   friend constexpr bool operator==(const LinkKey&, const LinkKey&) = default;
-};
-struct LinkKeyHash {
-  std::size_t operator()(const LinkKey& k) const {
-    return std::hash<std::uint64_t>{}(
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.from.value()))
-         << 32) |
-        static_cast<std::uint32_t>(k.to.value()));
-  }
-};
-
-/// (device, egress port) key for per-port queue telemetry.
-struct PortKey {
-  core::NodeId device = core::kInvalidNode;
-  std::int32_t port = -1;
-  friend constexpr bool operator==(const PortKey&, const PortKey&) = default;
-};
-struct PortKeyHash {
-  std::size_t operator()(const PortKey& k) const {
-    return std::hash<std::uint64_t>{}(
-        (static_cast<std::uint64_t>(
-             static_cast<std::uint32_t>(k.device.value()))
-         << 32) |
-        static_cast<std::uint32_t>(k.port));
-  }
 };
 
 struct NetworkMapConfig {
@@ -72,38 +47,25 @@ struct NetworkMapConfig {
 /// link delays from egress-timestamp differences, congestion from
 /// collect-and-reset max-queue registers.
 ///
+/// Storage is a handful of flat, slot-addressed tables (DESIGN.md §8):
+/// node slots, a link table in learn order, and one sample pool holding
+/// every queue series, each found through an open-addressed index. Slots
+/// are append-only, so copying the map — every published region snapshot
+/// does — is one vector copy per table, and a slot resolved once names the
+/// same node, link or series in every later state and every copy.
+///
 /// Threading: thread-confined, no internal locking — ingest mutates every
 /// table. When probe ingest and ranking queries run on different threads
 /// (the deployment shape), use core::ShardedNetworkMap instead of sharing
 /// it directly — one region for a flat map (DESIGN.md Concurrency model).
 class NetworkMap {
  public:
-  /// One device/port/statistic telemetry series. Public only as an
-  /// *opaque resolved handle*: the compiled rank planes (DESIGN.md §15)
-  /// resolve a series pointer once at plane-compile time and replay the
-  /// window queries through the evaluators below. The samples layout is
-  /// an implementation detail — callers never walk it directly.
-  struct QueueSeries {
-    /// (report time, register value) as a monotonic max-deque: times
-    /// ascend, values strictly descend, dominated samples (older and no
-    /// larger than a newer one) are discarded at ingest, and entries older
-    /// than the queue window are pruned. The window max is therefore the
-    /// first fresh entry — an O(1) front read instead of an O(W) scan.
-    std::deque<std::pair<sim::SimTime, std::int64_t>> samples;
-  };
-
-  /// Per-link delay/staleness record, public for the same resolved-handle
-  /// reason as QueueSeries.
-  struct DelayEstimate {
-    sim::SimDuration value = sim::SimDuration::zero();
-    /// EWMA of |sample - value| over measured samples.
-    sim::SimDuration jitter = sim::SimDuration::zero();
-    /// Ingest time of the newest real sample; meaningless until measured.
-    sim::SimTime measured_at = sim::SimTime::zero();
-    /// False while the estimate is only the configured default or a
-    /// symmetry guess; measured values always beat unmeasured ones.
-    bool measured = false;
-  };
+  /// Resolved telemetry handles (compiled rank planes, DESIGN.md §15): the
+  /// slot of one queue series or of one learned directed link, invalid()
+  /// when there is none. The plane compiler resolves them once per view
+  /// and replays the window queries through the evaluators below.
+  using SeriesSlot = TaggedId<struct SeriesSlotTag>;
+  using LinkSlot = TaggedId<struct LinkSlotTag>;
 
   explicit NetworkMap(NetworkMapConfig config = {}) : cfg_{config} {}
 
@@ -140,20 +102,23 @@ class NetworkMap {
 
   // -- topology queries --
 
-  /// Inferred graph; edge costs are current link-delay estimates. Suitable
-  /// for shortest-path ranking. Hosts appear once a probe from/to them has
-  /// been seen.
-  [[nodiscard]] const net::Graph& graph() const { return graph_; }
+  /// Every learned directed link, in learn order: LinkSlot{i} is
+  /// links()[i]. Hosts appear once a probe from/to them has been seen.
+  [[nodiscard]] const std::vector<LinkKey>& links() const {
+    return link_keys_;
+  }
 
-  /// Snapshot with up-to-date link-delay costs on every edge — what the
-  /// rankers run Dijkstra over.
+  /// Graph of the learned links, sorted by (from, to), with up-to-date
+  /// link-delay costs on every edge — what the rankers run Dijkstra over.
   [[nodiscard]] net::Graph delay_graph() const;
 
+  /// True when `n` is an endpoint of a learned link.
   [[nodiscard]] bool knows_node(core::NodeId n) const {
-    return graph_.has_node(n);
+    const std::int32_t s = find_node(n);
+    return s >= 0 && nodes_[static_cast<std::size_t>(s)].linked;
   }
   [[nodiscard]] std::int64_t known_link_count() const {
-    return static_cast<std::int64_t>(link_delay_.size());
+    return static_cast<std::int64_t>(link_keys_.size());
   }
 
   /// Estimated one-way delay of a directed link; falls back to the reverse
@@ -169,7 +134,10 @@ class NetworkMap {
 
   /// Egress port of `from` facing `to`, if learned (-1 otherwise).
   [[nodiscard]] std::int32_t egress_port(core::NodeId from,
-                                         core::NodeId to) const;
+                                         core::NodeId to) const {
+    const LinkSlot l = find_link(from, to);
+    return l.valid() ? link_ports_[l.index()] : -1;
+  }
 
   // -- congestion queries --
 
@@ -177,7 +145,9 @@ class NetworkMap {
   /// window ending at `now` (Algorithm 1's Q(h_i)). Zero when nothing
   /// fresh was reported — the paper's "assume uncongested" fallback.
   [[nodiscard]] std::int64_t device_max_queue(core::NodeId device,
-                                              sim::SimTime now) const;
+                                              sim::SimTime now) const {
+    return window_max_of(find_device_queue(device), now);
+  }
 
   /// Max queue for the directed link from->to: the per-port register if the
   /// port is known and fresh, otherwise the device-level value of `from`.
@@ -187,82 +157,81 @@ class NetworkMap {
   /// Freshest mean occupancy (packets) reported for the device within the
   /// window — the alternative statistic the paper found inconclusive.
   [[nodiscard]] double device_avg_queue(core::NodeId device,
-                                        sim::SimTime now) const;
+                                        sim::SimTime now) const {
+    return static_cast<double>(
+               window_max_of(find_device_avg_queue(device), now)) /
+           100.0;
+  }
 
   /// Max directly-measured in-device dwell time within the window — the
   /// hop latency a full INT deployment reports (ablation alternative to
   /// the paper's k * max_queue heuristic).
   [[nodiscard]] INTSCHED_HOTPATH sim::SimDuration device_hop_latency(
-      core::NodeId device, sim::SimTime now) const;
+      core::NodeId device, sim::SimTime now) const {
+    return sim::SimDuration::nanos(
+        window_max_of(find_device_hop_latency(device), now));
+  }
 
   // -- resolved telemetry handles (compiled rank planes, DESIGN.md §15) --
   //
-  // The plane compiler resolves each distinct device/link to stable
-  // series pointers once per snapshot; the per-query gather then replays
+  // The plane compiler resolves each distinct device/link to series and
+  // link slots once per view; the per-query gather then replays
   // device_max_queue / link_max_queue / link_stale semantics through the
-  // evaluators without any hash find. Pointers are only valid while the
-  // map is frozen (published snapshots) — never across an ingest.
+  // evaluators without any index probe. Slots are append-only, so a slot
+  // stays valid in this map and in every copy of it, across ingests.
 
-  [[nodiscard]] const QueueSeries* find_device_queue(core::NodeId d) const {
-    const auto it = device_queue_.find(d);
-    return it == device_queue_.end() ? nullptr : &it->second;
+  [[nodiscard]] SeriesSlot find_device_queue(core::NodeId d) const {
+    return device_series(d, kMaxQueueStat);
   }
-  [[nodiscard]] const QueueSeries* find_device_avg_queue(
-      core::NodeId d) const {
-    const auto it = device_avg_queue_.find(d);
-    return it == device_avg_queue_.end() ? nullptr : &it->second;
+  [[nodiscard]] SeriesSlot find_device_avg_queue(core::NodeId d) const {
+    return device_series(d, kAvgQueueStat);
   }
-  [[nodiscard]] const QueueSeries* find_device_hop_latency(
-      core::NodeId d) const {
-    const auto it = device_hop_latency_.find(d);
-    return it == device_hop_latency_.end() ? nullptr : &it->second;
+  [[nodiscard]] SeriesSlot find_device_hop_latency(core::NodeId d) const {
+    return device_series(d, kHopLatencyStat);
   }
-  [[nodiscard]] const QueueSeries* find_port_queue(core::NodeId device,
-                                                   std::int32_t port) const {
-    const auto it = port_queue_.find(PortKey{device, port});
-    return it == port_queue_.end() ? nullptr : &it->second;
+  [[nodiscard]] SeriesSlot find_port_queue(core::NodeId device,
+                                           std::int32_t port) const {
+    return SeriesSlot{
+        port_index_.find(pair_key(device.value(), port),
+                         [this](std::int32_t s) { return port_key_at(s); })};
   }
-  [[nodiscard]] const DelayEstimate* find_link_delay(core::NodeId from,
-                                                     core::NodeId to) const {
-    const auto it = link_delay_.find(LinkKey{from, to});
-    return it == link_delay_.end() ? nullptr : &it->second;
+  [[nodiscard]] LinkSlot find_link(core::NodeId from, core::NodeId to) const {
+    return LinkSlot{
+        link_index_.find(pair_key(from.value(), to.value()),
+                         [this](std::int32_t s) { return link_key_at(s); })};
   }
 
   /// The port series link_max_queue's port branch reads for from->to, or
-  /// null when no egress port was ever learned (the branch that falls
+  /// invalid when no egress port was ever learned (the branch that falls
   /// through to the device register).
-  [[nodiscard]] const QueueSeries* plane_link_port_series(
-      core::NodeId from, core::NodeId to) const {
+  [[nodiscard]] SeriesSlot plane_link_port_series(core::NodeId from,
+                                                  core::NodeId to) const {
     const std::int32_t p = egress_port(from, to);
-    return p < 0 ? nullptr : find_port_queue(from, p);
+    return p < 0 ? SeriesSlot::invalid() : find_port_queue(from, p);
   }
 
   /// Window max of a resolved series — device_max_queue's evaluation half
-  /// (null/absent series = 0, the "assume uncongested" fallback).
+  /// (an invalid slot = 0, the "assume uncongested" fallback).
   [[nodiscard]] INTSCHED_HOTPATH std::int64_t window_max_of(
-      const QueueSeries* s, sim::SimTime now) const {
-    return s == nullptr
-               ? 0
-               : max_in_window(*s, window_cutoff(now, cfg_.queue_window));
+      SeriesSlot s, sim::SimTime now) const {
+    return s.valid() ? max_in_window(series_[s.index()],
+                                     window_cutoff(now, cfg_.queue_window))
+                     : 0;
   }
   /// fresh_port_max_queue's freshness half: true when the series exists
   /// and its newest sample is inside the queue window.
   [[nodiscard]] INTSCHED_HOTPATH bool port_series_fresh(
-      const QueueSeries* s, sim::SimTime now) const {
-    return s != nullptr && !s->samples.empty() &&
-           s->samples.back().first >= window_cutoff(now, cfg_.queue_window);
+      SeriesSlot s, sim::SimTime now) const {
+    if (!s.valid()) return false;
+    const Series& series = series_[s.index()];
+    return series.size > 0 &&
+           pool_[series.begin + series.size - 1].at >=
+               window_cutoff(now, cfg_.queue_window);
   }
-  /// link_stale over resolved forward/reverse records — including the
+  /// link_stale over resolved forward/reverse link slots — including the
   /// disabled-window early-out, so semantics match per owning map.
-  [[nodiscard]] INTSCHED_HOTPATH bool records_stale(const DelayEstimate* fwd,
-                                                    const DelayEstimate* rev,
-                                                    sim::SimTime now) const {
-    if (cfg_.link_staleness <= sim::SimDuration::zero()) return false;
-    const sim::SimTime cutoff = window_cutoff(now, cfg_.link_staleness);
-    if (fwd != nullptr && fwd->measured) return fwd->measured_at < cutoff;
-    if (rev != nullptr && rev->measured) return rev->measured_at < cutoff;
-    return true;  // never measured in either direction
-  }
+  [[nodiscard]] INTSCHED_HOTPATH bool records_stale(LinkSlot fwd, LinkSlot rev,
+                                                    sim::SimTime now) const;
 
   // -- staleness queries (all no-ops unless config.link_staleness > 0) --
 
@@ -270,7 +239,9 @@ class NetworkMap {
   /// has not been refreshed within the staleness window ending at `now`.
   /// Links that were never measured at all count as stale.
   [[nodiscard]] bool link_stale(core::NodeId from, core::NodeId to,
-                                sim::SimTime now) const;
+                                sim::SimTime now) const {
+    return records_stale(find_link(from, to), find_link(to, from), now);
+  }
 
   /// True when any hop of the node path is stale.
   [[nodiscard]] bool path_stale(const std::vector<core::NodeId>& path,
@@ -286,6 +257,156 @@ class NetworkMap {
   [[nodiscard]] std::int64_t rejected_entries() const { return rejected_; }
 
  private:
+  /// Open-addressed index from a packed 64-bit key to an append-only slot
+  /// of the table that holds the keys: one power-of-two array of slot
+  /// numbers, linear probing, no erase. It stores no keys — a probe
+  /// compares `key` with the table's key at the slot, `key_at(slot)` — so
+  /// an entry is 4 bytes. An empty entry is slot -1, not a reserved key,
+  /// so every key is storable: a link with an invalid endpoint included,
+  /// which FlatTable's invalid-id sentinel could not hold. Copying it is
+  /// one vector copy.
+  class SlotIndex {
+   public:
+    /// The key's slot, or -1 when it was never inserted.
+    template <typename KeyAt>
+    [[nodiscard]] std::int32_t find(std::uint64_t key, KeyAt key_at) const {
+      return slots_.empty() ? -1 : slots_[probe(key, key_at)];
+    }
+    /// The key's slot; when the key is absent, inserts it as `fresh` and
+    /// returns that, and the caller appends slot `fresh` to its table.
+    template <typename KeyAt>
+    std::int32_t find_or_insert(std::uint64_t key, std::int32_t fresh,
+                                KeyAt key_at) {
+      // Grow at 70% occupancy: doubling keeps probe sequences short.
+      if ((size_ + 1) * 10 > slots_.size() * 7) {
+        std::vector<std::int32_t> old = std::move(slots_);
+        slots_.assign(std::max<std::size_t>(8, old.size() * 2), -1);
+        for (const std::int32_t s : old) {
+          if (s >= 0) slots_[probe(key_at(s), key_at)] = s;
+        }
+      }
+      const std::size_t i = probe(key, key_at);
+      if (slots_[i] >= 0) return slots_[i];
+      slots_[i] = fresh;
+      ++size_;
+      return fresh;
+    }
+
+   private:
+    /// The entry holding `key`, else the empty entry ending its probe
+    /// sequence. Requires a non-empty array with an empty entry.
+    template <typename KeyAt>
+    [[nodiscard]] std::size_t probe(std::uint64_t key, KeyAt key_at) const {
+      const std::size_t mask = slots_.size() - 1;
+      std::size_t i = mix(key) & mask;
+      while (slots_[i] >= 0 && key_at(slots_[i]) != key) i = (i + 1) & mask;
+      return i;
+    }
+    /// splitmix64 finalizer (FlatTable's mix): dense sequential ids and
+    /// packed pairs spread across the array.
+    [[nodiscard]] static std::size_t mix(std::uint64_t h) {
+      h ^= h >> 30;
+      h *= 0xBF58476D1CE4E5B9ULL;
+      h ^= h >> 27;
+      h *= 0x94D049BB133111EBULL;
+      h ^= h >> 31;
+      return static_cast<std::size_t>(h);
+    }
+    std::vector<std::int32_t> slots_;  ///< power-of-two size, or empty
+    std::size_t size_ = 0;
+  };
+
+  /// One (report time, register value) sample of a queue series.
+  struct Sample {
+    sim::SimTime at = sim::SimTime::zero();
+    std::int64_t value = 0;
+  };
+  /// A series owns pool_[begin, begin + capacity) and keeps its samples at
+  /// the front of that range, oldest first, as a monotonic max-queue:
+  /// times strictly ascend, values strictly descend (see record_queue).
+  /// A series that fills moves to a range twice as large at the pool's
+  /// end, so no sample is ever evicted to make room.
+  struct Series {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t capacity = 0;
+    /// A port series' (device, egress port), port_index_'s key; device
+    /// series leave it unset.
+    core::NodeId device = core::kInvalidNode;
+    std::int32_t port = -1;
+  };
+  /// A fresh series' range. With same-time domination the metro's probe
+  /// stream (a sweep, then a burst every 100 ms) leaves every series at
+  /// one or two samples, so none of them ever moves.
+  static constexpr std::uint32_t kInitialSeriesCapacity = 2;
+
+  /// Per-node slot: the node, its device series (three consecutive slots
+  /// in statistic order), and whether it is an endpoint of a learned link
+  /// (the inferred graph's node set).
+  struct Node {
+    core::NodeId id = core::kInvalidNode;
+    SeriesSlot device_series = SeriesSlot::invalid();
+    bool linked = false;
+  };
+  static constexpr std::int32_t kMaxQueueStat = 0;
+  static constexpr std::int32_t kAvgQueueStat = 1;    // x100
+  static constexpr std::int32_t kHopLatencyStat = 2;  // ns
+  static constexpr std::int32_t kDeviceStats = 3;
+
+  /// Per-link delay/staleness record.
+  struct DelayEstimate {
+    sim::SimDuration value = sim::SimDuration::zero();
+    /// EWMA of |sample - value| over measured samples.
+    sim::SimDuration jitter = sim::SimDuration::zero();
+    /// Ingest time of the newest real sample; meaningless until measured.
+    sim::SimTime measured_at = sim::SimTime::zero();
+    /// False while the estimate is only the configured default or a
+    /// symmetry guess; measured values always beat unmeasured ones.
+    bool measured = false;
+  };
+
+  [[nodiscard]] static std::uint64_t node_key(core::NodeId n) {
+    return static_cast<std::uint32_t>(n.value());
+  }
+  /// (from, to) and (device, port) pairs, 32 bits each.
+  [[nodiscard]] static std::uint64_t pair_key(std::int32_t a,
+                                              std::int32_t b) {
+    return (std::uint64_t{static_cast<std::uint32_t>(a)} << 32) |
+           static_cast<std::uint32_t>(b);
+  }
+
+  // Each table's key at a slot, for its index's probes.
+  [[nodiscard]] std::uint64_t node_key_at(std::int32_t s) const {
+    return node_key(nodes_[static_cast<std::size_t>(s)].id);
+  }
+  [[nodiscard]] std::uint64_t link_key_at(std::int32_t s) const {
+    const LinkKey& k = link_keys_[static_cast<std::size_t>(s)];
+    return pair_key(k.from.value(), k.to.value());
+  }
+  [[nodiscard]] std::uint64_t port_key_at(std::int32_t s) const {
+    const Series& r = series_[static_cast<std::size_t>(s)];
+    return pair_key(r.device.value(), r.port);
+  }
+
+  /// The node's slot, or -1 when the map never saw it.
+  [[nodiscard]] std::int32_t find_node(core::NodeId n) const {
+    return node_index_.find(node_key(n),
+                            [this](std::int32_t s) { return node_key_at(s); });
+  }
+  [[nodiscard]] SeriesSlot device_series(core::NodeId d,
+                                         std::int32_t stat) const {
+    const std::int32_t s = find_node(d);
+    if (s < 0) return SeriesSlot::invalid();
+    const SeriesSlot first = nodes_[static_cast<std::size_t>(s)].device_series;
+    return first.valid() ? SeriesSlot{first.value() + stat}
+                         : SeriesSlot::invalid();
+  }
+
+  /// The node's slot, appended on first sight.
+  Node& node_slot(core::NodeId n);
+  /// Appends `count` empty series; returns the first one's slot.
+  SeriesSlot add_series(std::int32_t count);
+
   /// Full-structure consistency walk, compiled in only under
   /// INTSCHED_AUDIT: every learned link references nodes present in the
   /// inferred graph, and no freshness stamp or telemetry sample postdates
@@ -303,10 +424,18 @@ class NetworkMap {
   void audit_invariants(sim::SimTime high_water) const;
   static constexpr std::int64_t kAuditFullWalkMaxLinks = 256;
   static constexpr std::int64_t kAuditSparsePeriod = 64;
-  void record_queue(QueueSeries& series, sim::SimTime now,
-                    std::int64_t value);
-  [[nodiscard]] static std::int64_t max_in_window(const QueueSeries& series,
-                                                  sim::SimTime cutoff);
+  void record_queue(SeriesSlot slot, sim::SimTime now, std::int64_t value);
+  [[nodiscard]] std::int64_t max_in_window(const Series& series,
+                                           sim::SimTime cutoff) const {
+    // Values descend front-to-back, so the first fresh sample is the max.
+    // Expired fronts are skipped (not dropped — this path must stay const
+    // for arbitrary query times) and reclaimed at the next ingest.
+    for (std::uint32_t i = series.begin; i < series.begin + series.size;
+         ++i) {
+      if (pool_[i].at >= cutoff) return pool_[i].value;
+    }
+    return 0;
+  }
 
   /// `now - window`, saturating instead of overflowing when the window is
   /// wider than the whole representable time range. All freshness
@@ -315,13 +444,16 @@ class NetworkMap {
                                                   sim::SimDuration window);
 
   NetworkMapConfig cfg_;
-  net::Graph graph_;
-  std::unordered_map<LinkKey, DelayEstimate, LinkKeyHash> link_delay_;
-  std::unordered_map<LinkKey, std::int32_t, LinkKeyHash> link_port_;
-  std::unordered_map<PortKey, QueueSeries, PortKeyHash> port_queue_;
-  std::unordered_map<core::NodeId, QueueSeries> device_queue_;
-  std::unordered_map<core::NodeId, QueueSeries> device_avg_queue_;  // x100
-  std::unordered_map<core::NodeId, QueueSeries> device_hop_latency_;  // ns
+  SlotIndex node_index_;  ///< node id -> nodes_ slot
+  std::vector<Node> nodes_;
+  SlotIndex link_index_;  ///< (from, to) -> link slot
+  /// The link table, indexed by link slot (learn order).
+  std::vector<LinkKey> link_keys_;
+  std::vector<DelayEstimate> link_delays_;
+  std::vector<std::int32_t> link_ports_;  ///< -1 until a port is learned
+  SlotIndex port_index_;                  ///< (device, port) -> series slot
+  std::vector<Series> series_;            ///< indexed by series slot
+  std::vector<Sample> pool_;              ///< every series' samples
   std::int64_t reports_ = 0;
   std::int64_t rejected_ = 0;
 #if INTSCHED_AUDIT_ENABLED

@@ -24,9 +24,10 @@
 
 namespace intsched::core {
 
-/// Epoch-stamped immutable snapshot of one region: a deep copy of the
-/// region's NetworkMap (delay estimates, queue windows, staleness stamps),
-/// the materialized delay graph, and a per-origin shortest-path memo.
+/// Epoch-stamped immutable snapshot of one region: a copy of the region's
+/// NetworkMap (delay estimates, queue windows, staleness stamps — one
+/// vector copy per flat table, DESIGN.md §8), the materialized delay
+/// graph, and a per-origin shortest-path memo.
 ///
 /// Thread-safety model — readable from any number of threads with zero
 /// locks:
@@ -42,8 +43,8 @@ namespace intsched::core {
 ///    the graph), so no reader ever mutates the map structure itself.
 class RankSnapshot {
  public:
-  /// Deep-copies `map` (the caller holds whatever lock makes that read
-  /// safe) and stamps the snapshot with the map's current ingest epoch.
+  /// Copies `map` (the caller holds whatever lock makes that read safe)
+  /// and stamps the snapshot with the map's current ingest epoch.
   explicit RankSnapshot(const NetworkMap& map);
 
   RankSnapshot(const RankSnapshot&) = delete;

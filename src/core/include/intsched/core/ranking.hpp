@@ -174,31 +174,33 @@ struct KCalibrationSample {
 /// for every origin of a view, so they are resolved once per view, not
 /// once per origin. Node ids index the tables directly: they are dense
 /// topology indices (RegionAssignment indexes by them too), so the tables
-/// span the largest known id. Every pointer is valid exactly as long as
-/// the frozen maps it was resolved from (the catalog and the maps share
-/// an owner).
+/// span the largest known id. Each handle is an owning map plus slots in
+/// it; the map pointers are valid exactly as long as the frozen maps they
+/// name (the catalog and the maps share an owner), while the slots are
+/// append-only and so name the same series and links in every later copy
+/// of those maps.
 struct PlaneCatalog {
   /// find_link sentinel: the directed link was never learned.
   static constexpr std::uint32_t kNoLink = 0xffffffffu;
 
   /// Resolved telemetry handle for one device: the owning map (the
   /// device's region map, or the summary map for region-less nodes) plus
-  /// the series matching the view's queue statistic, so the per-query
-  /// gather is pointer-direct — no region routing, no hash find.
+  /// the slot of the series matching the view's queue statistic, so the
+  /// per-query gather is slot-direct — no region routing, no index probe.
   struct DevRef {
     const NetworkMap* map = nullptr;
-    const NetworkMap::QueueSeries* series = nullptr;
+    NetworkMap::SeriesSlot series = NetworkMap::SeriesSlot::invalid();
   };
   /// Resolved handles replaying link_max_queue (port series if fresh,
-  /// else `from`'s device register — both owned by `queue_map`) and
-  /// link_stale (forward/reverse delay records under `stale_map`).
+  /// else `from`'s device register — both slots of `queue_map`) and
+  /// link_stale (forward/reverse link slots of `stale_map`).
   struct LinkRef {
     const NetworkMap* queue_map = nullptr;
-    const NetworkMap::QueueSeries* port_series = nullptr;
-    const NetworkMap::QueueSeries* dev_series = nullptr;
+    NetworkMap::SeriesSlot port_series = NetworkMap::SeriesSlot::invalid();
+    NetworkMap::SeriesSlot dev_series = NetworkMap::SeriesSlot::invalid();
     const NetworkMap* stale_map = nullptr;
-    const NetworkMap::DelayEstimate* fwd = nullptr;
-    const NetworkMap::DelayEstimate* rev = nullptr;
+    NetworkMap::LinkSlot fwd = NetworkMap::LinkSlot::invalid();
+    NetworkMap::LinkSlot rev = NetworkMap::LinkSlot::invalid();
   };
 
   std::vector<DevRef> dev_refs;  ///< indexed by node id
@@ -268,8 +270,8 @@ struct PlaneCatalog {
       ref.dev_series = qm.find_device_queue(k.from);
       const NetworkMap& sm = map.plane_link_stale_map(k.from, k.to);
       ref.stale_map = &sm;
-      ref.fwd = sm.find_link_delay(k.from, k.to);
-      ref.rev = sm.find_link_delay(k.to, k.from);
+      ref.fwd = sm.find_link(k.from, k.to);
+      ref.rev = sm.find_link(k.to, k.from);
       c.link_refs.push_back(ref);
     }
     for (std::size_t n = 0; n < node_span; ++n) {
@@ -438,7 +440,7 @@ namespace plane_detail {
 /// Gathered hop-delay term for device `d`: one queue-window query per
 /// distinct device per plane query, whatever the candidate fan-in —
 /// evaluated through the catalog's resolved ref, so the
-/// gather is pointer-direct (no region routing, no hash find). The term
+/// gather is slot-direct (no region routing, no index probe). The term
 /// is the exact per-hop contribution of estimate_path_delay under
 /// cfg.queue_statistic (kAverage's /100.0 mean scaling and double ->
 /// int64 rounding included), so summing gathered terms in span order

@@ -334,7 +334,7 @@ class MetroView {
     /// links resolve port and series in the region map; cross-region
     /// links take the egress port from the summary map but the series
     /// from `from`'s region map.
-    [[nodiscard]] const NetworkMap::QueueSeries* plane_link_port_series(
+    [[nodiscard]] NetworkMap::SeriesSlot plane_link_port_series(
         core::NodeId from, core::NodeId to) const {
       const core::RegionId ra = view->regions_->region_of(from);
       const core::RegionId rb = view->regions_->region_of(to);
@@ -342,7 +342,7 @@ class MetroView {
         return view->region_map(ra).plane_link_port_series(from, to);
       }
       const std::int32_t port = view->summary_map_->egress_port(from, to);
-      return port < 0 ? nullptr
+      return port < 0 ? NetworkMap::SeriesSlot::invalid()
                       : view->device_map(from).find_port_queue(from, port);
     }
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "intsched/sim/audit.hpp"
 
@@ -19,29 +20,48 @@ sim::SimTime NetworkMap::window_cutoff(sim::SimTime now,
   return sim::SimTime::nanoseconds(n - w);
 }
 
+NetworkMap::Node& NetworkMap::node_slot(core::NodeId n) {
+  const auto fresh = static_cast<std::int32_t>(nodes_.size());
+  const std::int32_t s = node_index_.find_or_insert(
+      node_key(n), fresh, [this](std::int32_t i) { return node_key_at(i); });
+  if (s == fresh) nodes_.push_back(Node{n});
+  return nodes_[static_cast<std::size_t>(s)];
+}
+
+NetworkMap::SeriesSlot NetworkMap::add_series(std::int32_t count) {
+  const SeriesSlot first{static_cast<std::int32_t>(series_.size())};
+  for (std::int32_t i = 0; i < count; ++i) {
+    series_.push_back(Series{static_cast<std::uint32_t>(pool_.size()), 0,
+                             kInitialSeriesCapacity});
+    pool_.resize(pool_.size() + kInitialSeriesCapacity);
+  }
+  return first;
+}
+
 void NetworkMap::learn_link(core::NodeId from, core::NodeId to,
                             std::int32_t out_port,
                             sim::SimDuration delay_sample, sim::SimTime now) {
-  const LinkKey key{from, to};
-  const auto known = link_delay_.find(key);
   const bool have_sample = delay_sample >= sim::SimDuration::zero();
+  const auto fresh = static_cast<std::int32_t>(link_keys_.size());
+  const std::int32_t l = link_index_.find_or_insert(
+      pair_key(from.value(), to.value()), fresh,
+      [this](std::int32_t i) { return link_key_at(i); });
 
-  if (known == link_delay_.end()) {
-    link_delay_.emplace(
-        key, DelayEstimate{
-                 have_sample ? delay_sample : cfg_.default_link_delay,
-                 sim::SimDuration::zero(), now, have_sample});
-    if (out_port >= 0) link_port_[key] = out_port;
-    // New edge: extend the inferred graph. Edge cost is refreshed at
-    // query time via delay_graph(); the stored cost is the first estimate.
-    graph_.add_edge(from, to, out_port,
-                    have_sample ? delay_sample : cfg_.default_link_delay);
+  if (l == fresh) {
+    link_keys_.push_back(LinkKey{from, to});
+    link_delays_.push_back(DelayEstimate{
+        have_sample ? delay_sample : cfg_.default_link_delay,
+        sim::SimDuration::zero(), now, have_sample});
+    link_ports_.push_back(out_port >= 0 ? out_port : -1);
+    node_slot(from).linked = true;
+    node_slot(to).linked = true;
     return;
   }
 
-  if (out_port >= 0) link_port_[key] = out_port;
+  const auto slot = static_cast<std::size_t>(l);
+  if (out_port >= 0) link_ports_[slot] = out_port;
   if (have_sample) {
-    DelayEstimate& est = known->second;
+    DelayEstimate& est = link_delays_[slot];
     est.measured_at = std::max(est.measured_at, now);
     if (!est.measured) {
       est.value = delay_sample;
@@ -63,42 +83,59 @@ void NetworkMap::learn_link(core::NodeId from, core::NodeId to,
   }
 }
 
-void NetworkMap::record_queue(QueueSeries& series, sim::SimTime now,
+void NetworkMap::record_queue(SeriesSlot slot, sim::SimTime now,
                               std::int64_t value) {
-  // The series is a monotonic max-deque: times ascend, values strictly
-  // descend, and every entry is the window max from its own timestamp
-  // until the next entry's. max_in_window is then a front read instead of
-  // a full scan; the invariant is maintained here, at ingest.
-  auto& d = series.samples;
+  // The series is a monotonic max-queue: times strictly ascend, values
+  // strictly descend, and every sample is the window max from its own
+  // timestamp until the next sample's. max_in_window is then a front read
+  // instead of a full scan; the invariant is maintained here, at ingest.
+  Series& s = series_[slot.index()];
+  Sample* d = pool_.data() + s.begin;
   const sim::SimTime cutoff = window_cutoff(now, cfg_.queue_window);
-  while (!d.empty() && d.front().first < cutoff) d.pop_front();
+  std::uint32_t expired = 0;
+  while (expired < s.size && d[expired].at < cutoff) ++expired;
+  if (expired > 0) {
+    std::copy(d + expired, d + s.size, d);
+    s.size -= expired;
+  }
 
   // Ingest accepts late stragglers, so find the time-ordered insertion
-  // point from the back (O(1) for in-order arrivals).
-  std::size_t insert_at = d.size();
-  while (insert_at > 0 && d[insert_at - 1].first > now) --insert_at;
-  // Entries at/after the insertion point are newer, and the first of them
-  // carries their largest value; if it already dominates the new sample
-  // (newer and at least as large), the sample can never be a window max.
-  if (insert_at < d.size() && d[insert_at].second >= value) return;
-  // Conversely, older entries no larger than the new sample expire first
-  // while never exceeding it — drop them.
-  std::size_t keep = insert_at;
-  while (keep > 0 && d[keep - 1].second <= value) --keep;
-  d.erase(d.begin() + static_cast<std::ptrdiff_t>(keep),
-          d.begin() + static_cast<std::ptrdiff_t>(insert_at));
-  d.insert(d.begin() + static_cast<std::ptrdiff_t>(keep), {now, value});
-}
-
-std::int64_t NetworkMap::max_in_window(const QueueSeries& series,
-                                       sim::SimTime cutoff) {
-  // Values descend front-to-back, so the first fresh entry is the max.
-  // Expired fronts are skipped (not popped — this path must stay const
-  // for arbitrary query times) and reclaimed at the next ingest.
-  for (const auto& [t, v] : series.samples) {
-    if (t >= cutoff) return v;
+  // point from the back (O(1) for in-order arrivals), and the first sample
+  // at the same time or later.
+  std::uint32_t insert_at = s.size;
+  while (insert_at > 0 && d[insert_at - 1].at > now) --insert_at;
+  std::uint32_t same_or_later = insert_at;
+  while (same_or_later > 0 && d[same_or_later - 1].at == now) {
+    --same_or_later;
   }
-  return 0;
+  // That sample carries the largest value from `now` on; if it is at
+  // least as large, the new sample can never be a window max.
+  if (same_or_later < s.size && d[same_or_later].value >= value) return;
+  // Conversely, older or same-time samples no larger than the new one
+  // expire no later while never exceeding it — drop them. Same-time
+  // samples are all smaller here, so times stay strictly ascending.
+  std::uint32_t keep = insert_at;
+  while (keep > 0 && d[keep - 1].value <= value) --keep;
+
+  const std::uint32_t tail = s.size - insert_at;
+  if (keep == insert_at && s.size == s.capacity) {
+    // Full: move to a range twice as large at the end of the pool.
+    const auto moved = static_cast<std::uint32_t>(pool_.size());
+    pool_.resize(pool_.size() + 2 * std::size_t{s.capacity});
+    d = pool_.data() + s.begin;
+    Sample* to = pool_.data() + moved;
+    std::copy(d, d + keep, to);
+    std::copy(d + insert_at, d + s.size, to + keep + 1);
+    d = to;
+    s.begin = moved;
+    s.capacity *= 2;
+  } else if (keep == insert_at) {
+    std::copy_backward(d + insert_at, d + s.size, d + s.size + 1);
+  } else if (keep + 1 < insert_at) {
+    std::copy(d + insert_at, d + s.size, d + keep + 1);
+  }
+  d[keep] = Sample{now, value};
+  s.size = keep + 1 + tail;
 }
 
 void NetworkMap::record_entry_telemetry(const net::IntStackEntry& e,
@@ -106,13 +143,27 @@ void NetworkMap::record_entry_telemetry(const net::IntStackEntry& e,
   // Congestion state. Register values are occupancy counts; negative
   // values can only come from corruption, clamp so the max logic and
   // bandwidth estimator never see them.
-  record_queue(port_queue_[PortKey{e.device, e.egress_port}], now,
-               std::max<std::int64_t>(0, e.max_queue_pkts));
-  record_queue(device_queue_[e.device], now,
+  const auto fresh = static_cast<std::int32_t>(series_.size());
+  const SeriesSlot port{port_index_.find_or_insert(
+      pair_key(e.device.value(), e.egress_port), fresh,
+      [this](std::int32_t i) { return port_key_at(i); })};
+  if (port.value() == fresh) {
+    add_series(1);
+    series_.back().device = e.device;
+    series_.back().port = e.egress_port;
+  }
+  record_queue(port, now, std::max<std::int64_t>(0, e.max_queue_pkts));
+
+  Node& node = node_slot(e.device);
+  if (!node.device_series.valid()) {
+    node.device_series = add_series(kDeviceStats);
+  }
+  const std::int32_t dev = node.device_series.value();
+  record_queue(SeriesSlot{dev + kMaxQueueStat}, now,
                std::max<std::int64_t>(0, e.device_max_queue_pkts));
-  record_queue(device_avg_queue_[e.device], now,
+  record_queue(SeriesSlot{dev + kAvgQueueStat}, now,
                std::max<std::int64_t>(0, e.device_avg_queue_x100));
-  record_queue(device_hop_latency_[e.device], now,
+  record_queue(SeriesSlot{dev + kHopLatencyStat}, now,
                std::max<std::int64_t>(0, e.max_hop_latency.ns()));
 }
 
@@ -123,8 +174,7 @@ void NetworkMap::finish_ingest(sim::SimTime now) {
   // Amortized schedule (see audit_invariants' docs): every report while
   // the map is Fig.-4 sized, every kAuditSparsePeriod-th beyond that, so
   // the audit preset stays usable on TopologyGen-scale maps.
-  if (static_cast<std::int64_t>(link_delay_.size()) <=
-          kAuditFullWalkMaxLinks ||
+  if (known_link_count() <= kAuditFullWalkMaxLinks ||
       reports_ % kAuditSparsePeriod == 0) {
     audit_invariants(audit_ingest_hw_);
   }
@@ -178,70 +228,63 @@ void NetworkMap::ingest(const telemetry::ProbeReport& report,
 
 #if INTSCHED_AUDIT_ENABLED
 void NetworkMap::audit_invariants(sim::SimTime high_water) const {
-  // Order-insensitive walk: every check is per-entry, so hash order is
-  // immaterial here. intsched-lint: allow(unordered-iter)
-  for (const auto& [key, est] : link_delay_) {
+  for (std::size_t l = 0; l < link_keys_.size(); ++l) {
+    const LinkKey& key = link_keys_[l];
+    const DelayEstimate& est = link_delays_[l];
     INTSCHED_AUDIT_ASSERT(
         key.from != core::kInvalidNode && key.to != core::kInvalidNode,
         "NetworkMap learned a link with an invalid endpoint");
     INTSCHED_AUDIT_ASSERT(key.from != key.to,
                           "NetworkMap learned a self-loop link");
     INTSCHED_AUDIT_ASSERT(
-        graph_.has_node(key.from) && graph_.has_node(key.to),
-        "link_delay_ references a node missing from the inferred graph");
+        knows_node(key.from) && knows_node(key.to),
+        "link table references a node missing from the inferred graph");
+    INTSCHED_AUDIT_ASSERT(find_link(key.from, key.to).index() == l,
+                          "link index disagrees with the link table");
     INTSCHED_AUDIT_ASSERT(
         !est.measured || est.measured_at <= high_water,
         "link freshness stamp postdates every ingest seen");
     INTSCHED_AUDIT_ASSERT(est.jitter >= sim::SimDuration::zero(),
                           "negative jitter estimate");
+    INTSCHED_AUDIT_ASSERT(link_ports_[l] >= -1,
+                          "learned egress port is negative");
   }
-  // intsched-lint: allow(unordered-iter)
-  for (const auto& [key, port] : link_port_) {
-    INTSCHED_AUDIT_ASSERT(port >= 0, "learned egress port is negative");
+  // Each series is a monotonic max-queue (see record_queue) inside its own
+  // pool range: times strictly ascend, values strictly descend, no sample
+  // postdates the newest ingest, and values are sane.
+  for (const Series& series : series_) {
     INTSCHED_AUDIT_ASSERT(
-        link_delay_.contains(key),
-        "link_port_ entry without a matching delay estimate");
-  }
-  // Each series is a monotonic max-deque (see record_queue): times must
-  // ascend, values strictly descend, no sample postdates the newest
-  // ingest, and values are sane.
-  const auto audit_series = [high_water](const QueueSeries& series) {
-    for (std::size_t i = 0; i < series.samples.size(); ++i) {
-      const auto& [t, v] = series.samples[i];
+        series.size <= series.capacity &&
+            std::size_t{series.begin} + series.capacity <= pool_.size(),
+        "series range overruns the sample pool");
+    for (std::uint32_t i = 0; i < series.size; ++i) {
+      const Sample& sample = pool_[series.begin + i];
       INTSCHED_AUDIT_ASSERT(
-          t <= high_water,
+          sample.at <= high_water,
           "telemetry sample postdates every ingest seen");
-      INTSCHED_AUDIT_ASSERT(v >= 0, "negative queue-occupancy sample");
+      INTSCHED_AUDIT_ASSERT(sample.value >= 0,
+                            "negative queue-occupancy sample");
       if (i > 0) {
-        INTSCHED_AUDIT_ASSERT(series.samples[i - 1].first <= t,
-                              "max-deque times must be non-decreasing");
-        INTSCHED_AUDIT_ASSERT(series.samples[i - 1].second > v,
-                              "max-deque values must strictly decrease");
+        const Sample& prev = pool_[series.begin + i - 1];
+        INTSCHED_AUDIT_ASSERT(prev.at < sample.at,
+                              "max-queue times must strictly increase");
+        INTSCHED_AUDIT_ASSERT(prev.value > sample.value,
+                              "max-queue values must strictly decrease");
       }
     }
-  };
-  // intsched-lint: allow(unordered-iter)
-  for (const auto& [key, series] : port_queue_) audit_series(series);
-  // intsched-lint: allow(unordered-iter)
-  for (const auto& [key, series] : device_queue_) audit_series(series);
-  // intsched-lint: allow(unordered-iter)
-  for (const auto& [key, series] : device_avg_queue_) audit_series(series);
-  // intsched-lint: allow(unordered-iter)
-  for (const auto& [key, series] : device_hop_latency_) audit_series(series);
+  }
 }
 #endif
 
-bool NetworkMap::link_stale(core::NodeId from, core::NodeId to,
-                            sim::SimTime now) const {
+bool NetworkMap::records_stale(LinkSlot fwd, LinkSlot rev,
+                               sim::SimTime now) const {
   if (cfg_.link_staleness <= sim::SimDuration::zero()) return false;
   const sim::SimTime cutoff = window_cutoff(now, cfg_.link_staleness);
-  const auto it = link_delay_.find(LinkKey{from, to});
-  if (it != link_delay_.end() && it->second.measured) {
-    return it->second.measured_at < cutoff;
+  if (fwd.valid() && link_delays_[fwd.index()].measured) {
+    return link_delays_[fwd.index()].measured_at < cutoff;
   }
-  const auto rev = link_delay_.find(LinkKey{to, from});
-  if (rev != link_delay_.end() && rev->second.measured) {
-    return rev->second.measured_at < cutoff;
+  if (rev.valid() && link_delays_[rev.index()].measured) {
+    return link_delays_[rev.index()].measured_at < cutoff;
   }
   return true;  // never measured in either direction
 }
@@ -256,85 +299,56 @@ bool NetworkMap::path_stale(const std::vector<core::NodeId>& path,
 }
 
 sim::SimDuration NetworkMap::link_jitter(core::NodeId from,
-                                     core::NodeId to) const {
-  const auto it = link_delay_.find(LinkKey{from, to});
-  if (it != link_delay_.end() && it->second.measured) {
-    return it->second.jitter;
+                                         core::NodeId to) const {
+  const LinkSlot fwd = find_link(from, to);
+  if (fwd.valid() && link_delays_[fwd.index()].measured) {
+    return link_delays_[fwd.index()].jitter;
   }
-  const auto rev = link_delay_.find(LinkKey{to, from});
-  if (rev != link_delay_.end() && rev->second.measured) {
-    return rev->second.jitter;
+  const LinkSlot rev = find_link(to, from);
+  if (rev.valid() && link_delays_[rev.index()].measured) {
+    return link_delays_[rev.index()].jitter;
   }
   return sim::SimDuration::zero();
 }
 
 net::Graph NetworkMap::delay_graph() const {
-  // The snapshot feeds Dijkstra and, through it, candidate rankings.
-  // Materialize the hash-map keys and sort so the emitted adjacency lists
-  // are identical across rehashes and insertion histories — hash order
-  // must never reach ranking or report output.
-  std::vector<LinkKey> keys;
-  keys.reserve(link_delay_.size());
-  // intsched-lint: allow(unordered-iter)
-  for (const auto& [key, _] : link_delay_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end(), [](const LinkKey& a, const LinkKey& b) {
-    return a.from != b.from ? a.from < b.from : a.to < b.to;
+  // The snapshot feeds Dijkstra and, through it, candidate rankings. Emit
+  // the links sorted by (from, to), so the adjacency lists are identical
+  // whatever order the probe stream taught them in.
+  std::vector<std::size_t> order(link_keys_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
+    const LinkKey& x = link_keys_[a];
+    const LinkKey& y = link_keys_[b];
+    return x.from != y.from ? x.from < y.from : x.to < y.to;
   });
   net::Graph g;
-  for (const LinkKey& key : keys) {
-    const auto port = link_port_.find(key);
-    g.add_edge(key.from, key.to,
-               port == link_port_.end() ? -1 : port->second,
-               link_delay(key.from, key.to));
+  for (const std::size_t l : order) {
+    const LinkKey& key = link_keys_[l];
+    g.add_edge(key.from, key.to, link_ports_[l], link_delay(key.from, key.to));
   }
   return g;
 }
 
-sim::SimDuration NetworkMap::link_delay(core::NodeId from, core::NodeId to) const {
-  const auto it = link_delay_.find(LinkKey{from, to});
-  if (it != link_delay_.end() && it->second.measured) return it->second.value;
-  // Never measured in this direction: assume symmetry with the reverse.
-  const auto rev = link_delay_.find(LinkKey{to, from});
-  if (rev != link_delay_.end() && rev->second.measured) {
-    return rev->second.value;
+sim::SimDuration NetworkMap::link_delay(core::NodeId from,
+                                        core::NodeId to) const {
+  const LinkSlot fwd = find_link(from, to);
+  if (fwd.valid() && link_delays_[fwd.index()].measured) {
+    return link_delays_[fwd.index()].value;
   }
-  if (it != link_delay_.end()) return it->second.value;
-  if (rev != link_delay_.end()) return rev->second.value;
+  // Never measured in this direction: assume symmetry with the reverse.
+  const LinkSlot rev = find_link(to, from);
+  if (rev.valid() && link_delays_[rev.index()].measured) {
+    return link_delays_[rev.index()].value;
+  }
+  if (fwd.valid()) return link_delays_[fwd.index()].value;
+  if (rev.valid()) return link_delays_[rev.index()].value;
   return cfg_.default_link_delay;
-}
-
-std::int32_t NetworkMap::egress_port(core::NodeId from, core::NodeId to) const {
-  const auto it = link_port_.find(LinkKey{from, to});
-  return it == link_port_.end() ? -1 : it->second;
-}
-
-std::int64_t NetworkMap::device_max_queue(core::NodeId device,
-                                          sim::SimTime now) const {
-  const auto it = device_queue_.find(device);
-  if (it == device_queue_.end()) return 0;
-  return max_in_window(it->second, window_cutoff(now, cfg_.queue_window));
-}
-
-double NetworkMap::device_avg_queue(core::NodeId device,
-                                    sim::SimTime now) const {
-  const auto it = device_avg_queue_.find(device);
-  if (it == device_avg_queue_.end()) return 0.0;
-  return static_cast<double>(
-             max_in_window(it->second, window_cutoff(now, cfg_.queue_window))) /
-         100.0;
-}
-
-sim::SimDuration NetworkMap::device_hop_latency(core::NodeId device,
-                                                sim::SimTime now) const {
-  const auto it = device_hop_latency_.find(device);
-  if (it == device_hop_latency_.end()) return sim::SimDuration::zero();
-  return sim::SimDuration::nanos(
-      max_in_window(it->second, window_cutoff(now, cfg_.queue_window)));
 }
 
 std::int64_t NetworkMap::link_max_queue(core::NodeId from, core::NodeId to,
                                         sim::SimTime now) const {
-  const QueueSeries* port = plane_link_port_series(from, to);
+  const SeriesSlot port = plane_link_port_series(from, to);
   if (port_series_fresh(port, now)) return window_max_of(port, now);
   // Port never probed (or stale): fall back to the device-wide register,
   // a conservative over-approximation.

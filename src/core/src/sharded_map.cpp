@@ -37,16 +37,10 @@ std::vector<std::uint32_t> row_index(const std::vector<core::NodeId>& nodes) {
   return rows;
 }
 
-/// Appends every directed link of `g` whose ends are valid ids, walking
-/// `nodes` (the graph's nodes, ascending) rather than the hash order.
-void append_links(const net::Graph& g, const std::vector<core::NodeId>& nodes,
-                  std::vector<LinkKey>& out) {
-  for (const core::NodeId from : nodes) {
-    const auto adj = g.adjacency.find(from);
-    if (!from.valid() || adj == g.adjacency.end()) continue;
-    for (const net::Graph::Edge& e : adj->second) {
-      if (e.to.valid()) out.push_back(LinkKey{from, e.to});
-    }
+/// Appends every link `map` learned whose ends are valid ids.
+void append_links(const NetworkMap& map, std::vector<LinkKey>& out) {
+  for (const LinkKey& k : map.links()) {
+    if (k.from.valid() && k.to.valid()) out.push_back(k);
   }
 }
 
@@ -213,16 +207,15 @@ const MetroView::Catalog& MetroView::catalog() const {
 }
 
 void MetroView::fill_catalog() const {
-  // Every directed link the view learned — the region graphs' and the
+  // Every directed link the view learned — the region maps' and the
   // summary map's, which the sharded ingest keeps disjoint — sorted by
   // (from, to). Every end is a known node, so ctx_nodes_' largest id
   // spans the catalog.
   std::vector<LinkKey> links;
   for (const std::shared_ptr<const RankSnapshot>& snap : region_snaps_) {
-    append_links(snap->delay_graph(), snap->nodes(), links);
+    append_links(snap->map(), links);
   }
-  const net::Graph& summary = summary_map_->graph();
-  append_links(summary, summary.nodes(), links);
+  append_links(*summary_map_, links);
   std::sort(links.begin(), links.end(),
             [](const LinkKey& a, const LinkKey& b) {
               return a.from != b.from ? a.from < b.from : a.to < b.to;

@@ -1,0 +1,319 @@
+// Copy independence of NetworkMap's flat store. A RankSnapshot copies
+// every slot table and the sample pool, so nothing ingested into the
+// source afterwards — new nodes, links and series, re-learned ports,
+// series that outgrow their pool range — may show through it: every query
+// on the snapshot must keep its answer and equal a fresh map fed only the
+// prefix. Series and link slots resolved on the snapshot (the catalog's
+// handles) must keep evaluating to the same window maxima, and because
+// slots are append-only the source must resolve every key the snapshot
+// knows to the same slot.
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "intsched/core/network_map.hpp"
+#include "intsched/core/rank_snapshot.hpp"
+#include "intsched/sim/rng.hpp"
+
+namespace intsched::core {
+namespace {
+
+using SeriesSlot = NetworkMap::SeriesSlot;
+using LinkSlot = NetworkMap::LinkSlot;
+
+const sim::SimDuration kTick = sim::SimDuration::milliseconds(5);
+
+struct TimedReport {
+  telemetry::ProbeReport report;
+  sim::SimTime at;
+};
+
+/// A random probe: hosts 0..3 at the ends, 1-5 distinct switches drawn
+/// from [10, 10 + switches), some entries damaged (invalid device id),
+/// some links unmeasured, random ports (so links re-learn their egress
+/// port) and small register values (so samples tie).
+telemetry::ProbeReport random_report(sim::Rng& rng, std::int32_t switches) {
+  telemetry::ProbeReport r;
+  r.src = NodeId{static_cast<std::int32_t>(rng.uniform_int(0, 3))};
+  r.dst = NodeId{static_cast<std::int32_t>(rng.uniform_int(0, 3))};
+  const auto delay = [&rng] {
+    return rng.chance(0.15) ? sim::SimDuration::nanos(-1)
+                            : sim::SimDuration::microseconds(
+                                  rng.uniform_int(0, 5'000));
+  };
+  std::vector<std::int32_t> devices;
+  const std::int64_t hops = rng.uniform_int(1, 5);
+  while (static_cast<std::int64_t>(devices.size()) < hops) {
+    const auto d = static_cast<std::int32_t>(10 + rng.index(switches));
+    if (std::find(devices.begin(), devices.end(), d) == devices.end()) {
+      devices.push_back(d);
+    }
+  }
+  for (const std::int32_t d : devices) {
+    net::IntStackEntry e;
+    e.device = rng.chance(0.08) ? kInvalidNode : NodeId{d};
+    e.ingress_port = static_cast<std::int32_t>(rng.uniform_int(0, 3));
+    e.egress_port = static_cast<std::int32_t>(rng.uniform_int(0, 3));
+    e.ingress_link_latency = delay();
+    e.max_queue_pkts = rng.uniform_int(0, 6);
+    e.device_max_queue_pkts = rng.uniform_int(0, 6);
+    e.device_avg_queue_x100 = rng.uniform_int(0, 600);
+    e.max_hop_latency = sim::SimDuration::microseconds(rng.uniform_int(0, 6));
+    r.entries.push_back(e);
+  }
+  r.final_link_latency = delay();
+  return r;
+}
+
+/// `count` reports on a 5 ms grid advancing 0-2 ticks a report, ~10%
+/// stragglers that reuse an earlier grid point.
+std::vector<TimedReport> random_stream(sim::Rng& rng, std::size_t count,
+                                       std::int64_t& ticks,
+                                       std::int32_t switches) {
+  std::vector<TimedReport> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    ticks += rng.uniform_int(0, 2);
+    const std::int64_t t =
+        rng.chance(0.1) ? rng.uniform_int(0, ticks) : ticks;
+    out.push_back({random_report(rng, switches),
+                   sim::SimTime::zero() + kTick * t});
+  }
+  return out;
+}
+
+/// Strictly falling values at rising times on switch 10's registers: its
+/// series (already in the prefix) outgrow their first pool range and move.
+std::vector<TimedReport> staircase(std::int64_t& ticks) {
+  std::vector<TimedReport> out;
+  for (std::int64_t v = 60; v > 0; v -= 10) {
+    telemetry::ProbeReport r;
+    r.src = NodeId{0};
+    r.dst = NodeId{1};
+    net::IntStackEntry e;
+    e.device = NodeId{10};
+    e.ingress_port = 0;
+    e.egress_port = 1;
+    e.ingress_link_latency = sim::SimDuration::microseconds(100);
+    e.max_queue_pkts = v;
+    e.device_max_queue_pkts = v;
+    e.device_avg_queue_x100 = v * 100;
+    e.max_hop_latency = sim::SimDuration::microseconds(v);
+    r.entries.push_back(e);
+    r.final_link_latency = sim::SimDuration::microseconds(100);
+    out.push_back({r, sim::SimTime::zero() + kTick * ++ticks});
+  }
+  return out;
+}
+
+void feed(NetworkMap& map, const std::vector<TimedReport>& stream) {
+  for (const TimedReport& r : stream) map.ingest(r.report, r.at);
+}
+
+/// Node ids the queries range over: both hosts and switches of the
+/// stream, one id no report names, and kInvalidNode.
+std::vector<NodeId> query_nodes() {
+  std::vector<NodeId> nodes{kInvalidNode};
+  for (std::int32_t n = 0; n < 4; ++n) nodes.push_back(NodeId{n});
+  for (std::int32_t n = 10; n < 30; ++n) nodes.push_back(NodeId{n});
+  nodes.push_back(NodeId{99});
+  return nodes;
+}
+
+/// One query answer: (query kind, first id, second id, time index, value).
+using Answer = std::tuple<int, std::int32_t, std::int32_t, std::size_t,
+                          std::int64_t>;
+
+std::int64_t bits(double v) { return std::bit_cast<std::int64_t>(v); }
+
+/// The graph's edges, adjacency order: (to, port) and (to, cost).
+std::vector<Answer> edges(const net::Graph& g) {
+  std::vector<Answer> out;
+  for (const NodeId from : g.nodes()) {
+    for (const net::Graph::Edge& e : g.adjacency.at(from)) {
+      out.emplace_back(9, from.value(), e.to.value(), 0, e.out_port);
+      out.emplace_back(10, from.value(), e.to.value(), 0, e.cost.ns());
+    }
+  }
+  return out;
+}
+
+/// Every public query of `map` over query_nodes() at `times`, plus the
+/// delay graph's edges.
+std::vector<Answer> answers(const NetworkMap& map,
+                            const std::vector<sim::SimTime>& times) {
+  std::vector<Answer> out;
+  const std::vector<NodeId> nodes = query_nodes();
+  for (const NodeId a : nodes) {
+    out.emplace_back(0, a.value(), 0, 0, map.knows_node(a) ? 1 : 0);
+    for (std::size_t t = 0; t < times.size(); ++t) {
+      out.emplace_back(1, a.value(), 0, t, map.device_max_queue(a, times[t]));
+      out.emplace_back(2, a.value(), 0, t,
+                       bits(map.device_avg_queue(a, times[t])));
+      out.emplace_back(3, a.value(), 0, t,
+                       map.device_hop_latency(a, times[t]).ns());
+    }
+    for (const NodeId b : nodes) {
+      out.emplace_back(4, a.value(), b.value(), 0, map.link_delay(a, b).ns());
+      out.emplace_back(5, a.value(), b.value(), 0, map.link_jitter(a, b).ns());
+      out.emplace_back(6, a.value(), b.value(), 0, map.egress_port(a, b));
+      for (std::size_t t = 0; t < times.size(); ++t) {
+        out.emplace_back(7, a.value(), b.value(), t,
+                         map.link_max_queue(a, b, times[t]));
+        out.emplace_back(8, a.value(), b.value(), t,
+                         map.link_stale(a, b, times[t]) ? 1 : 0);
+      }
+    }
+  }
+  const std::vector<Answer> graph = edges(map.delay_graph());
+  out.insert(out.end(), graph.begin(), graph.end());
+  out.emplace_back(11, 0, 0, 0, map.known_link_count());
+  out.emplace_back(12, 0, 0, 0, map.reports_ingested());
+  out.emplace_back(13, 0, 0, 0, map.rejected_entries());
+  return out;
+}
+
+/// The catalog's handles, resolved the way PlaneCatalog::compile resolves
+/// them: three device series per query node, and per learned link its
+/// port series, `from`'s device register and both delay records.
+struct Handles {
+  std::vector<SeriesSlot> device;  ///< 3 per query node, statistic order
+  std::vector<LinkKey> links;
+  std::vector<SeriesSlot> port;
+  std::vector<SeriesSlot> fallback;
+  std::vector<LinkSlot> fwd;
+  std::vector<LinkSlot> rev;
+};
+
+Handles resolve(const NetworkMap& map) {
+  Handles h;
+  for (const NodeId d : query_nodes()) {
+    h.device.push_back(map.find_device_queue(d));
+    h.device.push_back(map.find_device_avg_queue(d));
+    h.device.push_back(map.find_device_hop_latency(d));
+  }
+  h.links = map.links();
+  for (const LinkKey& k : h.links) {
+    h.port.push_back(map.plane_link_port_series(k.from, k.to));
+    h.fallback.push_back(map.find_device_queue(k.from));
+    h.fwd.push_back(map.find_link(k.from, k.to));
+    h.rev.push_back(map.find_link(k.to, k.from));
+  }
+  return h;
+}
+
+/// The catalog-resolved window maxima and staleness bits, evaluated the
+/// way the plane gather evaluates them.
+std::vector<Answer> evaluate(const NetworkMap& map, const Handles& h,
+                             const std::vector<sim::SimTime>& times) {
+  std::vector<Answer> out;
+  for (std::size_t t = 0; t < times.size(); ++t) {
+    const sim::SimTime now = times[t];
+    for (std::size_t i = 0; i < h.device.size(); ++i) {
+      out.emplace_back(20, static_cast<std::int32_t>(i), 0, t,
+                       map.window_max_of(h.device[i], now));
+    }
+    for (std::size_t l = 0; l < h.links.size(); ++l) {
+      const std::int64_t q = map.port_series_fresh(h.port[l], now)
+                                 ? map.window_max_of(h.port[l], now)
+                                 : map.window_max_of(h.fallback[l], now);
+      out.emplace_back(21, h.links[l].from.value(), h.links[l].to.value(), t,
+                       q);
+      out.emplace_back(22, h.links[l].from.value(), h.links[l].to.value(), t,
+                       map.records_stale(h.fwd[l], h.rev[l], now) ? 1 : 0);
+    }
+  }
+  return out;
+}
+
+/// Reports the first differing answer rather than two ~10k-entry dumps.
+void expect_same(const std::vector<Answer>& got,
+                 const std::vector<Answer>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto& [kind, a, b, t, value] = want[i];
+    ASSERT_EQ(got[i], want[i])
+        << what << ": query kind " << kind << " (" << a << ", " << b
+        << ") at time " << t << " wants " << value << ", reads "
+        << std::get<4>(got[i]);
+  }
+}
+
+TEST(FlatStoreProperty, SnapshotIsIndependentOfLaterIngest) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng{seed};
+    NetworkMapConfig cfg;
+    cfg.queue_window = kTick * 6;
+    cfg.link_staleness = kTick * 8;
+    std::int64_t ticks = 0;
+    // The prefix knows switches 10..21; the suffix adds 22..29.
+    const std::vector<TimedReport> prefix =
+        random_stream(rng, 500, ticks, 12);
+    const sim::SimTime high_water = sim::SimTime::zero() + kTick * ticks;
+    std::vector<TimedReport> suffix = staircase(ticks);
+    const std::vector<TimedReport> more = random_stream(rng, 1'000, ticks, 20);
+    suffix.insert(suffix.end(), more.begin(), more.end());
+    // A copy taken with the snapshot and fed its own stream: the source
+    // must not see that either.
+    std::int64_t other_ticks = ticks;
+    const std::vector<TimedReport> other =
+        random_stream(rng, 1'000, other_ticks, 20);
+
+    const std::vector<sim::SimTime> times{
+        high_water - kTick * 4, high_water, high_water + kTick * 3,
+        high_water + kTick * 12};
+
+    NetworkMap source{cfg};
+    feed(source, prefix);
+    const RankSnapshot snap{source};
+    NetworkMap copy = source;
+    const std::vector<Answer> before = answers(snap.map(), times);
+    const std::vector<Answer> frozen_graph = edges(snap.delay_graph());
+    const Handles handles = resolve(snap.map());
+    const std::vector<Answer> resolved_before =
+        evaluate(snap.map(), handles, times);
+
+    feed(source, suffix);
+    feed(copy, other);
+
+    expect_same(answers(snap.map(), times), before, "snapshot after ingest");
+    expect_same(evaluate(snap.map(), handles, times), resolved_before,
+                "snapshot handles after ingest");
+    expect_same(edges(snap.delay_graph()), frozen_graph,
+                "snapshot's frozen delay graph");
+
+    NetworkMap fresh{cfg};
+    feed(fresh, prefix);
+    expect_same(answers(fresh, times), before, "fresh map over the prefix");
+    expect_same(evaluate(fresh, resolve(fresh), times), resolved_before,
+                "fresh map's handles");
+
+    NetworkMap replay{cfg};
+    feed(replay, prefix);
+    feed(replay, suffix);
+    expect_same(answers(source, times), answers(replay, times),
+                "source after its copy ingested another stream");
+
+    // Append-only slots: the source, after 1,000+ more reports, resolves
+    // every key the snapshot knows to the snapshot's slot.
+    const Handles later = resolve(source);
+    ASSERT_GT(later.links.size(), handles.links.size());
+    for (std::size_t i = 0; i < handles.device.size(); ++i) {
+      if (handles.device[i].valid()) {
+        EXPECT_EQ(later.device[i], handles.device[i]) << "device series " << i;
+      }
+    }
+    for (std::size_t l = 0; l < handles.links.size(); ++l) {
+      EXPECT_EQ(later.links[l], handles.links[l]) << "link " << l;
+      EXPECT_EQ(later.fwd[l], handles.fwd[l]) << "link " << l;
+      EXPECT_EQ(later.fallback[l], handles.fallback[l]) << "link " << l;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace intsched::core

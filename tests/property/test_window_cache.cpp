@@ -1,13 +1,13 @@
-// Property suite for the NetworkMap's monotonic max-deque (window-max
-// congestion queries): it must answer exactly like a naive scan over
+// Property suite for the NetworkMap's monotonic max-queues (window-max
+// congestion queries): they must answer exactly like a naive scan over
 // every sample ever ingested, for randomized sequences including late
-// stragglers.
-#include <gtest/gtest.h>
-
+// stragglers and samples that share a timestamp.
 #include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "intsched/core/network_map.hpp"
 #include "intsched/sim/rng.hpp"
@@ -16,7 +16,7 @@ namespace intsched {
 namespace {
 
 // ---------------------------------------------------------------------
-// Monotonic max-deque vs the naive reference model.
+// Monotonic max-queue vs the naive reference model.
 
 /// Single-device probe report carrying one set of register values.
 telemetry::ProbeReport queue_report(core::NodeId device, std::int64_t max_q,
@@ -97,6 +97,67 @@ TEST(WindowMaxProperty, MatchesNaiveScanOverRandomizedSequences) {
         ASSERT_EQ(map.device_avg_queue(device, q_now),
                   static_cast<double>(naive_avg.max_from(cutoff)) / 100.0)
             << "seed=" << seed << " step=" << step;
+      }
+    }
+  }
+}
+
+TEST(WindowMaxProperty, TiedTimestampsMatchNaiveScanInEitherArrivalOrder) {
+  // Probes of one interval often share a report time, so a device sees
+  // several samples at one timestamp. Samples land on a coarse 10 ms grid
+  // in groups that share a timestamp, each group arriving largest-first or
+  // smallest-first, with stragglers that reuse an earlier grid point.
+  const sim::SimDuration tick = sim::SimDuration::milliseconds(10);
+  for (const std::uint64_t seed : {11ull, 12ull, 13ull, 14ull, 15ull}) {
+    for (const bool largest_first : {true, false}) {
+      sim::Rng rng{seed};
+      core::NetworkMapConfig cfg;
+      cfg.queue_window = tick * rng.uniform_int(1, 12);
+      core::NetworkMap map{cfg};
+      const core::NodeId device{7};
+      NaiveSeries naive;
+      sim::SimTime high_water = sim::SimTime::zero();
+      std::int64_t ticks = 0;
+
+      for (int step = 0; step < 300; ++step) {
+        ticks += rng.uniform_int(0, 2);
+        sim::SimTime at = sim::SimTime::zero() + tick * ticks;
+        if (rng.chance(0.15)) {
+          at = sim::SimTime::zero() + tick * rng.uniform_int(0, ticks);
+        }
+        high_water = std::max(high_water, at);
+
+        std::vector<std::int64_t> group(
+            static_cast<std::size_t>(rng.uniform_int(1, 4)));
+        for (std::int64_t& v : group) v = rng.uniform_int(0, 8);
+        std::sort(group.begin(), group.end());
+        if (largest_first) std::reverse(group.begin(), group.end());
+        for (const std::int64_t v : group) {
+          map.ingest(queue_report(device, v, v * 100,
+                                  sim::SimDuration::microseconds(v)),
+                     at);
+          naive.samples.push_back({at, v});
+        }
+
+        for (const std::int64_t ahead : {std::int64_t{0},
+                                         rng.uniform_int(0, 15)}) {
+          const sim::SimTime q_now = high_water + tick * ahead;
+          const std::int64_t want = naive.max_from(q_now - cfg.queue_window);
+          ASSERT_EQ(map.device_max_queue(device, q_now), want)
+              << "seed=" << seed << " step=" << step;
+          ASSERT_EQ(map.device_avg_queue(device, q_now),
+                    static_cast<double>(want))
+              << "seed=" << seed << " step=" << step;
+          ASSERT_EQ(map.device_hop_latency(device, q_now),
+                    sim::SimDuration::microseconds(want))
+              << "seed=" << seed << " step=" << step;
+          // The port register carries the same values, so whichever
+          // branch link_max_queue takes (fresh port series or the device
+          // fallback) must read the naive max too.
+          ASSERT_EQ(map.link_max_queue(device, core::NodeId{101}, q_now),
+                    want)
+              << "seed=" << seed << " step=" << step;
+        }
       }
     }
   }

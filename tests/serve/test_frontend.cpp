@@ -3,52 +3,25 @@
 // underlying ShardedNetworkMap directly over a seeded metro topology —
 // the PR-6 agreement-test style, now through the binary protocol — and
 // the warm decision path must be allocation-free, enforced by a global
-// operator-new counter (the runtime check behind the hot-alloc rule).
+// operator-new counter (alloc_counter.hpp; the runtime check behind the
+// hot-alloc rule).
 #include "intsched/serve/frontend.hpp"
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <new>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "intsched/core/ranking.hpp"
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/exp/metro.hpp"
 #include "intsched/net/topology_gen.hpp"
 #include "intsched/serve/wire.hpp"
 
-// -- global allocation counter ------------------------------------------
-// Counts every operator-new in the test binary. Single-threaded tests
-// only read the delta around a warm serve loop, so a plain counter is
-// enough. Frees are deliberately not counted: the contract under test is
-// "no allocation", not "balanced allocation".
-
-namespace {
-std::int64_t g_news = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_news;
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-
-void* operator new[](std::size_t n) {
-  ++g_news;
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.hpp"
 
 namespace intsched::serve {
 namespace {
@@ -323,15 +296,108 @@ TEST(ServeFrontendTest, WarmDecisionPathIsAllocationFree) {
   ASSERT_EQ(serve_round(1), origins.size());
   serve_round(2);
 
-  const std::int64_t before = g_news;
+  const std::int64_t before = counted_allocations();
   std::size_t good = 0;
   for (std::uint64_t round = 0; round < 10; ++round) {
     good += serve_round(3 + round);
   }
-  const std::int64_t after = g_news;
+  const std::int64_t after = counted_allocations();
   EXPECT_EQ(good, origins.size() * 10);
   EXPECT_EQ(after - before, 0)
       << "warm serve path allocated " << (after - before) << " time(s)";
+}
+
+// A host uplink measured at 0 ns in both directions gives the delay graph
+// the zero-cost cycle host -> switch -> host. Every ranking path must still
+// answer from that host, and agree: the reference Ranker, a one-region
+// map's pick, and ServeFrontend::serve, which reaches Dijkstra through the
+// view's region snapshot.
+net::IntStackEntry hop(NodeId device, std::int32_t in, std::int32_t out,
+                       sim::SimDuration latency) {
+  net::IntStackEntry e;
+  e.device = device;
+  e.ingress_port = in;
+  e.egress_port = out;
+  e.ingress_link_latency = latency;
+  return e;
+}
+
+TEST(ZeroDelayUplinkTest, EveryRankingPathAnswersFromTheHost) {
+  const sim::SimDuration zero = sim::SimDuration::zero();
+  const sim::SimDuration five = sim::SimDuration::milliseconds(5);
+  telemetry::ProbeReport up;  // host 0 -> s10 -> s11 -> host 1
+  up.src = NodeId{0};
+  up.dst = NodeId{1};
+  up.entries = {hop(NodeId{10}, 0, 1, zero), hop(NodeId{11}, 0, 1, five)};
+  up.final_link_latency = five;
+  telemetry::ProbeReport down;  // host 1 -> s11 -> s10 -> host 0
+  down.src = NodeId{1};
+  down.dst = NodeId{0};
+  down.entries = {hop(NodeId{11}, 1, 0, five), hop(NodeId{10}, 1, 0, five)};
+  down.final_link_latency = zero;
+  const std::vector<telemetry::ProbeReport> probes{up, down};
+  const sim::SimTime now = sim::SimTime::milliseconds(1);
+  const std::vector<NodeId> servers{NodeId{1}};
+  const core::RegionAssignment one_region{
+      std::vector<core::RegionId>(16, core::RegionId{0}), core::RegionId{1}};
+
+  core::NetworkMap flat;
+  for (const telemetry::ProbeReport& r : probes) {
+    flat.ingest(r, sim::SimTime::zero());
+  }
+  const core::Ranker ranker{flat};
+  std::vector<ServerRank> want;
+  EXPECT_NO_THROW(
+      want = ranker.rank(NodeId{0}, servers, RankingMetric::kDelay, now));
+
+  core::ShardedNetworkMap picked_map{one_region};
+  picked_map.ingest_batch(probes, sim::SimTime::zero());
+  std::optional<ServerRank> picked;
+  EXPECT_NO_THROW(picked = picked_map.pick(NodeId{0}, servers,
+                                           RankingMetric::kDelay, now));
+
+  // A map of its own, so serve fills the origin's context itself.
+  core::ShardedNetworkMap served_map{one_region};
+  served_map.ingest_batch(probes, sim::SimTime::zero());
+  ServeFrontend frontend{served_map};
+  frontend.register_server(NodeId{1});
+  ServeContext ctx;
+  RankRequest req;
+  req.origin = NodeId{0};
+  std::array<std::byte, kMaxFrameSize> req_buf{};
+  std::array<std::byte, kMaxFrameSize> resp_buf{};
+  const std::size_t req_len =
+      encode_rank_request(req, req_buf.data(), req_buf.size());
+  ASSERT_GT(req_len, 0u);
+  std::size_t resp_len = 0;
+  bool served = false;
+  EXPECT_NO_THROW(served = frontend.serve(ctx, req_buf.data(), req_len,
+                                          resp_buf.data(), resp_buf.size(),
+                                          resp_len, now));
+
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(want[0].server, NodeId{1});
+  EXPECT_EQ(want[0].delay_estimate, sim::SimDuration::milliseconds(10));
+
+  ASSERT_TRUE(picked.has_value());
+  EXPECT_EQ(picked->server, want[0].server);
+  EXPECT_EQ(picked->delay_estimate, want[0].delay_estimate);
+  EXPECT_EQ(picked->baseline_delay, want[0].baseline_delay);
+  EXPECT_EQ(picked->bandwidth_estimate.bps(), want[0].bandwidth_estimate.bps());
+  EXPECT_EQ(picked->stale, want[0].stale);
+
+  ASSERT_TRUE(served);
+  RankResponse resp;
+  ASSERT_EQ(decode_rank_response(resp_buf.data(), resp_len, resp),
+            WireError::kOk);
+  EXPECT_EQ(resp.status, ServeStatus::kOk);
+  ASSERT_EQ(resp.entry_count, 1);
+  EXPECT_EQ(resp.entries[0].server, want[0].server);
+  EXPECT_EQ(resp.entries[0].delay_estimate, want[0].delay_estimate);
+  EXPECT_EQ(resp.entries[0].baseline_delay, want[0].baseline_delay);
+  EXPECT_EQ(resp.entries[0].bandwidth_estimate.bps(),
+            want[0].bandwidth_estimate.bps());
+  EXPECT_EQ(resp.entries[0].stale, want[0].stale);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@ TEST(AuditMode, ChecksAreLiveDuringSimulation) {
   const std::int64_t before = sim::audit::checks_executed();
   sim::Simulator s;
   s.schedule_after(sim::SimDuration::millis(1), [] {});
-  s.schedule_after(sim::SimTime::milliseconds(2), [] {});
+  s.schedule_after(sim::SimDuration::milliseconds(2), [] {});
   s.run();
   EXPECT_GT(sim::audit::checks_executed(), before)
       << "audit build must evaluate invariant checks on the event path";
