@@ -86,6 +86,38 @@ void BM_DijkstraFig4(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraFig4);
 
+/// One Dijkstra from a host over one region's delay graph of e2ebench's
+/// 48-pod metro (38 nodes: 6 spines, 16 leaves, 16 hosts): the work of
+/// filling one region memo on a context build.
+void BM_DijkstraMetroRegion(benchmark::State& state) {
+  net::MetroConfig cfg;
+  cfg.seed = 1;
+  cfg.pods = 48;
+  cfg.pod.spines = 6;
+  cfg.pod.leaves = 16;
+  cfg.pod.hosts_per_leaf = 1;
+  cfg.pod.edge_servers_per_pod = 4;
+  cfg.ring_chords = 2;
+  const net::GenTopology topo = net::TopologyGen::ring_of_pods(cfg);
+  core::ShardedNetworkMap map{core::RegionAssignment::from_topology(topo)};
+  exp::MetroTelemetryGen gen{topo, exp::MetroTelemetryConfig{.seed = 1}};
+  map.ingest_batch(gen.full_sweep(), sim::SimTime::seconds(1));
+  const std::shared_ptr<const core::MetroView> view = map.view();
+  const core::RegionId region{0};
+  const net::Graph& g = view->region_snapshot(region).delay_graph();
+  core::NodeId origin = core::kInvalidNode;
+  for (const core::NodeId h : topo.hosts()) {
+    if (topo.region_of(h) == region) {
+      origin = h;
+      break;
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::dijkstra(g, origin));
+  }
+}
+BENCHMARK(BM_DijkstraMetroRegion);
+
 /// Cost of pushing one data packet through a P4 switch pipeline
 /// (parse + table lookup + enqueue + egress), amortized.
 void BM_SwitchPipelinePerPacket(benchmark::State& state) {
@@ -217,8 +249,8 @@ void BM_RankSevenCandidates(benchmark::State& state) {
   }
   sim.run_until(sim::SimTime::seconds(1));
   const core::RankerConfig cfg;
-  const net::ShortestPaths sp =
-      net::dijkstra(map.delay_graph(), core::NodeId{0});
+  const net::Graph graph = map.delay_graph();
+  const net::ShortestPaths sp = net::dijkstra(graph, core::NodeId{0});
   const std::vector<core::NodeId> candidates{
       core::NodeId{1}, core::NodeId{2}, core::NodeId{3}, core::NodeId{4},
       core::NodeId{5}, core::NodeId{6}, core::NodeId{7}};

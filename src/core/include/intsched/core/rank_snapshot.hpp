@@ -26,7 +26,7 @@ namespace intsched::core {
 
 /// Epoch-stamped immutable snapshot of one region: a copy of the region's
 /// NetworkMap (delay estimates, queue windows, staleness stamps — one
-/// vector copy per flat table, DESIGN.md §8), the materialized delay
+/// vector copy per flat table, DESIGN.md §8), the materialized CSR delay
 /// graph, and a per-origin shortest-path memo.
 ///
 /// Thread-safety model — readable from any number of threads with zero
@@ -55,15 +55,14 @@ class RankSnapshot {
 
   [[nodiscard]] const NetworkMap& map() const { return map_; }
 
-  /// The frozen delay graph the memo runs Dijkstra over. The metro view
-  /// (core::MetroView) augments a copy of its region snapshots' graphs, so
-  /// it needs read access to the materialized edges.
+  /// The frozen delay graph the memo runs Dijkstra over; every memo's
+  /// tree is indexed by its local node indices.
   [[nodiscard]] const net::Graph& delay_graph() const { return graph_; }
 
   /// Nodes known to the frozen graph, ascending: the origins paths_from
   /// answers for.
   [[nodiscard]] const std::vector<core::NodeId>& nodes() const {
-    return sp_nodes_;
+    return graph_.nodes();
   }
 
   /// Memoized shortest paths from `origin` over the frozen graph, filling
@@ -74,7 +73,8 @@ class RankSnapshot {
   /// Origins whose Dijkstra memo has been filled (observability for tests
   /// and benches; relaxed counter, exact only after threads quiesce).
   [[nodiscard]] std::int64_t memo_fills() const {
-    return memo_fills_.load(std::memory_order_relaxed);  // intsched-lint: allow(atomic-ordering): quiescent counter read
+    // intsched-lint: allow(atomic-ordering): quiescent counter read
+    return memo_fills_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -90,11 +90,10 @@ class RankSnapshot {
   NetworkMap map_;  ///< frozen deep copy; only const queries touch it
   Epoch epoch_ = Epoch::none();
   net::Graph graph_;  ///< delay graph materialized once at construction
-  /// Nodes known to the graph, ascending; sp_slots_[i] memoizes
-  /// sp_nodes_[i]. One contiguous slot array, allocated once per
-  /// snapshot, rather than a tree node per slot: snapshots are rebuilt on
-  /// every publish that touches their region.
-  std::vector<core::NodeId> sp_nodes_;
+  /// sp_slots_[i] memoizes the graph's node at local index i. One
+  /// contiguous slot array, allocated once per snapshot, rather than a
+  /// tree node per slot: snapshots are rebuilt on every publish that
+  /// touches their region.
   std::unique_ptr<SpSlot[]> sp_slots_;
   mutable std::atomic<std::int64_t> memo_fills_{0};
 };

@@ -27,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -105,8 +104,9 @@ struct PickStats {
 
 /// Immutable two-level ranking view over one publish epoch: per-region
 /// RankSnapshots, a frozen copy of the cross-region summary map, and the
-/// augmented summary graph (border links + per-region transit edges whose
-/// costs are region shortest-path distances).
+/// summary graph (border links + per-region transit edges whose costs
+/// are region shortest-path distances, each edge tagged with the region
+/// it crosses).
 ///
 /// Thread-safety model mirrors RankSnapshot: everything is frozen at
 /// construction except three lazy memos, each filled once under its own
@@ -262,9 +262,9 @@ class MetroView {
  private:
   /// Everything the two-level query path derives, per origin, memoized
   /// once: the origin's region, its region-local shortest paths (borrowed
-  /// from the region snapshot's memo), and a Dijkstra run over the
-  /// augmented summary graph with synthetic origin->border edges costed
-  /// by the region-local distances.
+  /// from the region snapshot's memo), and a Dijkstra run over the view's
+  /// summary graph plus synthetic origin->border edges costed by the
+  /// region-local distances.
   struct QueryContext {
     bool valid = false;
     core::RegionId region = core::kNoRegion;
@@ -412,6 +412,10 @@ class MetroView {
   INTSCHED_COLDPATH void expand_summary_path_into(
       const QueryContext& ctx, core::NodeId origin, core::NodeId border,
       std::vector<core::NodeId>& out, PathScratch& scratch) const;
+  /// Tag of the summary edge u -> v: the region a transit edge crosses,
+  /// kNoRegion for a cross-region link or when there is no such edge.
+  [[nodiscard]] core::RegionId summary_edge_region(core::NodeId u,
+                                                   core::NodeId v) const;
 
   std::shared_ptr<const RegionAssignment> regions_;
   std::vector<std::shared_ptr<const RankSnapshot>> region_snaps_;
@@ -420,12 +424,12 @@ class MetroView {
   std::shared_ptr<const RankerConfig> cfg_;
   Epoch epoch_ = Epoch::none();
   /// Summary delay graph + per-region transit edges (border -> border
-  /// within a region, costed by region shortest-path distance).
+  /// within a region, costed by region shortest-path distance). Every
+  /// context's summary tree runs over it, plus its origin's entry edges.
   net::Graph summary_graph_;
-  /// Which region a transit edge crosses, for path expansion. Ordered map:
-  /// built deterministically, read-only afterwards.
-  std::map<std::pair<core::NodeId, core::NodeId>, core::RegionId>
-      transit_region_;
+  /// Region tag per summary edge, indexed like the graph's edges: the
+  /// region a transit edge crosses, kNoRegion for a cross-region link.
+  std::vector<core::RegionId> summary_region_;
   /// Nodes known to any region graph or the summary graph, ascending;
   /// ctx_slots_[i] is ctx_nodes_[i]'s query context. Fixed at
   /// construction, one contiguous slot array per view.

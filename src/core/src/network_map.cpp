@@ -313,7 +313,7 @@ sim::SimDuration NetworkMap::link_jitter(core::NodeId from,
 
 net::Graph NetworkMap::delay_graph() const {
   // The snapshot feeds Dijkstra and, through it, candidate rankings. Emit
-  // the links sorted by (from, to), so the adjacency lists are identical
+  // the links sorted by (from, to), so the graph's edges are identical
   // whatever order the probe stream taught them in.
   std::vector<std::size_t> order(link_keys_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -322,12 +322,14 @@ net::Graph NetworkMap::delay_graph() const {
     const LinkKey& y = link_keys_[b];
     return x.from != y.from ? x.from < y.from : x.to < y.to;
   });
-  net::Graph g;
+  std::vector<net::Graph::Arc> arcs;
+  arcs.reserve(order.size());
   for (const std::size_t l : order) {
     const LinkKey& key = link_keys_[l];
-    g.add_edge(key.from, key.to, link_ports_[l], link_delay(key.from, key.to));
+    arcs.push_back(net::Graph::Arc{key.from, key.to, link_ports_[l],
+                                   link_delay(key.from, key.to)});
   }
-  return g;
+  return net::Graph{arcs};
 }
 
 sim::SimDuration NetworkMap::link_delay(core::NodeId from,

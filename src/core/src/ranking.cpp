@@ -156,9 +156,7 @@ std::vector<ServerRank> rank_candidates(
     } else {
       r.delay_estimate = estimate_path_delay(map, cfg, path, now);
       r.bandwidth_estimate = estimate_path_bandwidth(map, cfg, path, now);
-      const auto d = sp.distance.find(server);
-      r.baseline_delay =
-          d == sp.distance.end() ? sim::SimDuration::max() : d->second;
+      r.baseline_delay = sp.distance_to(server);
       r.stale = map.path_stale(path, now);
     }
     out.push_back(r);
@@ -187,8 +185,8 @@ std::vector<ServerRank> rank_candidates(
 std::vector<ServerRank> Ranker::rank(
     core::NodeId origin, const std::vector<core::NodeId>& candidates,
     RankingMetric metric, sim::SimTime now) const {
-  return rank_candidates(*map_, cfg_,
-                         net::dijkstra(map_->delay_graph(), origin),
+  const net::Graph graph = map_->delay_graph();
+  return rank_candidates(*map_, cfg_, net::dijkstra(graph, origin),
                          candidates, metric, now);
 }
 

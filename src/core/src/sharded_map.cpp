@@ -83,13 +83,26 @@ MetroView::MetroView(
       borders_by_region_{std::move(borders_by_region)},
       cfg_{std::move(config)},
       epoch_{epoch} {
-  // Base summary graph: the cross-region links (deterministically sorted
-  // by delay_graph()).
-  summary_graph_ = summary_map_->delay_graph();
-
-  // Transit edges: for every region, border-to-border traversal at the
-  // region's shortest-path cost. Regions ascend and borders are sorted,
-  // so construction order — and therefore the graph — is deterministic.
+  // Summary graph: the cross-region links, sorted by (from, to), then for
+  // every region its border-to-border transit edges at the region's
+  // shortest-path cost, each tagged with the region it crosses. Regions
+  // ascend and borders are sorted, so the arc list — and therefore the
+  // graph — is deterministic.
+  struct TaggedArc {
+    net::Graph::Arc arc;
+    core::RegionId region = core::kNoRegion;
+  };
+  std::vector<TaggedArc> arcs;
+  const net::Graph links = summary_map_->delay_graph();
+  arcs.reserve(links.edge_count());
+  for (std::uint32_t i = 0; i < links.node_count(); ++i) {
+    for (const net::Graph::Edge& e : links.out_edges(i)) {
+      arcs.push_back(TaggedArc{
+          net::Graph::Arc{links.nodes()[i], links.nodes()[e.to], e.out_port,
+                          e.cost},
+          core::kNoRegion});
+    }
+  }
   for (std::size_t r = 0; r < region_snaps_.size(); ++r) {
     const RankSnapshot& snap = *region_snaps_[r];
     const std::vector<core::NodeId>& borders = borders_by_region_[r];
@@ -97,20 +110,32 @@ MetroView::MetroView(
       const net::ShortestPaths* sp = snap.paths_from(b1);
       if (sp == nullptr) continue;
       for (const core::NodeId b2 : borders) {
-        if (b2 == b1) continue;
-        const auto d = sp->distance.find(b2);
-        if (d == sp->distance.end()) continue;
-        summary_graph_.add_edge(b1, b2, -1, d->second);
-        transit_region_[{b1, b2}] =
-            core::RegionId{static_cast<std::int32_t>(r)};
+        if (b2 == b1 || !sp->reaches(b2)) continue;
+        arcs.push_back(TaggedArc{
+            net::Graph::Arc{b1, b2, -1, sp->distance_to(b2)},
+            core::RegionId{static_cast<std::int32_t>(r)}});
       }
     }
   }
+  // Grouped by source, the arcs are laid out as given, so the graph's
+  // edge e is arcs[e] and takes its tag.
+  std::stable_sort(arcs.begin(), arcs.end(),
+                   [](const TaggedArc& a, const TaggedArc& b) {
+                     return a.arc.from < b.arc.from;
+                   });
+  std::vector<net::Graph::Arc> plain;
+  plain.reserve(arcs.size());
+  summary_region_.reserve(arcs.size());
+  for (const TaggedArc& t : arcs) {
+    plain.push_back(t.arc);
+    summary_region_.push_back(t.region);
+  }
+  summary_graph_ = net::Graph{plain};
 
   // Query-context slot per node known to any region graph (plus the
   // summary's own nodes, so gateway-origin queries resolve too). The
   // slot *set* is fixed here; readers only fill slot contents.
-  const std::vector<core::NodeId> gateways = summary_graph_.nodes();
+  const std::vector<core::NodeId>& gateways = summary_graph_.nodes();
   std::size_t known = gateways.size();
   for (const std::shared_ptr<const RankSnapshot>& snap : region_snaps_) {
     known += snap->nodes().size();
@@ -162,23 +187,23 @@ std::unique_ptr<MetroView::QueryContext> MetroView::build_context(
   ctx.sp0 = region_snaps_[ctx.region.index()]->paths_from(origin);
   if (ctx.sp0 == nullptr) return built;
 
-  // Summary-level Dijkstra from the origin: copy the augmented summary
-  // graph and add synthetic origin->border edges costed by the
-  // region-local distances. The copy is small — the summary graph holds
-  // only border gateways, not the metro.
-  net::Graph g = summary_graph_;
-  for (const core::NodeId b :
-       borders_by_region_[ctx.region.index()]) {
-    const auto d = ctx.sp0->distance.find(b);
-    if (d == ctx.sp0->distance.end()) continue;
-    g.add_edge(origin, b, -1, d->second);
+  // Summary-level Dijkstra from the origin over the view's summary graph
+  // plus synthetic origin->border edges costed by the region-local
+  // distances; the graph itself is shared, never copied.
+  std::vector<net::Graph::Edge> entries;
+  for (const core::NodeId b : borders_by_region_[ctx.region.index()]) {
+    if (!ctx.sp0->reaches(b)) continue;
+    // Borders are endpoints of learned summary links.
+    assert(summary_graph_.has_node(b));
+    entries.push_back(net::Graph::Edge{summary_graph_.index_of(b), -1,
+                                       ctx.sp0->distance_to(b)});
   }
-  ctx.summary_sp = net::dijkstra(g, origin);
+  ctx.summary_sp = net::dijkstra(summary_graph_, origin, entries);
   ctx.valid = true;
 
   // Freeze the admissible region lower bounds (pick_with's pruning key):
   // the cheapest border arrival per region is snapshot-constant for this
-  // origin, so pay the per-border distance hashing once here and leave
+  // origin, so pay the per-border distance lookups once here and leave
   // the query loop a flat indexed read.
   ctx.region_bound.assign(borders_by_region_.size(),
                           sim::SimDuration::max());
@@ -188,10 +213,8 @@ std::unique_ptr<MetroView::QueryContext> MetroView::build_context(
       continue;
     }
     for (const core::NodeId b : borders_by_region_[r]) {
-      const auto d = ctx.summary_sp.distance.find(b);
-      if (d != ctx.summary_sp.distance.end()) {
-        ctx.region_bound[r] = std::min(ctx.region_bound[r], d->second);
-      }
+      ctx.region_bound[r] =
+          std::min(ctx.region_bound[r], ctx.summary_sp.distance_to(b));
     }
   }
 
@@ -315,11 +338,11 @@ void MetroView::expand_summary_path_into(const QueryContext& ctx,
         continue;
       }
     }
-    const auto t = transit_region_.find({u, v});
-    if (t != transit_region_.end()) {
+    const core::RegionId transit = summary_edge_region(u, v);
+    if (valid_region(transit)) {
       // Transit edge: splice the owning region's path u..v.
       const net::ShortestPaths* sp =
-          region_snaps_[t->second.index()]->paths_from(u);
+          region_snaps_[transit.index()]->paths_from(u);
       assert(sp != nullptr);  // transit edges are built from these memos
       scratch.seg.clear();
       if (sp->append_path_to(v, scratch.seg)) {
@@ -331,6 +354,21 @@ void MetroView::expand_summary_path_into(const QueryContext& ctx,
   }
 }
 
+core::RegionId MetroView::summary_edge_region(core::NodeId u,
+                                              core::NodeId v) const {
+  // A transit edge joins two borders of the region it crosses, so a hop
+  // between regions is a cross-region link without a lookup.
+  const core::RegionId r = regions_->region_of(u);
+  if (r != regions_->region_of(v) || !valid_region(r)) return core::kNoRegion;
+  const std::uint32_t from = summary_graph_.index_of(u);
+  const std::uint32_t to = summary_graph_.index_of(v);
+  if (from == net::Graph::kNoIndex || to == net::Graph::kNoIndex) {
+    return core::kNoRegion;
+  }
+  const std::uint32_t e = summary_graph_.find_edge(from, to);
+  return e == net::Graph::kNoIndex ? core::kNoRegion : summary_region_[e];
+}
+
 sim::SimDuration MetroView::candidate_path_into(
     const QueryContext& ctx, core::NodeId origin, core::NodeId server,
     std::vector<core::NodeId>& path, PathScratch& scratch) const {
@@ -338,8 +376,7 @@ sim::SimDuration MetroView::candidate_path_into(
   const core::RegionId rs = regions_->region_of(server);
   if (rs == ctx.region) {
     ctx.sp0->append_path_to(server, path);
-    const auto d = ctx.sp0->distance.find(server);
-    return d == ctx.sp0->distance.end() ? sim::SimDuration::max() : d->second;
+    return ctx.sp0->distance_to(server);
   }
   // Unknown region: unreachable.
   if (!valid_region(rs)) return sim::SimDuration::max();
@@ -352,13 +389,13 @@ sim::SimDuration MetroView::candidate_path_into(
   sim::SimDuration best_total = sim::SimDuration::max();
   const net::ShortestPaths* best_tail = nullptr;
   for (const core::NodeId b : borders_by_region_[rs.index()]) {
-    const auto ds = ctx.summary_sp.distance.find(b);
-    if (ds == ctx.summary_sp.distance.end()) continue;
+    const sim::SimDuration ds = ctx.summary_sp.distance_to(b);
+    if (ds == sim::SimDuration::max()) continue;
     const net::ShortestPaths* tail = snap.paths_from(b);
     if (tail == nullptr) continue;
-    const auto dt = tail->distance.find(server);
-    if (dt == tail->distance.end()) continue;
-    const sim::SimDuration total = ds->second + dt->second;
+    const sim::SimDuration dt = tail->distance_to(server);
+    if (dt == sim::SimDuration::max()) continue;
+    const sim::SimDuration total = ds + dt;
     if (best_border == core::kInvalidNode || total < best_total) {
       best_border = b;
       best_total = total;

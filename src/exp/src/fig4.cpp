@@ -78,10 +78,12 @@ Fig4Network::probe_covered_links() const {
 std::set<std::pair<core::NodeId, core::NodeId>> Fig4Network::switch_links()
     const {
   std::set<std::pair<core::NodeId, core::NodeId>> out;
+  const net::Graph& g = topology_.graph();
   for (const p4::P4Switch* sw : switches_) {
-    for (const auto& edge : topology_.graph().adjacency.at(sw->id())) {
-      if (topology_.node(edge.to).kind() == net::NodeKind::kSwitch) {
-        out.emplace(sw->id(), edge.to);
+    for (const net::Graph::Edge& edge : g.out_edges(g.index_of(sw->id()))) {
+      const core::NodeId to = g.nodes()[edge.to];
+      if (topology_.node(to).kind() == net::NodeKind::kSwitch) {
+        out.emplace(sw->id(), to);
       }
     }
   }

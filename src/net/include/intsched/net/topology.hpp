@@ -18,6 +18,10 @@ class Topology {
  public:
   explicit Topology(sim::Simulator& sim) : sim_{sim} {}
 
+  /// Installed paths read graph_ in place, so a topology never moves.
+  Topology(const Topology&) = delete;
+  Topology& operator=(const Topology&) = delete;
+
   /// Creates a node of type T (must derive from Node). The id is assigned
   /// sequentially and doubles as the node's address.
   template <std::derived_from<Node> T, typename... Args>
@@ -32,7 +36,8 @@ class Topology {
   }
 
   /// Creates a full-duplex link: one port on each node, cross-connected,
-  /// both directions using `cfg`.
+  /// both directions using `cfg`. Drops paths installed before it, since
+  /// they describe the old graph; install_routes() computes them again.
   void connect(Node& a, Node& b, const LinkConfig& cfg);
 
   /// Computes shortest paths (cost = propagation delay) between all pairs
@@ -46,11 +51,13 @@ class Topology {
 
   /// Ground-truth node sequence a..b inclusive along installed routes.
   /// Requires install_routes() to have run.
-  [[nodiscard]] std::vector<core::NodeId> path(core::NodeId a, core::NodeId b) const;
+  [[nodiscard]] std::vector<core::NodeId> path(core::NodeId a,
+                                                core::NodeId b) const;
 
   /// Ground-truth path delay (sum of link propagation delays), the
   /// uncongested baseline the paper's Delay() formula estimates.
-  [[nodiscard]] sim::SimDuration path_delay(core::NodeId a, core::NodeId b) const;
+  [[nodiscard]] sim::SimDuration path_delay(core::NodeId a,
+                                            core::NodeId b) const;
 
   [[nodiscard]] Node& node(core::NodeId id) const;
   [[nodiscard]] std::vector<Node*> nodes_of_kind(NodeKind kind) const;
@@ -63,8 +70,12 @@ class Topology {
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unordered_map<core::NodeId, Node*> by_id_;
+  /// Both directions of every link, in connect() order: graph_'s input.
+  std::vector<Graph::Arc> arcs_;
   Graph graph_;
-  std::unordered_map<core::NodeId, ShortestPaths> paths_;  // per source
+  /// Shortest paths from every node, indexed by node id; empty until
+  /// install_routes().
+  std::vector<ShortestPaths> paths_;
 };
 
 }  // namespace intsched::net

@@ -10,43 +10,43 @@ void Topology::connect(Node& a, Node& b, const LinkConfig& cfg) {
   Port& pb = b.add_port(cfg);
   pa.connect_to(b, pb.index());
   pb.connect_to(a, pa.index());
-  graph_.add_edge(a.id(), b.id(), pa.index(), cfg.prop_delay);
-  graph_.add_edge(b.id(), a.id(), pb.index(), cfg.prop_delay);
+  arcs_.push_back(Graph::Arc{a.id(), b.id(), pa.index(), cfg.prop_delay});
+  arcs_.push_back(Graph::Arc{b.id(), a.id(), pb.index(), cfg.prop_delay});
+  graph_ = Graph{arcs_};
+  paths_.clear();
 }
 
 void Topology::install_routes() {
   paths_.clear();
+  paths_.reserve(nodes_.size());
   for (const auto& node : nodes_) {
     ShortestPaths sp = dijkstra(graph_, node->id());
-    // Each set_route writes an independent per-destination table slot;
-    // the final routing state is identical for any visit order.
-    // intsched-lint: allow(unordered-iter)
-    for (const auto& [dst, port] : sp.first_hop_port) {
-      node->set_route(dst, port);
+    for (const core::NodeId dst : graph_.nodes()) {
+      if (dst != node->id() && sp.reaches(dst)) {
+        node->set_route(dst, sp.first_hop_port(dst));
+      }
     }
-    paths_.emplace(node->id(), std::move(sp));
+    paths_.push_back(std::move(sp));
   }
 }
 
 std::vector<core::NodeId> Topology::path(core::NodeId a, core::NodeId b) const {
-  const auto it = paths_.find(a);
-  if (it == paths_.end()) {
+  if (!a.valid() || a.index() >= paths_.size()) {
     throw std::logic_error("Topology::path before install_routes()");
   }
-  return it->second.path_to(b);
+  return paths_[a.index()].path_to(b);
 }
 
 sim::SimDuration Topology::path_delay(core::NodeId a, core::NodeId b) const {
-  const auto it = paths_.find(a);
-  if (it == paths_.end()) {
+  if (!a.valid() || a.index() >= paths_.size()) {
     throw std::logic_error("Topology::path_delay before install_routes()");
   }
-  const auto d = it->second.distance.find(b);
-  if (d == it->second.distance.end()) {
+  const sim::SimDuration d = paths_[a.index()].distance_to(b);
+  if (d == sim::SimDuration::max()) {
     throw std::invalid_argument(
         sim::cat("no path from node ", a, " to node ", b));
   }
-  return d->second;
+  return d;
 }
 
 Node& Topology::node(core::NodeId id) const {

@@ -42,7 +42,8 @@ struct Builder {
 
   /// Appends one Clos pod; returns the pod's spine node ids (the first
   /// gateways_per_pod of them carry the ring links).
-  std::vector<core::NodeId> add_pod(const PodShape& shape, core::RegionId region) {
+  std::vector<core::NodeId> add_pod(const PodShape& shape,
+                                    core::RegionId region) {
     std::vector<core::NodeId> spines;
     spines.reserve(static_cast<std::size_t>(shape.spines));
     for (std::int32_t s = 0; s < shape.spines; ++s) {
@@ -120,15 +121,16 @@ std::vector<GenLink> GenTopology::border_links() const {
 }
 
 Graph GenTopology::graph() const {
-  Graph g;
+  std::vector<Graph::Arc> arcs;
+  arcs.reserve(links.size() * 2);
   std::vector<std::int32_t> next_port(nodes.size(), 0);
   for (const GenLink& l : links) {
     const std::int32_t port_a = next_port[l.a.index()]++;
     const std::int32_t port_b = next_port[l.b.index()]++;
-    g.add_edge(l.a, l.b, port_a, l.delay);
-    g.add_edge(l.b, l.a, port_b, l.delay);
+    arcs.push_back(Graph::Arc{l.a, l.b, port_a, l.delay});
+    arcs.push_back(Graph::Arc{l.b, l.a, port_b, l.delay});
   }
-  return g;
+  return Graph{arcs};
 }
 
 std::vector<std::string> GenTopology::validate(
@@ -192,7 +194,10 @@ std::vector<std::string> GenTopology::validate(
   if (!nodes.empty()) {
     std::vector<std::vector<core::NodeId>> adj(nodes.size());
     for (const GenLink& l : links) {
-      if (!l.a.valid() || l.a >= n || !l.b.valid() || l.b >= n || l.a == l.b) continue;
+      if (!l.a.valid() || l.a >= n || !l.b.valid() || l.b >= n ||
+          l.a == l.b) {
+        continue;
+      }
       adj[l.a.index()].push_back(l.b);
       adj[l.b.index()].push_back(l.a);
     }

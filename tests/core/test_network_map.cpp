@@ -51,9 +51,12 @@ TEST(NetworkMapTest, LearnsAdjacencyFromEntryOrder) {
 TEST(NetworkMapTest, LearnsEgressPortsBothDirections) {
   NetworkMap map;
   map.ingest(simple_report(), at_ms(0));
-  EXPECT_EQ(map.egress_port(core::NodeId{10}, core::NodeId{11}), 2);  // forward: s10's egress
-  EXPECT_EQ(map.egress_port(core::NodeId{11}, core::NodeId{10}), 1);  // reverse: s11's ingress port
-  EXPECT_EQ(map.egress_port(core::NodeId{11}, core::NodeId{1}), 3);   // toward the collector
+  // forward: s10's egress
+  EXPECT_EQ(map.egress_port(core::NodeId{10}, core::NodeId{11}), 2);
+  // reverse: s11's ingress port
+  EXPECT_EQ(map.egress_port(core::NodeId{11}, core::NodeId{10}), 1);
+  // toward the collector
+  EXPECT_EQ(map.egress_port(core::NodeId{11}, core::NodeId{1}), 3);
 }
 
 TEST(NetworkMapTest, LinkDelaysFromMeasurements) {
@@ -86,7 +89,8 @@ TEST(NetworkMapTest, EwmaSmoothsLinkDelay) {
   telemetry::ProbeReport r2 = simple_report();
   r2.entries[1].ingress_link_latency = ms(20);
   map.ingest(r2, at_ms(100));
-  EXPECT_EQ(map.link_delay(core::NodeId{10}, core::NodeId{11}), ms(16));  // 0.5*20 + 0.5*12
+  // 0.5*20 + 0.5*12
+  EXPECT_EQ(map.link_delay(core::NodeId{10}, core::NodeId{11}), ms(16));
 }
 
 TEST(NetworkMapTest, DeviceMaxQueueWithinWindow) {
@@ -121,7 +125,8 @@ TEST(NetworkMapTest, LinkMaxQueueUsesPortRegister) {
   r.entries[0].max_queue_pkts = 4;        // port 2 (toward s11)
   r.entries[0].device_max_queue_pkts = 9; // some other port was busier
   map.ingest(r, at_ms(0));
-  EXPECT_EQ(map.link_max_queue(core::NodeId{10}, core::NodeId{11}, at_ms(10)), 4);
+  EXPECT_EQ(
+      map.link_max_queue(core::NodeId{10}, core::NodeId{11}, at_ms(10)), 4);
   EXPECT_EQ(map.device_max_queue(core::NodeId{10}, at_ms(10)), 9);
 }
 
@@ -130,13 +135,15 @@ TEST(NetworkMapTest, LinkMaxQueueFallsBackToDevice) {
   map.ingest(simple_report(6, 0), at_ms(0));
   // Link s10 -> host 0 (reverse direction) was never probed per-port;
   // the device-wide register of s10 is the conservative answer.
-  EXPECT_EQ(map.link_max_queue(core::NodeId{10}, core::NodeId{0}, at_ms(10)), 6);
+  EXPECT_EQ(map.link_max_queue(core::NodeId{10}, core::NodeId{0}, at_ms(10)),
+            6);
 }
 
 TEST(NetworkMapTest, UnknownDeviceQueueIsZero) {
   NetworkMap map;
   EXPECT_EQ(map.device_max_queue(core::NodeId{99}, at_ms(0)), 0);
-  EXPECT_EQ(map.link_max_queue(core::NodeId{99}, core::NodeId{98}, at_ms(0)), 0);
+  EXPECT_EQ(map.link_max_queue(core::NodeId{99}, core::NodeId{98}, at_ms(0)),
+            0);
 }
 
 TEST(NetworkMapTest, DelayGraphUsesCurrentEstimates) {
@@ -149,14 +156,10 @@ TEST(NetworkMapTest, DelayGraphUsesCurrentEstimates) {
   map.ingest(r2, at_ms(100));
 
   const net::Graph g = map.delay_graph();
-  bool found = false;
-  for (const auto& edge : g.adjacency.at(core::NodeId{10})) {
-    if (edge.to == core::NodeId{11}) {
-      EXPECT_EQ(edge.cost, ms(50));
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
+  const std::uint32_t e = g.find_edge(g.index_of(core::NodeId{10}),
+                                      g.index_of(core::NodeId{11}));
+  ASSERT_NE(e, net::Graph::kNoIndex);
+  EXPECT_EQ(g.edge(e).cost, ms(50));
 }
 
 TEST(NetworkMapTest, ReportsCounted) {
@@ -172,7 +175,8 @@ TEST(NetworkMapTest, NegativeLatencySampleIgnored) {
   r.entries[0].ingress_link_latency = sim::SimDuration::nanoseconds(-1);
   map.ingest(r, at_ms(0));
   // Falls back to the default estimate instead of adopting garbage.
-  EXPECT_EQ(map.link_delay(core::NodeId{0}, core::NodeId{10}), map.config().default_link_delay);
+  EXPECT_EQ(map.link_delay(core::NodeId{0}, core::NodeId{10}),
+            map.config().default_link_delay);
 }
 
 TEST(NetworkMapTest, NegativeQueueValuesClampedToZero) {
@@ -182,7 +186,8 @@ TEST(NetworkMapTest, NegativeQueueValuesClampedToZero) {
   r.entries[0].device_max_queue_pkts = -9;
   map.ingest(r, at_ms(0));
   EXPECT_EQ(map.device_max_queue(core::NodeId{10}, at_ms(10)), 0);
-  EXPECT_EQ(map.link_max_queue(core::NodeId{10}, core::NodeId{11}, at_ms(10)), 0);
+  EXPECT_EQ(
+      map.link_max_queue(core::NodeId{10}, core::NodeId{11}, at_ms(10)), 0);
 }
 
 TEST(NetworkMapTest, InvalidDeviceEntryRejectedNotLearned) {
@@ -238,7 +243,8 @@ TEST(NetworkMapJitterTest, StableLinkHasZeroJitter) {
     map.ingest(one_hop_report(sim::SimDuration::milliseconds(10)),
                sim::SimTime::milliseconds(100 * i));
   }
-  EXPECT_EQ(map.link_jitter(core::NodeId{0}, core::NodeId{10}), sim::SimDuration::zero());
+  EXPECT_EQ(map.link_jitter(core::NodeId{0}, core::NodeId{10}),
+            sim::SimDuration::zero());
 }
 
 TEST(NetworkMapJitterTest, VariableLinkAccumulatesJitter) {
@@ -249,14 +255,16 @@ TEST(NetworkMapJitterTest, VariableLinkAccumulatesJitter) {
   }
   // Samples alternate +-2 ms around the mean: jitter settles near 2 ms.
   // intsched-lint: allow(raw-unit): fractional-ms bound check
-  const double jitter_ms = map.link_jitter(core::NodeId{0}, core::NodeId{10}).to_milliseconds();
+  const double jitter_ms =
+      map.link_jitter(core::NodeId{0}, core::NodeId{10}).to_milliseconds();
   EXPECT_GT(jitter_ms, 1.0);
   EXPECT_LT(jitter_ms, 3.0);
 }
 
 TEST(NetworkMapJitterTest, UnknownLinkReportsZero) {
   NetworkMap map;
-  EXPECT_EQ(map.link_jitter(core::NodeId{5}, core::NodeId{6}), sim::SimDuration::zero());
+  EXPECT_EQ(map.link_jitter(core::NodeId{5}, core::NodeId{6}),
+            sim::SimDuration::zero());
 }
 
 TEST(NetworkMapJitterTest, ReverseDirectionFallsBack) {
@@ -265,8 +273,10 @@ TEST(NetworkMapJitterTest, ReverseDirectionFallsBack) {
     const auto latency = sim::SimDuration::milliseconds(i % 2 == 0 ? 5 : 15);
     map.ingest(one_hop_report(latency), sim::SimTime::milliseconds(100 * i));
   }
-  EXPECT_GT(map.link_jitter(core::NodeId{10}, core::NodeId{0}), sim::SimDuration::zero());
-  EXPECT_EQ(map.link_jitter(core::NodeId{10}, core::NodeId{0}), map.link_jitter(core::NodeId{0}, core::NodeId{10}));
+  EXPECT_GT(map.link_jitter(core::NodeId{10}, core::NodeId{0}),
+            sim::SimDuration::zero());
+  EXPECT_EQ(map.link_jitter(core::NodeId{10}, core::NodeId{0}),
+            map.link_jitter(core::NodeId{0}, core::NodeId{10}));
 }
 
 }  // namespace
@@ -325,7 +335,8 @@ TEST(NetworkMapStalenessTest, DisabledWindowNeverExpires) {
   NetworkMap map;  // link_staleness defaults to zero = disabled
   EXPECT_FALSE(map.link_stale(core::NodeId{4}, core::NodeId{5}, sms(0)));
   map.ingest(stale_report(), sms(0));
-  EXPECT_FALSE(map.link_stale(core::NodeId{0}, core::NodeId{10}, sim::SimTime::seconds(3600)));
+  EXPECT_FALSE(map.link_stale(core::NodeId{0}, core::NodeId{10},
+                              sim::SimTime::seconds(3600)));
 }
 
 TEST(NetworkMapStalenessTest, PathStaleIfAnyHopIsStale) {
@@ -335,7 +346,8 @@ TEST(NetworkMapStalenessTest, PathStaleIfAnyHopIsStale) {
   map.ingest(stale_report(), sms(100));
   map.ingest(stale_report(), sms(400));  // refresh 0->10 only
   // Path 0 -> 10 -> 99: second hop never measured.
-  EXPECT_TRUE(map.path_stale({core::NodeId{0}, core::NodeId{10}, core::NodeId{99}}, sms(450)));
+  EXPECT_TRUE(map.path_stale(
+      {core::NodeId{0}, core::NodeId{10}, core::NodeId{99}}, sms(450)));
   EXPECT_FALSE(map.path_stale({core::NodeId{0}, core::NodeId{10}}, sms(450)));
   // Degenerate paths can't be judged and are never stale.
   EXPECT_FALSE(map.path_stale({core::NodeId{0}}, sms(450)));
@@ -352,9 +364,11 @@ TEST(NetworkMapStalenessTest, HugeWindowDoesNotUnderflow) {
   NetworkMap map{cfg};
   map.ingest(stale_report(), sms(0));
   EXPECT_FALSE(map.link_stale(core::NodeId{0}, core::NodeId{10}, sms(0)));
-  EXPECT_FALSE(map.link_stale(core::NodeId{0}, core::NodeId{10}, sim::SimTime::seconds(100000)));
-  EXPECT_EQ(map.device_max_queue(core::NodeId{10}, sim::SimTime::seconds(100000)),
-            map.device_max_queue(core::NodeId{10}, sms(1)));
+  EXPECT_FALSE(map.link_stale(core::NodeId{0}, core::NodeId{10},
+                              sim::SimTime::seconds(100000)));
+  EXPECT_EQ(
+      map.device_max_queue(core::NodeId{10}, sim::SimTime::seconds(100000)),
+      map.device_max_queue(core::NodeId{10}, sms(1)));
 }
 
 TEST(NetworkMapStalenessTest, QueriesAreTranslationInvariant) {
@@ -373,8 +387,9 @@ TEST(NetworkMapStalenessTest, QueriesAreTranslationInvariant) {
   a.ingest(r, sms(100));
   b.ingest(r, sms(100) + shift);
   for (const int probe_ms : {120, 240, 290, 310, 500}) {
-    EXPECT_EQ(a.link_stale(core::NodeId{0}, core::NodeId{10}, sms(probe_ms)),
-              b.link_stale(core::NodeId{0}, core::NodeId{10}, sms(probe_ms) + shift))
+    EXPECT_EQ(
+        a.link_stale(core::NodeId{0}, core::NodeId{10}, sms(probe_ms)),
+        b.link_stale(core::NodeId{0}, core::NodeId{10}, sms(probe_ms) + shift))
         << probe_ms;
     EXPECT_EQ(a.device_max_queue(core::NodeId{10}, sms(probe_ms)),
               b.device_max_queue(core::NodeId{10}, sms(probe_ms) + shift))

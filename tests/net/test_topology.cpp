@@ -36,9 +36,9 @@ TEST_F(TopoFixture, GraphHasBothDirections) {
   auto& b = topo.add_node<Host>("b");
   topo.connect(a, b, LinkConfig{});
   const auto& g = topo.graph();
-  ASSERT_EQ(g.adjacency.at(a.id()).size(), 1u);
-  ASSERT_EQ(g.adjacency.at(b.id()).size(), 1u);
-  EXPECT_EQ(g.adjacency.at(a.id())[0].to, b.id());
+  ASSERT_EQ(g.out_edges(g.index_of(a.id())).size(), 1u);
+  ASSERT_EQ(g.out_edges(g.index_of(b.id())).size(), 1u);
+  EXPECT_EQ(g.nodes()[g.out_edges(g.index_of(a.id()))[0].to], b.id());
 }
 
 TEST_F(TopoFixture, PathBeforeInstallThrows) {
@@ -60,7 +60,8 @@ TEST_F(TopoFixture, PathAndDelayThroughSwitch) {
   topo.install_routes();
   EXPECT_EQ(topo.path(a.id(), b.id()),
             (std::vector<core::NodeId>{a.id(), sw.id(), b.id()}));
-  EXPECT_EQ(topo.path_delay(a.id(), b.id()), sim::SimDuration::milliseconds(20));
+  EXPECT_EQ(topo.path_delay(a.id(), b.id()),
+            sim::SimDuration::milliseconds(20));
 }
 
 TEST_F(TopoFixture, RoutesInstalledIntoForwardingTables) {
@@ -76,7 +77,8 @@ TEST_F(TopoFixture, RoutesInstalledIntoForwardingTables) {
 }
 
 TEST_F(TopoFixture, UnknownNodeThrows) {
-  EXPECT_THROW(static_cast<void>(topo.node(core::NodeId{12})), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(topo.node(core::NodeId{12})),
+               std::invalid_argument);
 }
 
 TEST_F(TopoFixture, UnreachableDelayThrows) {

@@ -30,7 +30,9 @@ TEST(TopologyGenTest, ClosPodCountsAndRoles) {
   EXPECT_EQ(topo.links.size(),
             static_cast<std::size_t>(shape.spines * shape.leaves +
                                      shape.leaves * shape.hosts_per_leaf));
-  for (const GenNode& n : topo.nodes) EXPECT_EQ(n.region, core::RegionId{0}) << n.name;
+  for (const GenNode& n : topo.nodes) {
+    EXPECT_EQ(n.region, core::RegionId{0}) << n.name;
+  }
   EXPECT_TRUE(topo.border_links().empty());
 }
 
@@ -99,18 +101,16 @@ TEST(TopologyGenTest, GraphHasBothDirectionsWithStablePorts) {
   for (const GenLink& l : topo.links) {
     for (const auto& [from, to] :
          {std::pair{l.a, l.b}, std::pair{l.b, l.a}}) {
-      const auto it = g1.adjacency.find(from);
-      ASSERT_NE(it, g1.adjacency.end());
-      const auto edge = std::ranges::find_if(
-          it->second, [&](const Graph::Edge& e) { return e.to == to; });
-      ASSERT_NE(edge, it->second.end()) << from << "->" << to;
-      EXPECT_EQ(edge->cost, l.delay);
+      ASSERT_TRUE(g1.has_node(from));
+      const std::uint32_t e1 =
+          g1.find_edge(g1.index_of(from), g1.index_of(to));
+      ASSERT_NE(e1, Graph::kNoIndex) << from << "->" << to;
+      EXPECT_EQ(g1.edge(e1).cost, l.delay);
       // Port assignment is deterministic across re-instantiations.
-      const auto& peers2 = g2.adjacency.at(from);
-      const auto edge2 = std::ranges::find_if(
-          peers2, [&](const Graph::Edge& e) { return e.to == to; });
-      ASSERT_NE(edge2, peers2.end());
-      EXPECT_EQ(edge->out_port, edge2->out_port);
+      const std::uint32_t e2 =
+          g2.find_edge(g2.index_of(from), g2.index_of(to));
+      ASSERT_NE(e2, Graph::kNoIndex);
+      EXPECT_EQ(g1.edge(e1).out_port, g2.edge(e2).out_port);
     }
   }
 }

@@ -129,13 +129,15 @@ using Answer = std::tuple<int, std::int32_t, std::int32_t, std::size_t,
 
 std::int64_t bits(double v) { return std::bit_cast<std::int64_t>(v); }
 
-/// The graph's edges, adjacency order: (to, port) and (to, cost).
+/// The graph's edges, in edge order: (to, port) and (to, cost).
 std::vector<Answer> edges(const net::Graph& g) {
   std::vector<Answer> out;
-  for (const NodeId from : g.nodes()) {
-    for (const net::Graph::Edge& e : g.adjacency.at(from)) {
-      out.emplace_back(9, from.value(), e.to.value(), 0, e.out_port);
-      out.emplace_back(10, from.value(), e.to.value(), 0, e.cost.ns());
+  for (std::uint32_t i = 0; i < g.node_count(); ++i) {
+    const std::int32_t from = g.nodes()[i].value();
+    for (const net::Graph::Edge& e : g.out_edges(i)) {
+      const std::int32_t to = g.nodes()[e.to].value();
+      out.emplace_back(9, from, to, 0, e.out_port);
+      out.emplace_back(10, from, to, 0, e.cost.ns());
     }
   }
   return out;

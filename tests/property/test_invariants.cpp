@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 
 #include "intsched/core/ranking.hpp"
 #include "intsched/net/topology.hpp"
@@ -324,14 +326,15 @@ class ShortestPathProperty : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(ShortestPathProperty, MatchesFloydWarshall) {
   sim::Rng rng{GetParam()};
   const std::int64_t n = rng.uniform_int(3, 10);
-  net::Graph g;
+  std::vector<net::Graph::Arc> arcs;
   std::map<std::pair<core::NodeId, core::NodeId>, std::int64_t> w;
   for (core::NodeId i = core::NodeId{0}; i.value() < n; ++i) {
     for (core::NodeId j = core::NodeId{0}; j.value() < n; ++j) {
       if (i == j) continue;
       if (rng.chance(0.4)) {
         const std::int64_t cost = rng.uniform_int(1, 50);
-        g.add_edge(i, j, 0, sim::SimDuration::milliseconds(cost));
+        arcs.push_back(net::Graph::Arc{
+            i, j, 0, sim::SimDuration::milliseconds(cost)});
         w[{i, j}] = cost;
       }
     }
@@ -361,19 +364,202 @@ TEST_P(ShortestPathProperty, MatchesFloydWarshall) {
       }
     }
   }
+  const net::Graph g{arcs};
   for (core::NodeId src = core::NodeId{0}; src.value() < n; ++src) {
     const net::ShortestPaths sp = net::dijkstra(g, src);
     for (core::NodeId dst = core::NodeId{0}; dst.value() < n; ++dst) {
       const auto expected = dist[src.index()][dst.index()];
       if (expected >= kInf) {
-        EXPECT_FALSE(sp.distance.contains(dst));
+        EXPECT_FALSE(sp.reaches(dst));
       } else {
-        ASSERT_TRUE(sp.distance.contains(dst)) << src << "->" << dst;
-        EXPECT_EQ(sp.distance.at(dst),
+        ASSERT_TRUE(sp.reaches(dst)) << src << "->" << dst;
+        EXPECT_EQ(sp.distance_to(dst),
                   sim::SimDuration::milliseconds(expected));
       }
     }
   }
+}
+
+/// A naive O(V^2) Dijkstra written out from net::dijkstra's contract:
+///  - the next node settled is the unsettled one with the smallest
+///    (distance, id);
+///  - an edge relaxes on a strict improvement, or on a tie from a
+///    smaller-id predecessor while the target is unsettled;
+///  - no edge into the source is ever relaxed;
+///  - the first-hop port comes from the source's edge and is inherited
+///    down the tree.
+/// The source's out-edges are its graph edges, then `extra`.
+struct OracleEdge {
+  core::NodeId to;
+  std::int32_t port;
+  std::int64_t cost;
+};
+struct OracleResult {
+  std::map<core::NodeId, std::int64_t> dist;
+  std::map<core::NodeId, core::NodeId> pred;
+  std::map<core::NodeId, std::int32_t> port;
+};
+OracleResult naive_dijkstra(
+    const std::map<core::NodeId, std::vector<OracleEdge>>& adj,
+    core::NodeId source, const std::vector<OracleEdge>& extra) {
+  OracleResult r;
+  std::set<core::NodeId> settled;
+  r.dist[source] = 0;
+  for (;;) {
+    bool found = false;
+    core::NodeId u = core::kInvalidNode;
+    for (const auto& [node, d] : r.dist) {
+      if (settled.contains(node)) continue;
+      if (!found || d < r.dist.at(u)) {  // ascending ids: first min wins
+        u = node;
+        found = true;
+      }
+    }
+    if (!found) break;
+    settled.insert(u);
+    std::vector<OracleEdge> out;
+    if (const auto it = adj.find(u); it != adj.end()) out = it->second;
+    if (u == source) out.insert(out.end(), extra.begin(), extra.end());
+    for (const OracleEdge& e : out) {
+      if (e.to == source) continue;
+      const std::int64_t nd = r.dist.at(u) + e.cost;
+      const std::int32_t port = u == source ? e.port : r.port.at(u);
+      const auto cur = r.dist.find(e.to);
+      if (cur == r.dist.end() || nd < cur->second) {
+        r.dist[e.to] = nd;
+        r.pred[e.to] = u;
+        r.port[e.to] = port;
+      } else if (nd == cur->second && !settled.contains(e.to) &&
+                 u < r.pred.at(e.to)) {
+        r.pred[e.to] = u;
+        r.port[e.to] = port;
+      }
+    }
+  }
+  return r;
+}
+
+// Property: net::dijkstra agrees with the naive oracle on distance,
+// predecessor, first-hop port and path for every node, on random graphs
+// built to hit every tie rule: costs 0-3 (zero-cost edges and equal-cost
+// ties), zero-cost cycles through and away from the source, parallel
+// edges with different ports, unreachable nodes, sparse ids, sources
+// outside the graph and sources with extra out-edges (the summary-tree
+// shape).
+TEST_P(ShortestPathProperty, MatchesNaiveOracle) {
+  sim::Rng rng{GetParam()};
+  const auto cost_of = [](std::int64_t c) {
+    return sim::SimDuration::nanos(c);
+  };
+  // Sparse ids, so local indices differ from ids.
+  std::vector<core::NodeId> ids;
+  for (std::int32_t id = 0; id < 40; ++id) {
+    if (rng.chance(0.3)) ids.push_back(core::NodeId{id});
+  }
+  while (ids.size() < 4) {
+    ids.push_back(core::NodeId{40 + static_cast<std::int32_t>(ids.size())});
+  }
+  const auto pick = [&] {
+    return ids[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+  };
+
+  std::vector<net::Graph::Arc> arcs;
+  std::map<core::NodeId, std::vector<OracleEdge>> adj;
+  const auto add = [&](core::NodeId from, core::NodeId to, std::int64_t c) {
+    const auto port = static_cast<std::int32_t>(rng.uniform_int(0, 7));
+    arcs.push_back(net::Graph::Arc{from, to, port, cost_of(c)});
+    adj[from].push_back(OracleEdge{to, port, c});
+  };
+  for (const core::NodeId a : ids) {
+    for (const core::NodeId b : ids) {
+      if (a == b || !rng.chance(0.3)) continue;
+      add(a, b, rng.uniform_int(0, 3));
+      // A parallel edge, often at the same cost: the first one wins.
+      if (rng.chance(0.2)) add(a, b, rng.uniform_int(0, 3));
+    }
+  }
+  // Zero-cost cycles through ids[0] (a source below) and away from it.
+  add(ids[0], ids[1], 0);
+  add(ids[1], ids[0], 0);
+  add(ids[2], ids[3], 0);
+  add(ids[3], ids[2], 0);
+  // A node nothing reaches.
+  add(core::NodeId{99}, pick(), rng.uniform_int(0, 3));
+  // The arcs added after the loop leave the input unsorted by source; the
+  // graph must still keep each node's edges in input order, as the
+  // oracle's adjacency does.
+  const net::Graph g{arcs};
+
+  const auto check = [&](core::NodeId source,
+                         const std::vector<OracleEdge>& extra) {
+    std::vector<net::Graph::Edge> extra_edges;
+    for (const OracleEdge& e : extra) {
+      extra_edges.push_back(
+          net::Graph::Edge{g.index_of(e.to), e.port, cost_of(e.cost)});
+    }
+    const net::ShortestPaths sp = net::dijkstra(g, source, extra_edges);
+    const OracleResult want = naive_dijkstra(adj, source, extra);
+    std::vector<core::NodeId> every = g.nodes();
+    every.push_back(source);
+    for (const core::NodeId n : every) {
+      const std::string where = sim::cat("source ", source, " node ", n);
+      const auto d = want.dist.find(n);
+      if (d == want.dist.end()) {
+        EXPECT_FALSE(sp.reaches(n)) << where;
+        EXPECT_EQ(sp.predecessor_of(n), core::kInvalidNode) << where;
+        EXPECT_EQ(sp.first_hop_port(n), -1) << where;
+        EXPECT_TRUE(sp.path_to(n).empty()) << where;
+        continue;
+      }
+      EXPECT_EQ(sp.distance_to(n), cost_of(d->second)) << where;
+      const auto p = want.pred.find(n);
+      EXPECT_EQ(sp.predecessor_of(n),
+                p == want.pred.end() ? core::kInvalidNode : p->second)
+          << where;
+      const auto port = want.port.find(n);
+      EXPECT_EQ(sp.first_hop_port(n),
+                port == want.port.end() ? -1 : port->second)
+          << where;
+      // The oracle's path, by a bounded walk up its predecessors.
+      std::vector<core::NodeId> path{n};
+      for (core::NodeId cur = n;
+           cur != source && path.size() <= every.size();) {
+        cur = want.pred.at(cur);
+        path.push_back(cur);
+      }
+      std::reverse(path.begin(), path.end());
+      ASSERT_EQ(path.front(), source) << where << ": oracle chain broken";
+      std::vector<core::NodeId> appended{core::NodeId{12345}};
+      ASSERT_TRUE(sp.append_path_to(n, appended)) << where;
+      EXPECT_EQ(appended.front(), core::NodeId{12345}) << where;
+      appended.erase(appended.begin());
+      EXPECT_EQ(appended, path) << where;
+      EXPECT_EQ(sp.path_to(n), path) << where;
+    }
+  };
+  const auto random_extra = [&] {
+    std::vector<OracleEdge> extra;
+    const std::int64_t count = rng.uniform_int(1, 3);
+    const auto last = static_cast<std::int64_t>(g.node_count()) - 1;
+    for (std::int64_t i = 0; i < count; ++i) {
+      const core::NodeId to =
+          g.nodes()[static_cast<std::size_t>(rng.uniform_int(0, last))];
+      extra.push_back(OracleEdge{to,
+                                 static_cast<std::int32_t>(
+                                     rng.uniform_int(0, 7)),
+                                 rng.uniform_int(0, 3)});
+    }
+    return extra;
+  };
+  for (const core::NodeId source : g.nodes()) {
+    check(source, {});
+    check(source, random_extra());
+  }
+  // A source outside the graph: alone it reaches only itself; with extra
+  // out-edges it enters the graph through them.
+  check(core::NodeId{500}, {});
+  check(core::NodeId{500}, random_extra());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShortestPathProperty,

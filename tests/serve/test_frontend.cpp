@@ -307,11 +307,6 @@ TEST(ServeFrontendTest, WarmDecisionPathIsAllocationFree) {
       << "warm serve path allocated " << (after - before) << " time(s)";
 }
 
-// A host uplink measured at 0 ns in both directions gives the delay graph
-// the zero-cost cycle host -> switch -> host. Every ranking path must still
-// answer from that host, and agree: the reference Ranker, a one-region
-// map's pick, and ServeFrontend::serve, which reaches Dijkstra through the
-// view's region snapshot.
 net::IntStackEntry hop(NodeId device, std::int32_t in, std::int32_t out,
                        sim::SimDuration latency) {
   net::IntStackEntry e;
@@ -322,6 +317,90 @@ net::IntStackEntry hop(NodeId device, std::int32_t in, std::int32_t out,
   return e;
 }
 
+/// Feeds `probes` to a flat NetworkMap and to one-region sharded maps,
+/// and checks that every ranking path answers `server` from `origin`
+/// without throwing and agrees: the reference Ranker, the map's rank and
+/// pick, and ServeFrontend::serve, which reaches Dijkstra through the
+/// view's region snapshot. Returns the Ranker's answer.
+ServerRank expect_every_path_agrees(
+    const std::vector<telemetry::ProbeReport>& probes, NodeId origin,
+    NodeId server) {
+  const sim::SimTime now = sim::SimTime::milliseconds(1);
+  const std::vector<NodeId> servers{server};
+  const core::RegionAssignment one_region{
+      std::vector<core::RegionId>(32, core::RegionId{0}), core::RegionId{1}};
+
+  core::NetworkMap flat;
+  for (const telemetry::ProbeReport& r : probes) {
+    flat.ingest(r, sim::SimTime::zero());
+  }
+  const core::Ranker ranker{flat};
+  std::vector<ServerRank> want;
+  EXPECT_NO_THROW(want = ranker.rank(origin, servers, RankingMetric::kDelay,
+                                     now));
+
+  core::ShardedNetworkMap picked_map{one_region};
+  picked_map.ingest_batch(probes, sim::SimTime::zero());
+  std::optional<ServerRank> picked;
+  EXPECT_NO_THROW(picked = picked_map.pick(origin, servers,
+                                           RankingMetric::kDelay, now));
+  std::vector<ServerRank> ranked;
+  EXPECT_NO_THROW(ranked = picked_map.rank(origin, servers,
+                                           RankingMetric::kDelay, now));
+
+  // A map of its own, so serve fills the origin's context itself.
+  core::ShardedNetworkMap served_map{one_region};
+  served_map.ingest_batch(probes, sim::SimTime::zero());
+  ServeFrontend frontend{served_map};
+  frontend.register_server(server);
+  ServeContext ctx;
+  RankRequest req;
+  req.origin = origin;
+  std::array<std::byte, kMaxFrameSize> req_buf{};
+  std::array<std::byte, kMaxFrameSize> resp_buf{};
+  const std::size_t req_len =
+      encode_rank_request(req, req_buf.data(), req_buf.size());
+  EXPECT_GT(req_len, 0u);
+  std::size_t resp_len = 0;
+  bool served = false;
+  EXPECT_NO_THROW(served = frontend.serve(ctx, req_buf.data(), req_len,
+                                          resp_buf.data(), resp_buf.size(),
+                                          resp_len, now));
+
+  if (want.size() != 1) {
+    ADD_FAILURE() << "Ranker returned " << want.size() << " entries";
+    return ServerRank{};
+  }
+  EXPECT_EQ(want[0].server, server);
+
+  const auto expect_same = [&want](const ServerRank& got, const char* what) {
+    EXPECT_EQ(got.server, want[0].server) << what;
+    EXPECT_EQ(got.delay_estimate, want[0].delay_estimate) << what;
+    EXPECT_EQ(got.baseline_delay, want[0].baseline_delay) << what;
+    EXPECT_EQ(got.bandwidth_estimate.bps(), want[0].bandwidth_estimate.bps())
+        << what;
+    EXPECT_EQ(got.stale, want[0].stale) << what;
+  };
+  EXPECT_TRUE(picked.has_value());
+  if (picked.has_value()) expect_same(*picked, "map pick");
+  EXPECT_EQ(ranked.size(), 1u);
+  if (ranked.size() == 1) expect_same(ranked[0], "map rank");
+
+  EXPECT_TRUE(served);
+  RankResponse resp;
+  EXPECT_EQ(decode_rank_response(resp_buf.data(), resp_len, resp),
+            WireError::kOk);
+  EXPECT_EQ(resp.status, ServeStatus::kOk);
+  EXPECT_EQ(resp.entry_count, 1);
+  if (resp.entry_count == 1) {
+    expect_entry_matches_rank(resp.entries[0], want[0], "serve");
+  }
+  return want[0];
+}
+
+// A host uplink measured at 0 ns in both directions gives the delay graph
+// the zero-cost cycle host -> switch -> host. Every ranking path must still
+// answer from that host, and agree.
 TEST(ZeroDelayUplinkTest, EveryRankingPathAnswersFromTheHost) {
   const sim::SimDuration zero = sim::SimDuration::zero();
   const sim::SimDuration five = sim::SimDuration::milliseconds(5);
@@ -335,69 +414,41 @@ TEST(ZeroDelayUplinkTest, EveryRankingPathAnswersFromTheHost) {
   down.dst = NodeId{0};
   down.entries = {hop(NodeId{11}, 1, 0, five), hop(NodeId{10}, 1, 0, five)};
   down.final_link_latency = zero;
-  const std::vector<telemetry::ProbeReport> probes{up, down};
-  const sim::SimTime now = sim::SimTime::milliseconds(1);
-  const std::vector<NodeId> servers{NodeId{1}};
-  const core::RegionAssignment one_region{
-      std::vector<core::RegionId>(16, core::RegionId{0}), core::RegionId{1}};
+  const ServerRank want =
+      expect_every_path_agrees({up, down}, NodeId{0}, NodeId{1});
+  EXPECT_EQ(want.delay_estimate, sim::SimDuration::milliseconds(10));
+}
 
-  core::NetworkMap flat;
-  for (const telemetry::ProbeReport& r : probes) {
-    flat.ingest(r, sim::SimTime::zero());
-  }
-  const core::Ranker ranker{flat};
-  std::vector<ServerRank> want;
-  EXPECT_NO_THROW(
-      want = ranker.rank(NodeId{0}, servers, RankingMetric::kDelay, now));
+// Switches 1 and 2 sit at the same distance from host 20, joined by a
+// 0 ns link (1 -> 2 measured, 2 -> 1 from the map's symmetric fallback).
+// Re-parenting a settled node on that tie would make 1 and 2 each other's
+// predecessor, and every path through them would never end; each ranking
+// path must instead answer along 20 -> 10 -> 1 -> 2 -> 21.
+TEST(ZeroDelayUplinkTest, ZeroCostTieBetweenSwitchesKeepsEveryPathFinite) {
+  const sim::SimDuration zero = sim::SimDuration::zero();
+  const sim::SimDuration five = sim::SimDuration::milliseconds(5);
+  telemetry::ProbeReport via_one;  // host 20 -> s10 -> s1 -> s2 -> host 21
+  via_one.src = NodeId{20};
+  via_one.dst = NodeId{21};
+  via_one.entries = {hop(NodeId{10}, 0, 1, five), hop(NodeId{1}, 0, 1, five),
+                     hop(NodeId{2}, 0, 1, zero)};
+  via_one.final_link_latency = five;
+  telemetry::ProbeReport direct;  // host 20 -> s10 -> s2 -> host 21
+  direct.src = NodeId{20};
+  direct.dst = NodeId{21};
+  direct.entries = {hop(NodeId{10}, 0, 2, five), hop(NodeId{2}, 2, 1, five)};
+  direct.final_link_latency = five;
+  const ServerRank want =
+      expect_every_path_agrees({via_one, direct}, NodeId{20}, NodeId{21});
+  EXPECT_EQ(want.baseline_delay, sim::SimDuration::milliseconds(15));
 
-  core::ShardedNetworkMap picked_map{one_region};
-  picked_map.ingest_batch(probes, sim::SimTime::zero());
-  std::optional<ServerRank> picked;
-  EXPECT_NO_THROW(picked = picked_map.pick(NodeId{0}, servers,
-                                           RankingMetric::kDelay, now));
-
-  // A map of its own, so serve fills the origin's context itself.
-  core::ShardedNetworkMap served_map{one_region};
-  served_map.ingest_batch(probes, sim::SimTime::zero());
-  ServeFrontend frontend{served_map};
-  frontend.register_server(NodeId{1});
-  ServeContext ctx;
-  RankRequest req;
-  req.origin = NodeId{0};
-  std::array<std::byte, kMaxFrameSize> req_buf{};
-  std::array<std::byte, kMaxFrameSize> resp_buf{};
-  const std::size_t req_len =
-      encode_rank_request(req, req_buf.data(), req_buf.size());
-  ASSERT_GT(req_len, 0u);
-  std::size_t resp_len = 0;
-  bool served = false;
-  EXPECT_NO_THROW(served = frontend.serve(ctx, req_buf.data(), req_len,
-                                          resp_buf.data(), resp_buf.size(),
-                                          resp_len, now));
-
-  ASSERT_EQ(want.size(), 1u);
-  EXPECT_EQ(want[0].server, NodeId{1});
-  EXPECT_EQ(want[0].delay_estimate, sim::SimDuration::milliseconds(10));
-
-  ASSERT_TRUE(picked.has_value());
-  EXPECT_EQ(picked->server, want[0].server);
-  EXPECT_EQ(picked->delay_estimate, want[0].delay_estimate);
-  EXPECT_EQ(picked->baseline_delay, want[0].baseline_delay);
-  EXPECT_EQ(picked->bandwidth_estimate.bps(), want[0].bandwidth_estimate.bps());
-  EXPECT_EQ(picked->stale, want[0].stale);
-
-  ASSERT_TRUE(served);
-  RankResponse resp;
-  ASSERT_EQ(decode_rank_response(resp_buf.data(), resp_len, resp),
-            WireError::kOk);
-  EXPECT_EQ(resp.status, ServeStatus::kOk);
-  ASSERT_EQ(resp.entry_count, 1);
-  EXPECT_EQ(resp.entries[0].server, want[0].server);
-  EXPECT_EQ(resp.entries[0].delay_estimate, want[0].delay_estimate);
-  EXPECT_EQ(resp.entries[0].baseline_delay, want[0].baseline_delay);
-  EXPECT_EQ(resp.entries[0].bandwidth_estimate.bps(),
-            want[0].bandwidth_estimate.bps());
-  EXPECT_EQ(resp.entries[0].stale, want[0].stale);
+  core::NetworkMap map;
+  map.ingest(via_one, sim::SimTime::zero());
+  map.ingest(direct, sim::SimTime::zero());
+  const net::Graph graph = map.delay_graph();
+  EXPECT_EQ(net::dijkstra(graph, NodeId{20}).path_to(NodeId{21}),
+            (std::vector<NodeId>{NodeId{20}, NodeId{10}, NodeId{1},
+                                 NodeId{2}, NodeId{21}}));
 }
 
 }  // namespace
