@@ -5,9 +5,10 @@
 //
 //   flat     core::ShardedNetworkMap with every node in one region: every
 //            decision is a metro-wide rank over one flat map.
-//   sharded  core::ShardedNetworkMap: region shards + summary graph,
+//   sharded  core::ShardedNetworkMap: region graphs + summary graph,
 //            decisions via MetroView::pick (two-level with region
-//            pruning), snapshot rebuilds parallelized over regions.
+//            pruning); a publish rebuilds only the touched regions'
+//            graphs.
 //
 // Both arms consume byte-identical inputs (the report batches are
 // generated once; the task stream is re-derived from the same seed), so
@@ -30,7 +31,6 @@
 #include "intsched/edge/workload.hpp"
 #include "intsched/exp/metro.hpp"
 #include "intsched/exp/report.hpp"
-#include "intsched/exp/sweep_runner.hpp"
 #include "intsched/net/topology_gen.hpp"
 #include "intsched/sim/hash.hpp"
 #include "intsched/sim/stats.hpp"
@@ -41,7 +41,6 @@ using intsched::core::PickStats;
 using intsched::core::RankingMetric;
 using intsched::core::RegionAssignment;
 using intsched::core::ServerRank;
-using intsched::core::ShardedMapConfig;
 using intsched::core::ShardedNetworkMap;
 
 struct MetroOptions {
@@ -51,7 +50,6 @@ struct MetroOptions {
   std::int32_t pods = 2;
   std::int64_t tasks = 20000;
   std::int32_t epochs = 50;
-  int jobs = 0;
   std::string json_path;
 };
 
@@ -77,7 +75,6 @@ MetroOptions parse_metro_options(int argc, char** argv) {
       opts.epochs = std::stoi(arg.substr(9));
       epochs_set = true;
     }
-    if (arg.rfind("--jobs=", 0) == 0) opts.jobs = std::stoi(arg.substr(7));
     if (arg.rfind("--json=", 0) == 0) opts.json_path = arg.substr(7);
   }
   if (opts.full) {
@@ -267,9 +264,7 @@ int main(int argc, char** argv) {
   PickStats pick_stats;
   std::int64_t sharded_builds = 0;
   {
-    ShardedMapConfig cfg;
-    cfg.rebuild_executor = intsched::exp::make_parallel_for(opts.jobs);
-    ShardedNetworkMap sharded{RegionAssignment::from_topology(topo), cfg};
+    ShardedNetworkMap sharded{RegionAssignment::from_topology(topo)};
     arms.push_back(run_arm(
         "sharded", opts, batches, hosts,
         [&](const std::vector<intsched::telemetry::ProbeReport>& b,

@@ -73,8 +73,6 @@ struct QpsOptions {
   std::int32_t candidates = 0;
   std::int32_t max_results = 1;
   bool ingest = false;
-  /// Rebuild-executor width for snapshot publishes (0 = auto).
-  int jobs = 0;
   std::string json_path;
 };
 
@@ -106,7 +104,6 @@ QpsOptions parse_qps_options(int argc, char** argv) {
     if (arg.rfind("--max-results=", 0) == 0) {
       opts.max_results = std::stoi(arg.substr(14));
     }
-    if (arg.rfind("--jobs=", 0) == 0) opts.jobs = std::stoi(arg.substr(7));
     if (arg.rfind("--json=", 0) == 0) opts.json_path = arg.substr(7);
   }
   if (opts.full && opts.pods == 4) opts.pods = 48;
@@ -410,10 +407,7 @@ int main(int argc, char** argv) {
   // live-ingest task.
   exp::MetroTelemetryGen telemetry{topo,
                                    exp::MetroTelemetryConfig{.seed = opts.seed}};
-  core::ShardedMapConfig map_cfg;
-  map_cfg.rebuild_executor = exp::make_parallel_for(opts.jobs);
-  core::ShardedNetworkMap map{core::RegionAssignment::from_topology(topo),
-                              map_cfg};
+  core::ShardedNetworkMap map{core::RegionAssignment::from_topology(topo)};
   map.ingest_batch(telemetry.full_sweep(), at_ms(1000));
 
   std::vector<std::vector<telemetry::ProbeReport>> ingest_pool;

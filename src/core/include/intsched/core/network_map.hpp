@@ -50,9 +50,9 @@ struct NetworkMapConfig {
 /// Storage is a handful of flat, slot-addressed tables (DESIGN.md §8):
 /// node slots, a link table in learn order, and one sample pool holding
 /// every queue series, each found through an open-addressed index. Slots
-/// are append-only, so copying the map — every published region snapshot
-/// does — is one vector copy per table, and a slot resolved once names the
-/// same node, link or series in every later state and every copy.
+/// are append-only, so copying the map — every publish does — is one
+/// vector copy per table, and a slot resolved once names the same node,
+/// link or series in every later state and every copy.
 ///
 /// Threading: thread-confined, no internal locking — ingest mutates every
 /// table. When probe ingest and ranking queries run on different threads
@@ -72,34 +72,6 @@ class NetworkMap {
   /// Ingests one parsed probe. `now` is the scheduler-local arrival time.
   void ingest(const telemetry::ProbeReport& report, sim::SimTime now);
 
-  // -- sharded ingest primitives --
-  //
-  // ingest() is built from these three steps. The region-sharded map
-  // (core::ShardedNetworkMap) replays the same walk over a probe report
-  // but routes each step to the owning shard (region map or cross-region
-  // summary map), so flat and sharded ingest stay behaviourally identical
-  // by construction rather than by parallel maintenance.
-
-  /// Learns/updates one directed link: adjacency, egress port (when
-  /// `out_port` >= 0), and the delay EWMA (a negative `delay_sample`
-  /// means "traversed but unmeasured" — adjacency only).
-  void learn_link(core::NodeId from, core::NodeId to, std::int32_t out_port,
-                  sim::SimDuration delay_sample, sim::SimTime now);
-
-  /// Records one INT stack entry's congestion telemetry (per-port queue,
-  /// device max/avg queue, measured hop latency) for entry.device.
-  /// Precondition: entry.device >= 0 (callers reject damaged entries).
-  void record_entry_telemetry(const net::IntStackEntry& entry,
-                              sim::SimTime now);
-
-  /// Counts an entry discarded by a caller's sanity check.
-  void note_rejected_entry() { ++rejected_; }
-
-  /// Completes one report's ingest: bumps the epoch and (under
-  /// INTSCHED_AUDIT) runs the consistency audit on its amortized
-  /// schedule.
-  void finish_ingest(sim::SimTime now);
-
   // -- topology queries --
 
   /// Every learned directed link, in learn order: LinkSlot{i} is
@@ -111,6 +83,13 @@ class NetworkMap {
   /// Graph of the learned links, sorted by (from, to), with up-to-date
   /// link-delay costs on every edge — what the rankers run Dijkstra over.
   [[nodiscard]] net::Graph delay_graph() const;
+
+  /// delay_graph()'s arcs for the given links only: sorted by (from, to),
+  /// each costed by link_delay and ported by egress_port. A region's
+  /// graph is built from its links alone, so a publish never sorts the
+  /// whole link table.
+  [[nodiscard]] std::vector<net::Graph::Arc> delay_arcs(
+      std::vector<LinkSlot> links) const;
 
   /// True when `n` is an endpoint of a learned link.
   [[nodiscard]] bool knows_node(core::NodeId n) const {
@@ -257,6 +236,28 @@ class NetworkMap {
   [[nodiscard]] std::int64_t rejected_entries() const { return rejected_; }
 
  private:
+  // ingest() is these steps, in report order.
+
+  /// Learns/updates one directed link: adjacency, egress port (when
+  /// `out_port` >= 0), and the delay EWMA (a negative `delay_sample`
+  /// means "traversed but unmeasured" — adjacency only).
+  void learn_link(core::NodeId from, core::NodeId to, std::int32_t out_port,
+                  sim::SimDuration delay_sample, sim::SimTime now);
+
+  /// Records one INT stack entry's congestion telemetry (per-port queue,
+  /// device max/avg queue, measured hop latency) for entry.device.
+  /// Precondition: entry.device >= 0 (ingest rejects damaged entries).
+  void record_entry_telemetry(const net::IntStackEntry& entry,
+                              sim::SimTime now);
+
+  /// Counts an entry discarded by ingest's sanity check.
+  void note_rejected_entry() { ++rejected_; }
+
+  /// Completes one report's ingest: bumps the epoch and (under
+  /// INTSCHED_AUDIT) runs the consistency audit on its amortized
+  /// schedule.
+  void finish_ingest(sim::SimTime now);
+
   /// Open-addressed index from a packed 64-bit key to an append-only slot
   /// of the table that holds the keys: one power-of-two array of slot
   /// numbers, linear probing, no erase. It stores no keys — a probe

@@ -1,7 +1,7 @@
 #pragma once
 
-// RCU-style immutable region snapshot: the frozen per-region state a
-// published core::MetroView is assembled from (DESIGN.md §10-§11). A
+// RCU-style immutable region snapshot: the frozen per-region routing state
+// a published core::MetroView is assembled from (DESIGN.md §10-§11). A
 // publish builds one RankSnapshot per dirty region under the writer lock;
 // readers hold it through the view's shared_ptr and compute entirely over
 // frozen state, so queries never contend with ingest or with each other.
@@ -19,20 +19,19 @@
 #include <mutex>
 #include <vector>
 
-#include "intsched/core/network_map.hpp"
+#include "intsched/core/types.hpp"
 #include "intsched/net/routing.hpp"
 
 namespace intsched::core {
 
-/// Epoch-stamped immutable snapshot of one region: a copy of the region's
-/// NetworkMap (delay estimates, queue windows, staleness stamps — one
-/// vector copy per flat table, DESIGN.md §8), the materialized CSR delay
-/// graph, and a per-origin shortest-path memo.
+/// Immutable snapshot of one region's routing: its CSR delay graph — the
+/// view map's links with both ends in the region (DESIGN.md §11) — and a
+/// per-origin shortest-path memo over it. Telemetry is not here: it lives
+/// in the view's one frozen map.
 ///
 /// Thread-safety model — readable from any number of threads with zero
 /// locks:
-///  - The map copy and graph are frozen at construction and only ever
-///    read (NetworkMap's const queries are genuinely read-only).
+///  - The graph is frozen at construction and only ever read.
 ///  - The shortest-path memo fills lazily, guarded per origin by a
 ///    std::once_flag: the first query from an origin runs Dijkstra inside
 ///    call_once, every later query is a single synchronization-free read
@@ -40,20 +39,15 @@ namespace intsched::core {
 ///    re-serialize exactly the contention this type exists to remove; the
 ///    once-only guard pays synchronization only on the first fill.
 ///  - The slot *set* is fixed at construction (one slot per node known to
-///    the graph), so no reader ever mutates the map structure itself.
+///    the graph), so no reader ever mutates the memo structure itself.
 class RankSnapshot {
  public:
-  /// Copies `map` (the caller holds whatever lock makes that read safe)
-  /// and stamps the snapshot with the map's current ingest epoch.
-  explicit RankSnapshot(const NetworkMap& map);
+  /// Freezes `graph` (built by the caller under whatever lock makes its
+  /// source map safe to read) with an empty memo.
+  explicit RankSnapshot(net::Graph graph);
 
   RankSnapshot(const RankSnapshot&) = delete;
   RankSnapshot& operator=(const RankSnapshot&) = delete;
-
-  /// Ingest epoch (NetworkMap::ingest_epoch) the snapshot was built at.
-  [[nodiscard]] Epoch epoch() const { return epoch_; }
-
-  [[nodiscard]] const NetworkMap& map() const { return map_; }
 
   /// The frozen delay graph the memo runs Dijkstra over; every memo's
   /// tree is indexed by its local node indices.
@@ -87,9 +81,7 @@ class RankSnapshot {
     mutable net::ShortestPaths sp;
   };
 
-  NetworkMap map_;  ///< frozen deep copy; only const queries touch it
-  Epoch epoch_ = Epoch::none();
-  net::Graph graph_;  ///< delay graph materialized once at construction
+  net::Graph graph_;  ///< frozen at construction
   /// sp_slots_[i] memoizes the graph's node at local index i. One
   /// contiguous slot array, allocated once per snapshot, rather than a
   /// tree node per slot: snapshots are rebuilt on every publish that

@@ -174,41 +174,32 @@ struct KCalibrationSample {
 /// for every origin of a view, so they are resolved once per view, not
 /// once per origin. Node ids index the tables directly: they are dense
 /// topology indices (RegionAssignment indexes by them too), so the tables
-/// span the largest known id. Each handle is an owning map plus slots in
-/// it; the map pointers are valid exactly as long as the frozen maps they
-/// name (the catalog and the maps share an owner), while the slots are
-/// append-only and so name the same series and links in every later copy
-/// of those maps.
+/// span the largest known id. Every handle is a slot of the one map the
+/// catalog was compiled from, which the kernels below take alongside the
+/// plane; slots are append-only, so they name the same series and links
+/// in every later state and copy of that map.
 struct PlaneCatalog {
   /// find_link sentinel: the directed link was never learned.
   static constexpr std::uint32_t kNoLink = 0xffffffffu;
 
-  /// Resolved telemetry handle for one device: the owning map (the
-  /// device's region map, or the summary map for region-less nodes) plus
-  /// the slot of the series matching the view's queue statistic, so the
-  /// per-query gather is slot-direct — no region routing, no index probe.
-  struct DevRef {
-    const NetworkMap* map = nullptr;
-    NetworkMap::SeriesSlot series = NetworkMap::SeriesSlot::invalid();
-  };
   /// Resolved handles replaying link_max_queue (port series if fresh,
-  /// else `from`'s device register — both slots of `queue_map`) and
-  /// link_stale (forward/reverse link slots of `stale_map`).
+  /// else `from`'s device register) and link_stale (forward/reverse link
+  /// slots).
   struct LinkRef {
-    const NetworkMap* queue_map = nullptr;
     NetworkMap::SeriesSlot port_series = NetworkMap::SeriesSlot::invalid();
     NetworkMap::SeriesSlot dev_series = NetworkMap::SeriesSlot::invalid();
-    const NetworkMap* stale_map = nullptr;
     NetworkMap::LinkSlot fwd = NetworkMap::LinkSlot::invalid();
     NetworkMap::LinkSlot rev = NetworkMap::LinkSlot::invalid();
   };
 
-  std::vector<DevRef> dev_refs;  ///< indexed by node id
+  /// Per node id: the slot of the device series matching the view's
+  /// queue statistic, so the per-query gather is slot-direct.
+  std::vector<NetworkMap::SeriesSlot> dev_series;
   /// Links leaving node n are [link_begin[n], link_begin[n + 1]) in the
-  /// three parallel link tables below (dev_refs.size() + 1 entries).
+  /// three parallel link tables below (dev_series.size() + 1 entries).
   std::vector<std::uint32_t> link_begin;
   std::vector<core::NodeId> link_to;
-  /// The link's static delay estimate (the MapLike's link_delay), frozen.
+  /// The link's static delay estimate (the map's link_delay), frozen.
   std::vector<sim::SimDuration> link_delay;
   std::vector<LinkRef> link_refs;
 
@@ -218,7 +209,7 @@ struct PlaneCatalog {
   /// learned: a binary search in `from`'s CSR range, no hashing.
   [[nodiscard]] std::uint32_t find_link(core::NodeId from,
                                         core::NodeId to) const {
-    if (!from.valid() || from.index() >= dev_refs.size()) return kNoLink;
+    if (!from.valid() || from.index() >= dev_series.size()) return kNoLink;
     const auto first = link_to.begin() + link_begin[from.index()];
     const auto last = link_to.begin() + link_begin[from.index() + 1];
     const auto it = std::lower_bound(first, last, to);
@@ -230,55 +221,11 @@ struct PlaneCatalog {
   /// Resolves a catalog over node ids [0, node_span) and `links`, which
   /// must be sorted by (from, to), unique, with both ends valid ids below
   /// node_span. Devices resolve to the series of `statistic`; delays and
-  /// handles are read from `map`, the frozen MapLike the planes will be
+  /// handles are read from `map`, the frozen map the planes will be
   /// queried against.
-  template <typename MapLike>
   [[nodiscard]] INTSCHED_COLDPATH static PlaneCatalog compile(
-      const MapLike& map, QueueStatistic statistic, std::size_t node_span,
-      const std::vector<LinkKey>& links) {
-    PlaneCatalog c;
-    c.dev_refs.resize(node_span);
-    core::NodeId d{0};
-    for (DevRef& ref : c.dev_refs) {
-      const NetworkMap& owner = map.plane_device_map(d);
-      ref.map = &owner;
-      switch (statistic) {
-        case QueueStatistic::kMaximum:
-          ref.series = owner.find_device_queue(d);
-          break;
-        case QueueStatistic::kAverage:
-          ref.series = owner.find_device_avg_queue(d);
-          break;
-        case QueueStatistic::kMeasuredHopLatency:
-          ref.series = owner.find_device_hop_latency(d);
-          break;
-      }
-      ++d;
-    }
-    c.link_begin.assign(node_span + 1, 0);
-    c.link_to.reserve(links.size());
-    c.link_delay.reserve(links.size());
-    c.link_refs.reserve(links.size());
-    for (const LinkKey& k : links) {
-      ++c.link_begin[k.from.index() + 1];
-      c.link_to.push_back(k.to);
-      c.link_delay.push_back(map.link_delay(k.from, k.to));
-      LinkRef ref;
-      const NetworkMap& qm = map.plane_device_map(k.from);
-      ref.queue_map = &qm;
-      ref.port_series = map.plane_link_port_series(k.from, k.to);
-      ref.dev_series = qm.find_device_queue(k.from);
-      const NetworkMap& sm = map.plane_link_stale_map(k.from, k.to);
-      ref.stale_map = &sm;
-      ref.fwd = sm.find_link(k.from, k.to);
-      ref.rev = sm.find_link(k.to, k.from);
-      c.link_refs.push_back(ref);
-    }
-    for (std::size_t n = 0; n < node_span; ++n) {
-      c.link_begin[n + 1] += c.link_begin[n];
-    }
-    return c;
-  }
+      const NetworkMap& map, QueueStatistic statistic, std::size_t node_span,
+      const std::vector<LinkKey>& links);
 };
 
 struct RankPlane {
@@ -306,7 +253,7 @@ struct RankPlane {
   };
 
   std::vector<Row> rows;
-  std::vector<std::uint32_t> dev_ix;   ///< node ids into catalog->dev_refs
+  std::vector<std::uint32_t> dev_ix;   ///< node ids into catalog->dev_series
   std::vector<std::uint32_t> link_ix;  ///< indices into catalog's links
   /// The owning view's catalog; null for a plane with no rows.
   const PlaneCatalog* catalog = nullptr;
@@ -421,9 +368,9 @@ struct PlaneScratch {
   INTSCHED_HOTPATH void begin(const RankPlane& plane) {
     if (plane.catalog != nullptr) {
       const PlaneCatalog& catalog = *plane.catalog;
-      if (dev_mark.size() < catalog.dev_refs.size()) {
-        dev_mark.resize(catalog.dev_refs.size(), 0);
-        dev_term.resize(catalog.dev_refs.size(), sim::SimDuration::zero());
+      if (dev_mark.size() < catalog.dev_series.size()) {
+        dev_mark.resize(catalog.dev_series.size(), 0);
+        dev_term.resize(catalog.dev_series.size(), sim::SimDuration::zero());
       }
       if (link_mark.size() < catalog.link_count()) {
         link_mark.resize(catalog.link_count(), 0);
@@ -439,34 +386,34 @@ namespace plane_detail {
 
 /// Gathered hop-delay term for device `d`: one queue-window query per
 /// distinct device per plane query, whatever the candidate fan-in —
-/// evaluated through the catalog's resolved ref, so the
-/// gather is slot-direct (no region routing, no index probe). The term
-/// is the exact per-hop contribution of estimate_path_delay under
-/// cfg.queue_statistic (kAverage's /100.0 mean scaling and double ->
-/// int64 rounding included), so summing gathered terms in span order
-/// reproduces the estimator's arithmetic bit-for-bit.
+/// evaluated through the catalog's resolved series slot in `map`, so the
+/// gather is slot-direct (no index probe). The term is the exact per-hop
+/// contribution of estimate_path_delay under cfg.queue_statistic
+/// (kAverage's /100.0 mean scaling and double -> int64 rounding
+/// included), so summing gathered terms in span order reproduces the
+/// estimator's arithmetic bit-for-bit.
 INTSCHED_HOTPATH inline sim::SimDuration dev_term(const RankerConfig& cfg,
+                                                  const NetworkMap& map,
                                                   const RankPlane& plane,
                                                   PlaneScratch& scratch,
                                                   std::uint32_t d,
                                                   sim::SimTime now) {
   if (scratch.dev_mark[d] != scratch.stamp) {
     scratch.dev_mark[d] = scratch.stamp;
-    const PlaneCatalog::DevRef& ref = plane.catalog->dev_refs[d];
+    const std::int64_t q =
+        map.window_max_of(plane.catalog->dev_series[d], now);
     sim::SimDuration term = sim::SimDuration::zero();
     switch (cfg.queue_statistic) {
       case QueueStatistic::kMaximum:
-        term = cfg.k_factor * ref.map->window_max_of(ref.series, now);
+        term = cfg.k_factor * q;
         break;
       case QueueStatistic::kAverage:
         term = sim::SimDuration::nanos(static_cast<std::int64_t>(
             static_cast<double>(cfg.k_factor.ns()) *
-            (static_cast<double>(ref.map->window_max_of(ref.series, now)) /
-             100.0)));
+            (static_cast<double>(q) / 100.0)));
         break;
       case QueueStatistic::kMeasuredHopLatency:
-        term =
-            sim::SimDuration::nanos(ref.map->window_max_of(ref.series, now));
+        term = sim::SimDuration::nanos(q);
         break;
     }
     scratch.dev_term[d] = term;
@@ -479,6 +426,7 @@ INTSCHED_HOTPATH inline sim::SimDuration dev_term(const RankerConfig& cfg,
 /// replaying link_max_queue (fresh port series, else device register)
 /// and link_stale over the resolved handles.
 INTSCHED_HOTPATH inline void gather_link(const RankerConfig& cfg,
+                                         const NetworkMap& map,
                                          const RankPlane& plane,
                                          PlaneScratch& scratch, std::uint32_t l,
                                          sim::SimTime now, double nominal,
@@ -486,27 +434,25 @@ INTSCHED_HOTPATH inline void gather_link(const RankerConfig& cfg,
   if (scratch.link_mark[l] == scratch.stamp) return;
   scratch.link_mark[l] = scratch.stamp;
   const PlaneCatalog::LinkRef& ref = plane.catalog->link_refs[l];
-  const std::int64_t q =
-      ref.queue_map->port_series_fresh(ref.port_series, now)
-          ? ref.queue_map->window_max_of(ref.port_series, now)
-          : ref.queue_map->window_max_of(ref.dev_series, now);
+  const std::int64_t q = map.port_series_fresh(ref.port_series, now)
+                             ? map.window_max_of(ref.port_series, now)
+                             : map.window_max_of(ref.dev_series, now);
   const double util = cfg.queue_to_utilization.utilization(q);
   scratch.link_avail[l] = nominal * (1.0 - util);
   scratch.link_is_stale[l] =
-      staleness_on && ref.stale_map->records_stale(ref.fwd, ref.rev, now) ? 1
-                                                                          : 0;
+      staleness_on && map.records_stale(ref.fwd, ref.rev, now) ? 1 : 0;
 }
 
 /// Row's delay key: static prefix + gathered per-device terms in span
 /// order. Unreachable rows key at SimDuration::max(), matching the
 /// uncompiled path's unreachable delay.
 INTSCHED_HOTPATH inline sim::SimDuration delay_key_of(
-    const RankerConfig& cfg, const RankPlane& plane, PlaneScratch& scratch,
-    const RankPlane::Row* row, sim::SimTime now) {
+    const RankerConfig& cfg, const NetworkMap& map, const RankPlane& plane,
+    PlaneScratch& scratch, const RankPlane::Row* row, sim::SimTime now) {
   if (row == nullptr || !row->reachable) return sim::SimDuration::max();
   sim::SimDuration key = row->static_delay;
   for (std::uint32_t ix = row->dev_begin; ix < row->dev_end; ++ix) {
-    key += dev_term(cfg, plane, scratch, plane.dev_ix[ix], now);
+    key += dev_term(cfg, map, plane, scratch, plane.dev_ix[ix], now);
   }
   return key;
 }
@@ -515,6 +461,7 @@ INTSCHED_HOTPATH inline sim::SimDuration delay_key_of(
 /// (first switch onward), starting at the nominal capacity. Unreachable
 /// rows key at 0 bps.
 INTSCHED_HOTPATH inline double bw_key_of(const RankerConfig& cfg,
+                                         const NetworkMap& map,
                                          const RankPlane& plane,
                                          PlaneScratch& scratch,
                                          const RankPlane::Row* row,
@@ -523,7 +470,7 @@ INTSCHED_HOTPATH inline double bw_key_of(const RankerConfig& cfg,
   if (row == nullptr || !row->reachable) return 0.0;
   double min_bps = nominal;
   for (std::uint32_t ix = row->link_begin + 1; ix < row->link_end; ++ix) {
-    gather_link(cfg, plane, scratch, plane.link_ix[ix], now, nominal,
+    gather_link(cfg, map, plane, scratch, plane.link_ix[ix], now, nominal,
                 staleness_on);
     min_bps = std::min(min_bps, scratch.link_avail[plane.link_ix[ix]]);
   }
@@ -534,6 +481,7 @@ INTSCHED_HOTPATH inline double bw_key_of(const RankerConfig& cfg,
 /// including the ones the query's metric did not need for ordering.
 /// `server` is the candidate id (used verbatim when the row is absent).
 INTSCHED_HOTPATH inline void fill_rank(const RankerConfig& cfg,
+                                       const NetworkMap& map,
                                        const RankPlane& plane,
                                        PlaneScratch& scratch,
                                        const RankPlane::Row* row,
@@ -553,11 +501,11 @@ INTSCHED_HOTPATH inline void fill_rank(const RankerConfig& cfg,
   r.delay_estimate = delay;
   r.baseline_delay = row->baseline_delay;
   r.bandwidth_estimate = sim::DataRate::bits_per_second(
-      bw_key_of(cfg, plane, scratch, row, now, nominal, staleness_on));
+      bw_key_of(cfg, map, plane, scratch, row, now, nominal, staleness_on));
   bool stale = false;
   if (staleness_on) {
     for (std::uint32_t ix = row->link_begin; ix < row->link_end; ++ix) {
-      gather_link(cfg, plane, scratch, plane.link_ix[ix], now, nominal,
+      gather_link(cfg, map, plane, scratch, plane.link_ix[ix], now, nominal,
                   staleness_on);
       stale = stale || scratch.link_is_stale[plane.link_ix[ix]] != 0;
     }
@@ -573,16 +521,13 @@ INTSCHED_HOTPATH inline void fill_rank(const RankerConfig& cfg,
 /// ranking; smaller top_k uses a deterministic partial selection whose
 /// prefix is byte-identical to the full sort (the comparator's
 /// (key, server id) total order leaves no ties for an unstable algorithm
-/// to permute observably). All working memory comes from `scratch`.
-template <typename MapLike>
-INTSCHED_HOTPATH void rank_plane_into(const MapLike& map,
-                                      const RankerConfig& cfg,
-                                      const RankPlane& plane,
-                                      const core::NodeId* candidates,
-                                      std::size_t count, RankingMetric metric,
-                                      sim::SimTime now, std::size_t top_k,
-                                      PlaneScratch& scratch,
-                                      std::vector<ServerRank>& out) {
+/// to permute observably). All working memory comes from `scratch`;
+/// `map` is the map the plane's catalog was compiled from.
+INTSCHED_HOTPATH inline void rank_plane_into(
+    const NetworkMap& map, const RankerConfig& cfg, const RankPlane& plane,
+    const core::NodeId* candidates, std::size_t count, RankingMetric metric,
+    sim::SimTime now, std::size_t top_k, PlaneScratch& scratch,
+    std::vector<ServerRank>& out) {
   scratch.begin(plane);
   const double nominal = map.config().nominal_capacity.bps();
   const bool staleness_on =
@@ -598,10 +543,10 @@ INTSCHED_HOTPATH void rank_plane_into(const MapLike& map,
     const RankPlane::Row* row = plane.row_for(candidates[i]);
     if (metric == RankingMetric::kDelay) {
       scratch.delay_key[i] =
-          plane_detail::delay_key_of(cfg, plane, scratch, row, now);
+          plane_detail::delay_key_of(cfg, map, plane, scratch, row, now);
     } else {
-      scratch.bw_key[i] = plane_detail::bw_key_of(cfg, plane, scratch, row,
-                                                  now, nominal, staleness_on);
+      scratch.bw_key[i] = plane_detail::bw_key_of(
+          cfg, map, plane, scratch, row, now, nominal, staleness_on);
     }
   }
 
@@ -648,8 +593,8 @@ INTSCHED_HOTPATH void rank_plane_into(const MapLike& map,
     const sim::SimDuration delay =
         metric == RankingMetric::kDelay
             ? scratch.delay_key[i]
-            : plane_detail::delay_key_of(cfg, plane, scratch, row, now);
-    plane_detail::fill_rank(cfg, plane, scratch, row, server, delay, now,
+            : plane_detail::delay_key_of(cfg, map, plane, scratch, row, now);
+    plane_detail::fill_rank(cfg, map, plane, scratch, row, server, delay, now,
                             nominal, staleness_on, out[j]);
   }
 }
@@ -678,7 +623,7 @@ struct PlaneIncumbent {
 /// row is strictly worse than the final winner even on key ties —
 /// selection stays exact, id tie-breaks included.
 INTSCHED_HOTPATH inline void pick_plane_argmin(
-    const RankerConfig& cfg, const RankPlane& plane,
+    const RankerConfig& cfg, const NetworkMap& map, const RankPlane& plane,
     const core::NodeId* servers, std::size_t count, sim::SimTime now,
     PlaneScratch& scratch, PlaneIncumbent& best) {
   for (std::size_t i = 0; i < count; ++i) {
@@ -688,7 +633,7 @@ INTSCHED_HOTPATH inline void pick_plane_argmin(
       continue;
     }
     const sim::SimDuration key =
-        plane_detail::delay_key_of(cfg, plane, scratch, row, now);
+        plane_detail::delay_key_of(cfg, map, plane, scratch, row, now);
     if (!best.found || key < best.delay ||
         (key == best.delay && servers[i] < best.server)) {
       best = PlaneIncumbent{true, key, servers[i]};

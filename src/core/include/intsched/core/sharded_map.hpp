@@ -8,15 +8,15 @@
 // A metro deployment (net::TopologyGen::ring_of_pods) has thousands of
 // switches but strong locality: almost every link is intra-pod, and pods
 // are delay-isolated (ring latency dominates any intra-pod path). A
-// single flat NetworkMap makes every epoch's first rank() per origin pay
-// a metro-wide Dijkstra. ShardedNetworkMap instead keeps one NetworkMap
-// per region (pod) plus a small summary map holding only the
-// cross-region links, snapshots each region independently (only regions
-// whose telemetry actually moved are rebuilt — the others' RankSnapshots,
-// Dijkstra memos included, are reused by pointer), and answers queries
-// from an immutable MetroView in two levels: region-local shortest paths
-// plus a summary-graph traversal whose nodes are only the border
-// gateways.
+// metro-wide delay graph makes every epoch's first rank() per origin pay
+// a metro-wide Dijkstra. ShardedNetworkMap keeps its telemetry in one
+// NetworkMap but shards its routing: each region (pod) gets a delay
+// graph of the links with both ends in it, every other link becomes a
+// summary arc, and a publish rebuilds only the graphs of regions whose
+// telemetry moved — the others' RankSnapshots, Dijkstra memos included,
+// are reused by pointer. Queries are answered from an immutable MetroView
+// in two levels: region-local shortest paths plus a summary-graph
+// traversal whose nodes are only the border gateways.
 //
 // This header is a sanctioned concurrent component: the atomics below are
 // the published-view pointer (RCU-style read path) and the
@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -41,16 +40,6 @@
 #include "intsched/net/topology_gen.hpp"
 
 namespace intsched::core {
-
-/// Executor hook for parallel region-snapshot rebuilds:
-/// `fn(count, body)` must invoke `body(i)` exactly once for every
-/// i in [0, count) — concurrently if it likes — and return only after all
-/// calls completed. Results are written to index-addressed slots, so any
-/// conforming executor (including plain serial) yields byte-identical
-/// published views; exp::make_parallel_for adapts exp::SweepRunner.
-/// Defined here (not in exp) so core does not depend upward.
-using ParallelFor =
-    std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
 
 /// Static node -> region mapping the shards are keyed by, plus the nodes
 /// provisioned as edge servers. In the paper's deployment shape both are
@@ -91,8 +80,6 @@ class RegionAssignment {
 struct ShardedMapConfig {
   NetworkMapConfig map{};
   RankerConfig ranker{};
-  /// Runs the per-region snapshot rebuilds at publish time. Null = serial.
-  ParallelFor rebuild_executor = nullptr;
 };
 
 /// Observability for MetroView::pick's region pruning.
@@ -102,11 +89,11 @@ struct PickStats {
   std::int64_t candidates_scored = 0;
 };
 
-/// Immutable two-level ranking view over one publish epoch: per-region
-/// RankSnapshots, a frozen copy of the cross-region summary map, and the
-/// summary graph (border links + per-region transit edges whose costs
-/// are region shortest-path distances, each edge tagged with the region
-/// it crosses).
+/// Immutable two-level ranking view over one publish epoch: a frozen copy
+/// of the map's telemetry, per-region RankSnapshots (delay graph plus
+/// Dijkstra memo), and the summary graph (the links no region graph
+/// holds + per-region transit edges whose costs are region shortest-path
+/// distances, each edge tagged with the region it crosses).
 ///
 /// Thread-safety model mirrors RankSnapshot: everything is frozen at
 /// construction except three lazy memos, each filled once under its own
@@ -131,7 +118,7 @@ struct PickStats {
 class MetroView {
  public:
   /// Reusable buffers for the allocation-free query entry points
-  /// (rank_into / rank_topk_into / pick_with). Every vector retains its
+  /// (rank_topk_into / pick_with). Every vector retains its
   /// capacity across calls, so after a warm-up pass over the working set
   /// (origins seen, candidate counts seen), a query performs zero heap
   /// allocations (the analyzer's hot-alloc rule + the serve
@@ -165,41 +152,38 @@ class MetroView {
     std::vector<core::NodeId> group_servers;
   };
 
+  /// `map` is the frozen telemetry every region graph was built from;
+  /// `summary_links` are its links with no region graph — ends in
+  /// different regions or outside every region — as
+  /// NetworkMap::delay_arcs emits them. The view's epoch is the map's.
   MetroView(std::shared_ptr<const RegionAssignment> regions,
             std::vector<std::shared_ptr<const RankSnapshot>> region_snaps,
-            std::shared_ptr<const NetworkMap> summary_map,
-            std::vector<std::vector<core::NodeId>> borders_by_region,
-            std::shared_ptr<const RankerConfig> config, Epoch epoch);
+            std::shared_ptr<const NetworkMap> map,
+            const std::vector<net::Graph::Arc>& summary_links,
+            std::shared_ptr<const RankerConfig> config);
 
   MetroView(const MetroView&) = delete;
   MetroView& operator=(const MetroView&) = delete;
 
   /// Two-level ranking, identical output contract to Ranker::rank (best
   /// first, server-id tie-break, unreachable last with delay = max /
-  /// bandwidth = 0). Works from a per-thread scratch, so repeated calls
-  /// on one thread allocate only the returned vector.
+  /// bandwidth = 0): rank_topk_into with top_k = candidates.size(), from
+  /// a per-thread scratch, so repeated calls on one thread allocate only
+  /// the returned vector.
   [[nodiscard]] INTSCHED_HOTPATH std::vector<ServerRank> rank(
       core::NodeId origin, const std::vector<core::NodeId>& candidates,
       RankingMetric metric, sim::SimTime now) const;
 
-  /// rank() into caller-owned buffers: byte-identical output (rank() is
-  /// a thin wrapper over this), but all working memory comes from
-  /// `scratch` and `out`, so a warmed-up caller allocates nothing. This
-  /// is the ServeFrontend entry point (DESIGN.md §13).
-  INTSCHED_HOTPATH void rank_into(core::NodeId origin,
-                                  const core::NodeId* candidates,
-                                  std::size_t count, RankingMetric metric,
-                                  sim::SimTime now, RankScratch& scratch,
-                                  std::vector<ServerRank>& out) const;
-
-  /// rank_into limited to the best min(top_k, count) entries: the output
-  /// is byte-identical to rank_into's first min(top_k, count) elements
+  /// The best min(top_k, count) entries of the ranking into caller-owned
+  /// buffers: byte-identical to rank()'s first min(top_k, count) elements
   /// (the (key, server-id) total order makes the partial selection's
-  /// prefix deterministic). Runs the fused plane kernel over the origin's
-  /// compiled plane — no path re-walk, one telemetry gather per distinct
-  /// device; an unknown origin runs it over an empty plane, so every
-  /// candidate ranks unreachable, ordered by id. This is the
-  /// ServeFrontend multi-result entry point (DESIGN.md §15).
+  /// prefix deterministic), but all working memory comes from `scratch`
+  /// and `out`, so a warmed-up caller allocates nothing. Runs the fused
+  /// plane kernel over the origin's compiled plane — no path re-walk, one
+  /// telemetry gather per distinct device; an unknown origin runs it over
+  /// an empty plane, so every candidate ranks unreachable, ordered by id.
+  /// This is the ServeFrontend multi-result entry point (DESIGN.md §13,
+  /// §15).
   INTSCHED_HOTPATH void rank_topk_into(core::NodeId origin,
                                        const core::NodeId* candidates,
                                        std::size_t count, RankingMetric metric,
@@ -220,8 +204,8 @@ class MetroView {
       PickStats* stats = nullptr) const;
 
   /// pick() from caller-owned scratch — same answer, zero allocations
-  /// once warm (the wrapper relationship mirrors rank/rank_into). For the
-  /// delay metric the per-group scoring is the plane's k=1 argmin
+  /// once warm (the wrapper relationship mirrors rank/rank_topk_into).
+  /// For the delay metric the per-group scoring is the plane's k=1 argmin
   /// carrying one (delay, server id) incumbent across region groups.
   [[nodiscard]] INTSCHED_HOTPATH std::optional<ServerRank> pick_with(
       core::NodeId origin, const core::NodeId* candidates, std::size_t count,
@@ -237,11 +221,8 @@ class MetroView {
   [[nodiscard]] const RankSnapshot& region_snapshot(core::RegionId r) const {
     return *region_snaps_[r.index()];
   }
-  [[nodiscard]] const NetworkMap& summary_map() const { return *summary_map_; }
-  [[nodiscard]] const std::vector<core::NodeId>& borders_of(
-      core::RegionId r) const {
-    return borders_by_region_[r.index()];
-  }
+  /// The frozen telemetry every answer of the view reads.
+  [[nodiscard]] const NetworkMap& map() const { return *map_; }
   [[nodiscard]] const RankerConfig& config() const { return *cfg_; }
 
   /// Plane rows compiled so far over every origin, server and fallback
@@ -305,61 +286,9 @@ class MetroView {
   };
   enum class PlaneKind : std::uint8_t { kServers, kAllNodes };
 
-  /// The catalog compiler's view of the sharded state (PlaneCatalog's
-  /// MapLike): same-region links and per-device telemetry resolve in the
-  /// owning region snapshot's frozen map, cross-region links in the
-  /// summary map — the exact split flat ingest would have stored in one
-  /// map — and link_max_queue takes a cross-region link's egress port
-  /// from the summary but the port's queue series from the region.
-  struct HierMap {
-    const MetroView* view;
-    [[nodiscard]] const NetworkMapConfig& config() const {
-      return view->summary_map_->config();
-    }
-    [[nodiscard]] INTSCHED_HOTPATH sim::SimDuration link_delay(
-        core::NodeId from, core::NodeId to) const {
-      return view->link_map(from, to).link_delay(from, to);
-    }
-
-    /// Owning map of the device's telemetry.
-    [[nodiscard]] const NetworkMap& plane_device_map(core::NodeId d) const {
-      return view->device_map(d);
-    }
-    /// Owning map of the link's delay and staleness records.
-    [[nodiscard]] const NetworkMap& plane_link_stale_map(
-        core::NodeId from, core::NodeId to) const {
-      return view->link_map(from, to);
-    }
-    /// The port series link_max_queue's port branch reads: same-region
-    /// links resolve port and series in the region map; cross-region
-    /// links take the egress port from the summary map but the series
-    /// from `from`'s region map.
-    [[nodiscard]] NetworkMap::SeriesSlot plane_link_port_series(
-        core::NodeId from, core::NodeId to) const {
-      const core::RegionId ra = view->regions_->region_of(from);
-      const core::RegionId rb = view->regions_->region_of(to);
-      if (ra == rb && view->valid_region(ra)) {
-        return view->region_map(ra).plane_link_port_series(from, to);
-      }
-      const std::int32_t port = view->summary_map_->egress_port(from, to);
-      return port < 0 ? NetworkMap::SeriesSlot::invalid()
-                      : view->device_map(from).find_port_queue(from, port);
-    }
-  };
-
   [[nodiscard]] bool valid_region(core::RegionId r) const {
     return r.valid() && r.index() < region_snaps_.size();
   }
-  [[nodiscard]] const NetworkMap& region_map(core::RegionId r) const {
-    return region_snaps_[r.index()]->map();
-  }
-  /// Map owning the directed link (region when both ends share one,
-  /// summary otherwise).
-  [[nodiscard]] const NetworkMap& link_map(core::NodeId from,
-                                           core::NodeId to) const;
-  /// Map owning the device's telemetry (its region; summary for
-  /// region-less nodes).
-  [[nodiscard]] const NetworkMap& device_map(core::NodeId device) const;
 
   /// Memoized query context for `origin` (nullptr when the origin is
   /// unknown to every region graph; a stable address once filled).
@@ -419,16 +348,17 @@ class MetroView {
 
   std::shared_ptr<const RegionAssignment> regions_;
   std::vector<std::shared_ptr<const RankSnapshot>> region_snaps_;
-  std::shared_ptr<const NetworkMap> summary_map_;
+  std::shared_ptr<const NetworkMap> map_;
+  /// Per region, ascending: its nodes that are an end of a summary link.
   std::vector<std::vector<core::NodeId>> borders_by_region_;
   std::shared_ptr<const RankerConfig> cfg_;
   Epoch epoch_ = Epoch::none();
-  /// Summary delay graph + per-region transit edges (border -> border
-  /// within a region, costed by region shortest-path distance). Every
-  /// context's summary tree runs over it, plus its origin's entry edges.
+  /// Summary links + per-region transit edges (border -> border within a
+  /// region, costed by region shortest-path distance). Every context's
+  /// summary tree runs over it, plus its origin's entry edges.
   net::Graph summary_graph_;
   /// Region tag per summary edge, indexed like the graph's edges: the
-  /// region a transit edge crosses, kNoRegion for a cross-region link.
+  /// region a transit edge crosses, kNoRegion for a summary link.
   std::vector<core::RegionId> summary_region_;
   /// Nodes known to any region graph or the summary graph, ascending;
   /// ctx_slots_[i] is ctx_nodes_[i]'s query context. Fixed at
@@ -445,22 +375,21 @@ class MetroView {
   mutable std::atomic<std::int64_t> catalog_links_{0};
 };
 
-/// Thread-safe scheduler state: a region-sharded NetworkMap fed by
-/// concurrent probe ingest and answering concurrent candidate queries —
-/// the deployment shape of the paper's scheduler process (collector
-/// thread(s) ingesting INT reports while RPC threads rank). Ingest routes
-/// every learned link and telemetry record to the owning shard under the
-/// writer lock, a publish rebuilds only the region snapshots whose shard
-/// actually moved, and rank()/pick() run lock-free over the published
-/// MetroView. A flat deployment is the one-region assignment
+/// Thread-safe scheduler state: one NetworkMap fed by concurrent probe
+/// ingest, with region-sharded routing, answering concurrent candidate
+/// queries — the deployment shape of the paper's scheduler process
+/// (collector thread(s) ingesting INT reports while RPC threads rank).
+/// Ingest is NetworkMap::ingest under the writer lock; a publish copies
+/// the map once, rebuilds only the region graphs whose region a report
+/// touched, and rank()/pick() run lock-free over the published MetroView.
+/// A flat deployment is the one-region assignment
 /// (RegionAssignment{by_node all region 0, 1}).
 ///
 /// Equivalence contract (property-tested): for any report sequence,
 /// rank() agrees with core::Ranker over a flat NetworkMap fed the same
 /// reports — byte-exactly on one region and when regions are
 /// delay-isolated with unique shortest paths, within the DESIGN.md §11
-/// bound otherwise — and is byte-stable across rebuild executors (serial,
-/// 2 threads, 8 threads).
+/// bound otherwise.
 class ShardedNetworkMap {
  public:
   explicit ShardedNetworkMap(RegionAssignment regions,
@@ -521,49 +450,28 @@ class ShardedNetworkMap {
   }
 
  private:
-  INTSCHED_COLDPATH void apply_report_locked(
-      const telemetry::ProbeReport& report,
-      sim::SimTime now) INTSCHED_REQUIRES(mutex_);
-  /// Routes one directed link observation to its owning shard and tracks
-  /// border membership for cross-region links.
-  INTSCHED_COLDPATH void learn_pair_locked(
-      core::NodeId from, core::NodeId to, std::int32_t out_port,
-      sim::SimDuration delay_sample, sim::SimTime now)
+  /// NetworkMap::ingest, then marks the region of every valid entry
+  /// device dirty.
+  INTSCHED_COLDPATH void ingest_locked(const telemetry::ProbeReport& report,
+                                       sim::SimTime now)
       INTSCHED_REQUIRES(mutex_);
   INTSCHED_COLDPATH void publish_locked() INTSCHED_REQUIRES(mutex_);
 
-  /// Deep-snapshots one region shard. Called from rebuild-executor worker
-  /// threads while the publisher blocks holding mutex_: workers read
-  /// disjoint guarded shards and the publisher cannot proceed (or
-  /// mutate) until the executor returns, so the access is race-free but
-  /// outside what the static analysis can model.
-  [[nodiscard]] INTSCHED_COLDPATH std::shared_ptr<const RankSnapshot>
-  build_region_snapshot(std::size_t r) const
-      INTSCHED_NO_THREAD_SAFETY_ANALYSIS;
-
   std::shared_ptr<const RegionAssignment> regions_;
-  ShardedMapConfig cfg_;
   mutable AnnotatedMutex mutex_;
-  /// cfg_.ranker as published views read it: one immutable copy, built
-  /// at construction and shared by every view.
+  /// The config's ranker as published views read it: one immutable copy,
+  /// built at construction and shared by every view.
   const std::shared_ptr<const RankerConfig> ranker_;
-  std::vector<NetworkMap> region_maps_ INTSCHED_GUARDED_BY(mutex_);
-  NetworkMap summary_map_ INTSCHED_GUARDED_BY(mutex_);
-  /// Sorted unique border nodes (endpoints of cross-region links) per
-  /// region, grown as links are learned.
-  std::vector<std::vector<core::NodeId>> borders_by_region_
-      INTSCHED_GUARDED_BY(mutex_);
-  /// Last published snapshot per region, reused while the shard's ingest
-  /// epoch is unchanged.
+  NetworkMap map_ INTSCHED_GUARDED_BY(mutex_);
+  /// Per region: 1 when its graph must be rebuilt at the next publish —
+  /// a report since the last one had a valid entry device in the region
+  /// (every intra-region link the map learns has one as an end), or the
+  /// graph was never built.
+  std::vector<char> dirty_ INTSCHED_GUARDED_BY(mutex_);
+  /// Last published snapshot per region, reused while the region is
+  /// clean.
   std::vector<std::shared_ptr<const RankSnapshot>> last_snaps_
       INTSCHED_GUARDED_BY(mutex_);
-  std::shared_ptr<const NetworkMap> last_summary_ INTSCHED_GUARDED_BY(mutex_);
-  Epoch last_summary_epoch_ INTSCHED_GUARDED_BY(mutex_) = Epoch::none();
-  /// Per-report scratch: which shards the current report touched
-  /// (regions, then summary at index region_count()).
-  std::vector<char> touched_ INTSCHED_GUARDED_BY(mutex_);
-  std::int64_t reports_ INTSCHED_GUARDED_BY(mutex_) = 0;
-  std::int64_t rejected_ INTSCHED_GUARDED_BY(mutex_) = 0;
   std::int64_t snapshot_builds_ INTSCHED_GUARDED_BY(mutex_) = 0;
   std::int64_t publishes_ INTSCHED_GUARDED_BY(mutex_) = 0;
   /// Published view: written under mutex_ (release), read lock-free

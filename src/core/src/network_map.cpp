@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "intsched/sim/audit.hpp"
 
@@ -312,24 +311,32 @@ sim::SimDuration NetworkMap::link_jitter(core::NodeId from,
 }
 
 net::Graph NetworkMap::delay_graph() const {
-  // The snapshot feeds Dijkstra and, through it, candidate rankings. Emit
-  // the links sorted by (from, to), so the graph's edges are identical
-  // whatever order the probe stream taught them in.
-  std::vector<std::size_t> order(link_keys_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    const LinkKey& x = link_keys_[a];
-    const LinkKey& y = link_keys_[b];
+  std::vector<LinkSlot> all;
+  all.reserve(link_keys_.size());
+  for (std::size_t l = 0; l < link_keys_.size(); ++l) {
+    all.emplace_back(static_cast<std::int32_t>(l));
+  }
+  return net::Graph{delay_arcs(std::move(all))};
+}
+
+std::vector<net::Graph::Arc> NetworkMap::delay_arcs(
+    std::vector<LinkSlot> links) const {
+  // The arcs feed Dijkstra and, through it, candidate rankings. Emit them
+  // sorted by (from, to), so the graph's edges are identical whatever
+  // order the probe stream taught them in.
+  std::sort(links.begin(), links.end(), [this](LinkSlot a, LinkSlot b) {
+    const LinkKey& x = link_keys_[a.index()];
+    const LinkKey& y = link_keys_[b.index()];
     return x.from != y.from ? x.from < y.from : x.to < y.to;
   });
   std::vector<net::Graph::Arc> arcs;
-  arcs.reserve(order.size());
-  for (const std::size_t l : order) {
-    const LinkKey& key = link_keys_[l];
-    arcs.push_back(net::Graph::Arc{key.from, key.to, link_ports_[l],
+  arcs.reserve(links.size());
+  for (const LinkSlot l : links) {
+    const LinkKey& key = link_keys_[l.index()];
+    arcs.push_back(net::Graph::Arc{key.from, key.to, link_ports_[l.index()],
                                    link_delay(key.from, key.to)});
   }
-  return net::Graph{arcs};
+  return arcs;
 }
 
 sim::SimDuration NetworkMap::link_delay(core::NodeId from,

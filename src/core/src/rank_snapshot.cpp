@@ -1,13 +1,13 @@
 #include "intsched/core/rank_snapshot.hpp"
 
+#include <utility>
+
 namespace intsched::core {
 
 // The slot set is fixed here, while the snapshot is still thread-private:
 // readers may fill slots concurrently but never add or remove them.
-RankSnapshot::RankSnapshot(const NetworkMap& map)
-    : map_{map},
-      epoch_{map_.ingest_epoch()},
-      graph_{map_.delay_graph()},
+RankSnapshot::RankSnapshot(net::Graph graph)
+    : graph_{std::move(graph)},
       sp_slots_{std::make_unique<SpSlot[]>(graph_.node_count())} {}
 
 const net::ShortestPaths* RankSnapshot::paths_from(core::NodeId origin) const {

@@ -182,6 +182,46 @@ std::vector<ServerRank> rank_candidates(
   return out;
 }
 
+PlaneCatalog PlaneCatalog::compile(const NetworkMap& map,
+                                   QueueStatistic statistic,
+                                   std::size_t node_span,
+                                   const std::vector<LinkKey>& links) {
+  PlaneCatalog c;
+  c.dev_series.resize(node_span);
+  core::NodeId d{0};
+  for (NetworkMap::SeriesSlot& series : c.dev_series) {
+    switch (statistic) {
+      case QueueStatistic::kMaximum:
+        series = map.find_device_queue(d);
+        break;
+      case QueueStatistic::kAverage:
+        series = map.find_device_avg_queue(d);
+        break;
+      case QueueStatistic::kMeasuredHopLatency:
+        series = map.find_device_hop_latency(d);
+        break;
+    }
+    ++d;
+  }
+  c.link_begin.assign(node_span + 1, 0);
+  c.link_to.reserve(links.size());
+  c.link_delay.reserve(links.size());
+  c.link_refs.reserve(links.size());
+  for (const LinkKey& k : links) {
+    ++c.link_begin[k.from.index() + 1];
+    c.link_to.push_back(k.to);
+    c.link_delay.push_back(map.link_delay(k.from, k.to));
+    c.link_refs.push_back(LinkRef{map.plane_link_port_series(k.from, k.to),
+                                  map.find_device_queue(k.from),
+                                  map.find_link(k.from, k.to),
+                                  map.find_link(k.to, k.from)});
+  }
+  for (std::size_t n = 0; n < node_span; ++n) {
+    c.link_begin[n + 1] += c.link_begin[n];
+  }
+  return c;
+}
+
 std::vector<ServerRank> Ranker::rank(
     core::NodeId origin, const std::vector<core::NodeId>& candidates,
     RankingMetric metric, sim::SimTime now) const {

@@ -37,13 +37,6 @@ std::vector<std::uint32_t> row_index(const std::vector<core::NodeId>& nodes) {
   return rows;
 }
 
-/// Appends every link `map` learned whose ends are valid ids.
-void append_links(const NetworkMap& map, std::vector<LinkKey>& out) {
-  for (const LinkKey& k : map.links()) {
-    if (k.from.valid() && k.to.valid()) out.push_back(k);
-  }
-}
-
 }  // namespace
 
 RegionAssignment::RegionAssignment(std::vector<core::RegionId> by_node,
@@ -74,16 +67,30 @@ RegionAssignment RegionAssignment::from_topology(
 MetroView::MetroView(
     std::shared_ptr<const RegionAssignment> regions,
     std::vector<std::shared_ptr<const RankSnapshot>> region_snaps,
-    std::shared_ptr<const NetworkMap> summary_map,
-    std::vector<std::vector<core::NodeId>> borders_by_region,
-    std::shared_ptr<const RankerConfig> config, Epoch epoch)
+    std::shared_ptr<const NetworkMap> map,
+    const std::vector<net::Graph::Arc>& summary_links,
+    std::shared_ptr<const RankerConfig> config)
     : regions_{std::move(regions)},
       region_snaps_{std::move(region_snaps)},
-      summary_map_{std::move(summary_map)},
-      borders_by_region_{std::move(borders_by_region)},
+      map_{std::move(map)},
       cfg_{std::move(config)},
-      epoch_{epoch} {
-  // Summary graph: the cross-region links, sorted by (from, to), then for
+      epoch_{map_->ingest_epoch()} {
+  // A region's borders are its ends of summary links, ascending.
+  borders_by_region_.resize(region_snaps_.size());
+  const auto note_border = [this](core::NodeId node) {
+    const core::RegionId r = regions_->region_of(node);
+    if (valid_region(r)) borders_by_region_[r.index()].push_back(node);
+  };
+  for (const net::Graph::Arc& link : summary_links) {
+    note_border(link.from);
+    note_border(link.to);
+  }
+  for (std::vector<core::NodeId>& borders : borders_by_region_) {
+    std::sort(borders.begin(), borders.end());
+    borders.erase(std::unique(borders.begin(), borders.end()), borders.end());
+  }
+
+  // Summary graph: the summary links, sorted by (from, to), then for
   // every region its border-to-border transit edges at the region's
   // shortest-path cost, each tagged with the region it crosses. Regions
   // ascend and borders are sorted, so the arc list — and therefore the
@@ -93,15 +100,9 @@ MetroView::MetroView(
     core::RegionId region = core::kNoRegion;
   };
   std::vector<TaggedArc> arcs;
-  const net::Graph links = summary_map_->delay_graph();
-  arcs.reserve(links.edge_count());
-  for (std::uint32_t i = 0; i < links.node_count(); ++i) {
-    for (const net::Graph::Edge& e : links.out_edges(i)) {
-      arcs.push_back(TaggedArc{
-          net::Graph::Arc{links.nodes()[i], links.nodes()[e.to], e.out_port,
-                          e.cost},
-          core::kNoRegion});
-    }
+  arcs.reserve(summary_links.size());
+  for (const net::Graph::Arc& link : summary_links) {
+    arcs.push_back(TaggedArc{link, core::kNoRegion});
   }
   for (std::size_t r = 0; r < region_snaps_.size(); ++r) {
     const RankSnapshot& snap = *region_snaps_[r];
@@ -164,20 +165,6 @@ MetroView::MetroView(
   }
 }
 
-const NetworkMap& MetroView::link_map(core::NodeId from,
-                                     core::NodeId to) const {
-  const core::RegionId ra = regions_->region_of(from);
-  const core::RegionId rb = regions_->region_of(to);
-  if (ra == rb && valid_region(ra)) return region_map(ra);
-  return *summary_map_;
-}
-
-const NetworkMap& MetroView::device_map(core::NodeId device) const {
-  const core::RegionId r = regions_->region_of(device);
-  if (valid_region(r)) return region_map(r);
-  return *summary_map_;
-}
-
 std::unique_ptr<MetroView::QueryContext> MetroView::build_context(
     core::NodeId origin) const {
   auto built = std::make_unique<QueryContext>();
@@ -230,15 +217,14 @@ const MetroView::Catalog& MetroView::catalog() const {
 }
 
 void MetroView::fill_catalog() const {
-  // Every directed link the view learned — the region maps' and the
-  // summary map's, which the sharded ingest keeps disjoint — sorted by
+  // Every directed link the view learned with valid ends, sorted by
   // (from, to). Every end is a known node, so ctx_nodes_' largest id
   // spans the catalog.
   std::vector<LinkKey> links;
-  for (const std::shared_ptr<const RankSnapshot>& snap : region_snaps_) {
-    append_links(snap->map(), links);
+  links.reserve(map_->links().size());
+  for (const LinkKey& k : map_->links()) {
+    if (k.from.valid() && k.to.valid()) links.push_back(k);
   }
-  append_links(*summary_map_, links);
   std::sort(links.begin(), links.end(),
             [](const LinkKey& a, const LinkKey& b) {
               return a.from != b.from ? a.from < b.from : a.to < b.to;
@@ -246,8 +232,8 @@ void MetroView::fill_catalog() const {
   const std::size_t span = ctx_nodes_.empty() || !ctx_nodes_.back().valid()
                                ? 0
                                : ctx_nodes_.back().index() + 1;
-  catalog_.telemetry = PlaneCatalog::compile(
-      HierMap{this}, cfg_->queue_statistic, span, links);
+  catalog_.telemetry =
+      PlaneCatalog::compile(*map_, cfg_->queue_statistic, span, links);
   catalog_.server_rows = row_index(plane_nodes_);
   catalog_.node_rows = row_index(ctx_nodes_);
   catalog_links_.fetch_add(static_cast<std::int64_t>(links.size()),
@@ -433,13 +419,6 @@ sim::SimDuration MetroView::candidate_path_into(
   return best_total;
 }
 
-void MetroView::rank_into(core::NodeId origin, const core::NodeId* candidates,
-                          std::size_t count, RankingMetric metric,
-                          sim::SimTime now, RankScratch& scratch,
-                          std::vector<ServerRank>& out) const {
-  rank_topk_into(origin, candidates, count, metric, now, count, scratch, out);
-}
-
 void MetroView::rank_topk_into(core::NodeId origin,
                                const core::NodeId* candidates,
                                std::size_t count, RankingMetric metric,
@@ -453,8 +432,8 @@ void MetroView::rank_topk_into(core::NodeId origin,
   const QueryContext* ctx = query_context(origin);
   const RankPlane& plane =
       ctx != nullptr ? plane_for(origin, *ctx, candidates, count) : kNoPlane;
-  rank_plane_into(HierMap{this}, *cfg_, plane, candidates, count, metric, now,
-                  top_k, scratch.plane, out);
+  rank_plane_into(*map_, *cfg_, plane, candidates, count, metric, now, top_k,
+                  scratch.plane, out);
 }
 
 std::vector<ServerRank> MetroView::rank(
@@ -462,8 +441,8 @@ std::vector<ServerRank> MetroView::rank(
     RankingMetric metric, sim::SimTime now) const {
   // intsched-lint: allow(hot-alloc): allocating overload contract
   std::vector<ServerRank> out;
-  rank_into(origin, candidates.data(), candidates.size(), metric, now,
-            thread_scratch(), out);
+  rank_topk_into(origin, candidates.data(), candidates.size(), metric, now,
+                 candidates.size(), thread_scratch(), out);
   return out;
 }
 
@@ -561,16 +540,15 @@ std::optional<ServerRank> MetroView::pick_with(
     for (std::size_t i = 0; i < group_size; ++i) {
       scratch.group_servers.push_back(scratch.grouped[gb.begin + i].server);
     }
-    pick_plane_argmin(*cfg_, plane, scratch.group_servers.data(), group_size,
-                      now, scratch.plane, best);
+    pick_plane_argmin(*cfg_, *map_, plane, scratch.group_servers.data(),
+                      group_size, now, scratch.plane, best);
   }
   if (stats != nullptr) *stats = local;
-  const HierMap hier{this};
   ServerRank r;
   plane_detail::fill_rank(
-      *cfg_, plane, scratch.plane, plane.row_for(best.server), best.server,
-      best.delay, now, hier.config().nominal_capacity.bps(),
-      hier.config().link_staleness > sim::SimDuration::zero(), r);
+      *cfg_, *map_, plane, scratch.plane, plane.row_for(best.server),
+      best.server, best.delay, now, map_->config().nominal_capacity.bps(),
+      map_->config().link_staleness > sim::SimDuration::zero(), r);
   return r;
 }
 
@@ -587,134 +565,56 @@ std::optional<ServerRank> MetroView::pick(
 ShardedNetworkMap::ShardedNetworkMap(RegionAssignment regions,
                                      ShardedMapConfig config)
     : regions_{std::make_shared<const RegionAssignment>(std::move(regions))},
-      cfg_{std::move(config)},
-      ranker_{std::make_shared<const RankerConfig>(cfg_.ranker)},
-      summary_map_{cfg_.map} {
+      ranker_{std::make_shared<const RankerConfig>(config.ranker)},
+      map_{config.map} {
   const auto n = static_cast<std::size_t>(
       std::max<std::int32_t>(0, regions_->count().value()));
-  region_maps_.reserve(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    region_maps_.emplace_back(cfg_.map);
-  }
-  borders_by_region_.resize(n);
+  dirty_.assign(n, 1);
   last_snaps_.resize(n);
-  touched_.assign(n + 1, 0);
   LockGuard lock{mutex_};
   publish_locked();  // empty epoch-0 view so view() is never null
 }
 
-void ShardedNetworkMap::learn_pair_locked(core::NodeId from, core::NodeId to,
-                                          std::int32_t out_port,
-                                          sim::SimDuration delay_sample,
-                                          sim::SimTime now) {
-  const core::RegionId ra = regions_->region_of(from);
-  const core::RegionId rb = regions_->region_of(to);
-  const auto n = region_maps_.size();
-  if (ra == rb && ra.valid() && ra.index() < n) {
-    region_maps_[ra.index()].learn_link(from, to, out_port, delay_sample,
-                                        now);
-    touched_[ra.index()] = 1;
-    return;
+void ShardedNetworkMap::ingest_locked(const telemetry::ProbeReport& report,
+                                      sim::SimTime now) {
+  map_.ingest(report, now);
+  for (const net::IntStackEntry& e : report.entries) {
+    const core::RegionId r = regions_->region_of(e.device);
+    if (r.valid() && r.index() < dirty_.size()) dirty_[r.index()] = 1;
   }
-  summary_map_.learn_link(from, to, out_port, delay_sample, now);
-  touched_[n] = 1;
-  const auto note_border = [this, n](core::RegionId r, core::NodeId node) {
-    if (!r.valid() || r.index() >= n) return;
-    std::vector<core::NodeId>& borders = borders_by_region_[r.index()];
-    const auto it = std::lower_bound(borders.begin(), borders.end(), node);
-    if (it == borders.end() || *it != node) borders.insert(it, node);
-  };
-  note_border(ra, from);
-  note_border(rb, to);
-}
-
-void ShardedNetworkMap::apply_report_locked(
-    const telemetry::ProbeReport& report, sim::SimTime now) {
-  std::fill(touched_.begin(), touched_.end(), 0);
-
-  // Same walk as NetworkMap::ingest, with each step routed to the owning
-  // shard (see that function for the semantics of every step).
-  core::NodeId upstream = report.src;
-  std::int32_t upstream_port = 0;
-  for (const auto& e : report.entries) {
-    if (!e.device.valid()) {
-      ++rejected_;
-      continue;
-    }
-    learn_pair_locked(upstream, e.device, upstream_port,
-                      e.ingress_link_latency, now);
-    learn_pair_locked(e.device, upstream, e.ingress_port,
-                      sim::SimDuration::nanos(-1), now);
-    const core::RegionId rd = regions_->region_of(e.device);
-    if (rd.valid() && rd.index() < region_maps_.size()) {
-      region_maps_[rd.index()].record_entry_telemetry(e, now);
-      touched_[rd.index()] = 1;
-    } else {
-      summary_map_.record_entry_telemetry(e, now);
-      touched_[region_maps_.size()] = 1;
-    }
-    upstream = e.device;
-    upstream_port = e.egress_port;
-  }
-  if (upstream != report.src) {
-    learn_pair_locked(upstream, report.dst, upstream_port,
-                      report.final_link_latency, now);
-    learn_pair_locked(report.dst, upstream, 0, sim::SimDuration::nanos(-1),
-                      now);
-  }
-
-  for (std::size_t r = 0; r < region_maps_.size(); ++r) {
-    if (touched_[r] != 0) region_maps_[r].finish_ingest(now);
-  }
-  if (touched_[region_maps_.size()] != 0) summary_map_.finish_ingest(now);
-  ++reports_;
-}
-
-std::shared_ptr<const RankSnapshot> ShardedNetworkMap::build_region_snapshot(
-    std::size_t r) const {
-  return std::make_shared<const RankSnapshot>(region_maps_[r]);
 }
 
 void ShardedNetworkMap::publish_locked() {
-  // A region is dirty iff its shard ingested anything since its last
-  // snapshot (RankSnapshot's epoch is the shard's reports_ingested at
-  // build time). Clean regions keep their snapshot — Dijkstra memos and
-  // all — across the publish.
-  std::vector<std::size_t> dirty;
-  for (std::size_t r = 0; r < region_maps_.size(); ++r) {
-    if (last_snaps_[r] == nullptr ||
-        last_snaps_[r]->epoch() != region_maps_[r].ingest_epoch()) {
-      dirty.push_back(r);
+  // One pass over the link table: a link with both ends in one region
+  // belongs to that region's graph, needed only if the region is dirty;
+  // every other link is a summary link. Clean regions keep their
+  // snapshot — Dijkstra memos and all — across the publish.
+  const std::size_t n = last_snaps_.size();
+  std::vector<std::vector<NetworkMap::LinkSlot>> region_links(n);
+  std::vector<NetworkMap::LinkSlot> summary_links;
+  const std::vector<LinkKey>& links = map_.links();
+  for (std::size_t l = 0; l < links.size(); ++l) {
+    const NetworkMap::LinkSlot slot{static_cast<std::int32_t>(l)};
+    const core::RegionId r = regions_->region_of(links[l].from);
+    if (r != regions_->region_of(links[l].to) || !r.valid() ||
+        r.index() >= n) {
+      summary_links.push_back(slot);
+    } else if (dirty_[r.index()] != 0) {
+      region_links[r.index()].push_back(slot);
     }
   }
-  if (!dirty.empty()) {
-    if (cfg_.rebuild_executor != nullptr && dirty.size() > 1) {
-      // Workers write index-addressed slots, so the published vector is
-      // byte-identical no matter how the executor schedules them.
-      std::vector<std::shared_ptr<const RankSnapshot>> built(dirty.size());
-      cfg_.rebuild_executor(dirty.size(), [this, &dirty, &built](
-                                              std::size_t i) {
-        built[i] = build_region_snapshot(dirty[i]);
-      });
-      for (std::size_t i = 0; i < dirty.size(); ++i) {
-        last_snaps_[dirty[i]] = std::move(built[i]);
-      }
-    } else {
-      for (const std::size_t r : dirty) {
-        last_snaps_[r] = build_region_snapshot(r);
-      }
-    }
-    snapshot_builds_ += static_cast<std::int64_t>(dirty.size());
-  }
-  if (last_summary_ == nullptr ||
-      last_summary_epoch_ != summary_map_.ingest_epoch()) {
-    last_summary_ = std::make_shared<const NetworkMap>(summary_map_);
-    last_summary_epoch_ = summary_map_.ingest_epoch();
+  for (std::size_t r = 0; r < n; ++r) {
+    if (dirty_[r] == 0) continue;
+    last_snaps_[r] = std::make_shared<const RankSnapshot>(
+        net::Graph{map_.delay_arcs(std::move(region_links[r]))});
+    dirty_[r] = 0;
+    ++snapshot_builds_;
   }
 
   view_.store(std::make_shared<const MetroView>(
-                  regions_, last_snaps_, last_summary_, borders_by_region_,
-                  ranker_, Epoch{reports_}),
+                  regions_, last_snaps_,
+                  std::make_shared<const NetworkMap>(map_),
+                  map_.delay_arcs(std::move(summary_links)), ranker_),
               std::memory_order_release);
   ++publishes_;
 }
@@ -722,7 +622,7 @@ void ShardedNetworkMap::publish_locked() {
 void ShardedNetworkMap::ingest(const telemetry::ProbeReport& report,
                                sim::SimTime now) {
   LockGuard lock{mutex_};
-  apply_report_locked(report, now);
+  ingest_locked(report, now);
   publish_locked();
 }
 
@@ -733,7 +633,7 @@ void ShardedNetworkMap::ingest_batch(
   if (reports.empty()) return;
   LockGuard lock{mutex_};
   for (const telemetry::ProbeReport& report : reports) {
-    apply_report_locked(report, now);
+    ingest_locked(report, now);
   }
   publish_locked();
 }
@@ -758,12 +658,12 @@ std::optional<ServerRank> ShardedNetworkMap::pick(
 
 std::int64_t ShardedNetworkMap::reports_ingested() const {
   LockGuard lock{mutex_};
-  return reports_;
+  return map_.reports_ingested();
 }
 
 std::int64_t ShardedNetworkMap::rejected_entries() const {
   LockGuard lock{mutex_};
-  return rejected_;
+  return map_.rejected_entries();
 }
 
 std::int64_t ShardedNetworkMap::region_snapshot_builds() const {

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "intsched/core/policies.hpp"
-#include "intsched/core/sharded_map.hpp"
 #include "intsched/exp/experiment.hpp"
 
 namespace intsched::exp {
@@ -64,14 +63,6 @@ class SweepRunner {
  private:
   int jobs_;
 };
-
-/// Adapts a SweepRunner to core::ParallelFor — the executor hook
-/// core::ShardedNetworkMap's publish uses for parallel region-snapshot
-/// rebuilds. core cannot depend on exp, so the adapter lives here. The
-/// returned functor owns its runner (shared, copyable) and satisfies the
-/// hook's contract: body(i) exactly once per index, return after all
-/// complete.
-[[nodiscard]] core::ParallelFor make_parallel_for(int jobs = 0);
 
 /// Parallel counterpart of run_policy_suite: runs every arm as its own
 /// trial on a SweepRunner and merges the results in the arms' order.

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <deque>
 #include <exception>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -120,21 +119,6 @@ void SweepRunner::run(std::vector<std::function<void()>> tasks) const {
     failure = error.first;
   }
   if (failure) std::rethrow_exception(failure);
-}
-
-core::ParallelFor make_parallel_for(int jobs) {
-  // The runner is shared so the returned std::function stays copyable
-  // (ShardedMapConfig copies it into every map).
-  auto runner = std::make_shared<SweepRunner>(jobs);
-  return [runner](std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      tasks.push_back([&body, i] { body(i); });
-    }
-    runner->run(std::move(tasks));
-  };
 }
 
 std::map<core::PolicyKind, ExperimentResult> run_policy_suite_parallel(

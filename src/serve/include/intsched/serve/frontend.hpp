@@ -44,7 +44,7 @@ struct ServeContext {
   core::MetroView::RankScratch scratch;
   /// Validated explicit-candidate list (request order preserved).
   std::vector<core::NodeId> candidates;
-  /// rank_into output staging.
+  /// rank_topk_into output staging.
   std::vector<core::ServerRank> ranked;
   RankRequest request;
   RankResponse response;
@@ -86,16 +86,12 @@ class ServeFrontend {
                               sim::SimTime now) const;
 
  private:
-  struct ServerInfo {
-    core::ServerId server = core::kInvalidServer;
-    core::RegionId region = core::kNoRegion;
-  };
-
   const core::ShardedNetworkMap* map_;
   /// Sorted unique registry — the deterministic iteration order the flat
   /// table deliberately does not provide.
   std::vector<core::NodeId> registry_;
-  core::FlatTable<core::NodeId, ServerInfo> table_{64};
+  /// Registered server -> its provisioning region.
+  core::FlatTable<core::NodeId, core::RegionId> table_{64};
 };
 
 }  // namespace intsched::serve

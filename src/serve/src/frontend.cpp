@@ -21,10 +21,7 @@ INTSCHED_HOTPATH void fill_entry(RankResponseEntry& e,
 
 void ServeFrontend::register_server(core::NodeId server) {
   if (!server.valid() || table_.contains(server)) return;
-  ServerInfo info;
-  info.server = core::server_at(server);
-  info.region = map_->region_of(server);
-  table_.insert_or_assign(server, info);
+  table_.insert_or_assign(server, map_->region_of(server));
   const auto it =
       std::lower_bound(registry_.begin(), registry_.end(), server);
   registry_.insert(it, server);
@@ -32,9 +29,9 @@ void ServeFrontend::register_server(core::NodeId server) {
 
 bool ServeFrontend::is_registered(core::NodeId server,
                                   core::RegionId* region) const {
-  const ServerInfo* info = table_.find(server);
-  if (info == nullptr) return false;
-  if (region != nullptr) *region = info->region;
+  const core::RegionId* found = table_.find(server);
+  if (found == nullptr) return false;
+  if (region != nullptr) *region = *found;
   return true;
 }
 
@@ -54,9 +51,9 @@ bool ServeFrontend::serve(ServeContext& ctx, const std::byte* request_buf,
   resp.status = ServeStatus::kOk;
   resp.entry_count = 0;
 
-  // Candidate resolution: the whole registry (no copy — rank_into takes
-  // pointer + count), or the request's explicit ids filtered through the
-  // flat registry table.
+  // Candidate resolution: the whole registry (no copy — rank_topk_into
+  // takes pointer + count), or the request's explicit ids filtered
+  // through the flat registry table.
   const core::NodeId* candidates = registry_.data();
   std::size_t candidate_count = registry_.size();
   if (req.candidate_count != 0) {

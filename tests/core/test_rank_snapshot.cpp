@@ -91,11 +91,11 @@ TEST(RankSnapshotTest, RankMatchesRankerOnTheSameMap) {
   }
 
   const Ranker ranker{map};
-  const RankSnapshot snapshot{map};
-  EXPECT_EQ(snapshot.epoch(), map.ingest_epoch());
   const std::shared_ptr<const MetroView> view = shared.view();
-  EXPECT_EQ(view->region_snapshot(core::RegionId{0}).epoch(),
-            map.ingest_epoch());
+  EXPECT_EQ(view->epoch(), map.ingest_epoch());
+  EXPECT_EQ(view->map().ingest_epoch(), map.ingest_epoch());
+  EXPECT_EQ(view->region_snapshot(core::RegionId{0}).nodes(),
+            map.delay_graph().nodes());
 
   const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
   for (const auto metric :
@@ -112,16 +112,18 @@ TEST(RankSnapshotTest, SnapshotIsImmutableAcrossLaterIngest) {
   const std::shared_ptr<const MetroView> old = shared.view();
   ASSERT_NE(old, nullptr);
   const Epoch old_epoch = old->epoch();
-  const RankSnapshot& old_snap = old->region_snapshot(core::RegionId{0});
-  const Epoch old_snap_epoch = old_snap.epoch();
+  const NetworkMap& old_map = old->map();
   const std::vector<core::NodeId> candidates{core::NodeId{1}};
   const auto before = old->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
 
-  // Heavier congestion arrives; the *held* view and its region snapshot
-  // must not move.
+  // Heavier congestion arrives; the *held* view and its map must not
+  // move.
   shared.ingest(simple_report(60, 60), at_ms(1));
   EXPECT_EQ(old->epoch(), old_epoch);
-  EXPECT_EQ(old_snap.epoch(), old_snap_epoch);
+  EXPECT_EQ(old_map.ingest_epoch(), old_epoch);
+  EXPECT_EQ(old_map.device_max_queue(core::NodeId{10}, at_ms(1)), 4);
+  EXPECT_EQ(shared.view()->map().device_max_queue(core::NodeId{10}, at_ms(1)),
+            60);
   expect_ranks_identical(
       old->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1)), before);
 
@@ -135,7 +137,7 @@ TEST(RankSnapshotTest, SnapshotIsImmutableAcrossLaterIngest) {
 TEST(RankSnapshotTest, DijkstraMemoFillsOncePerOrigin) {
   NetworkMap map;
   map.ingest(simple_report(), at_ms(0));
-  const RankSnapshot snapshot{map};
+  const RankSnapshot snapshot{map.delay_graph()};
 
   const net::ShortestPaths* first = snapshot.paths_from(core::NodeId{0});
   ASSERT_NE(first, nullptr);

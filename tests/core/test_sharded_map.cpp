@@ -1,16 +1,16 @@
 // ShardedNetworkMap / MetroView: the scheduler's one concurrent read
 // path. On a metro it must agree with Ranker over a flat NetworkMap —
-// field-exact in the delay-isolated regime — with pick() == rank()[0]
-// under real region pruning, byte-identical results across
-// rebuild-executor widths (serial / 2 / 8 threads), and an
-// 8-reader/1-writer torture run mirroring the one-region one in
-// test_rank_snapshot.cpp. Batching and empty batches are checked on one
-// region and on a metro; the OneRegionMapTest cases pin the flat
-// deployment (every node in region 0): agreement with a plain NetworkMap
-// and Ranker, a non-default k, and exact totals under concurrent ingest
-// and rank. This file
-// rides in concurrency_tests, ctest label `perf`, so the tsan preset
-// hammers the same paths.
+// field-exact in the delay-isolated regime, whether a publish rebuilds
+// every region graph or reuses most of them — with pick() == rank()[0]
+// under real region pruning, and an 8-reader/1-writer torture run
+// mirroring the one-region one in test_rank_snapshot.cpp. Batching and
+// empty batches are checked on one region and on a metro; the
+// OneRegionMapTest cases pin the flat deployment (every node in region
+// 0): a view's map answering exactly as a plain NetworkMap fed the same
+// reports (on a metro too), agreement with Ranker, a non-default k, and
+// exact totals under concurrent ingest and rank. This file rides in
+// concurrency_tests, ctest label `perf`, so the tsan preset hammers the
+// same paths.
 //
 // The torture tests' cross-thread state is the maps themselves:
 #include "intsched/core/sharded_map.hpp"
@@ -25,6 +25,8 @@
 #include "intsched/exp/metro.hpp"
 #include "intsched/exp/sweep_runner.hpp"
 #include "intsched/net/topology_gen.hpp"
+
+#include "map_answers.hpp"
 
 namespace intsched::core {
 namespace {
@@ -124,25 +126,18 @@ RegionAssignment one_region() {
 }
 
 /// Nodes `view` knows — its query-context origins and the rows of a
-/// fallback plane: every region graph's nodes plus the summary graph's.
+/// fallback plane: every end of a link the view's map learned, which is
+/// every region graph's node plus the summary graph's.
 std::int64_t known_nodes(const MetroView& view) {
-  std::vector<core::NodeId> nodes = view.summary_map().delay_graph().nodes();
-  for (std::int32_t r = 0; r < view.region_count().value(); ++r) {
-    const std::vector<core::NodeId>& region =
-        view.region_snapshot(core::RegionId{r}).nodes();
-    nodes.insert(nodes.end(), region.begin(), region.end());
-  }
-  std::sort(nodes.begin(), nodes.end());
-  return std::unique(nodes.begin(), nodes.end()) - nodes.begin();
+  return static_cast<std::int64_t>(view.map().delay_graph().node_count());
 }
 
-TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
-  MetroFixture m{3, 8};
-  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
+/// Every epoch of `m` through a sharded map and a flat one: after each
+/// publish, rank() is field-exact against Ranker and pick() is rank()[0].
+void expect_matches_flat_every_epoch(const MetroFixture& m,
+                                     ShardedNetworkMap& sharded) {
   NetworkMap flat;
   const Ranker ranker{flat};
-  EXPECT_EQ(sharded.region_count(), core::RegionId{3});
-
   const std::vector<core::NodeId> origins = m.topo.hosts();
   const std::vector<core::NodeId> candidates = m.topo.edge_servers();
   for (std::size_t e = 0; e < m.batches.size(); ++e) {
@@ -169,11 +164,36 @@ TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
   EXPECT_EQ(sharded.rejected_entries(), 0);
 }
 
+// Two inputs. The dense quarter-refresh dirties every region at every
+// epoch, so every publish rebuilds every region graph. The sparse
+// one-link refresh leaves most regions clean, so most publishes pair
+// reused region graphs and Dijkstra memos with a fresh telemetry map.
+TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
+  const MetroFixture dense{3, 8};
+  ShardedNetworkMap dense_map{RegionAssignment::from_topology(dense.topo)};
+  EXPECT_EQ(dense_map.region_count(), core::RegionId{3});
+  {
+    SCOPED_TRACE("dense");
+    expect_matches_flat_every_epoch(dense, dense_map);
+  }
+  EXPECT_EQ(dense_map.region_snapshot_builds(),
+            dense_map.view_publishes() * 3);
+
+  const MetroFixture sparse{8, 10, 42, 1};
+  ShardedNetworkMap sparse_map{RegionAssignment::from_topology(sparse.topo)};
+  {
+    SCOPED_TRACE("sparse");
+    expect_matches_flat_every_epoch(sparse, sparse_map);
+  }
+  EXPECT_LT(sparse_map.region_snapshot_builds() * 2,
+            sparse_map.view_publishes() * 8);
+}
+
 TEST(ShardedMapTest, OnlyTouchedRegionsAreRebuilt) {
   // Sparse steady state: one refreshed link per epoch across 8 pods. A
-  // probe pair touches at most two regions (plus the summary), so most
-  // publishes must reuse most region snapshots by pointer — this saving
-  // is the point of region sharding.
+  // probe pair touches at most two regions, so most publishes must reuse
+  // most region snapshots by pointer — this saving is the point of
+  // region sharding.
   MetroFixture m{8, 10, 42, 1};
   ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
   for (std::size_t e = 0; e < m.batches.size(); ++e) {
@@ -187,6 +207,37 @@ TEST(ShardedMapTest, OnlyTouchedRegionsAreRebuilt) {
   EXPECT_LT(sharded.region_snapshot_builds(),
             sharded.view_publishes() *
                 static_cast<std::int64_t>(sharded.region_count().value()));
+
+  // A report rebuilds the region of every entry it carries, not only the
+  // one it starts in. Host 0 -> s10 (region 0) -> s20 -> s21 -> host 1
+  // (region 1) measures region 1's links, and host 1 ranks through them.
+  std::vector<core::RegionId> by_node(22, core::RegionId{0});
+  for (const core::NodeId n :
+       {core::NodeId{1}, core::NodeId{20}, core::NodeId{21}}) {
+    by_node[n.index()] = core::RegionId{1};
+  }
+  ShardedNetworkMap crossing{
+      RegionAssignment{std::move(by_node), core::RegionId{2}}};
+  NetworkMap flat;
+  const Ranker ranker{flat};
+  for (const int s20_s21 : {12, 30}) {
+    telemetry::ProbeReport r;
+    r.src = core::NodeId{0};
+    r.dst = core::NodeId{1};
+    r.entries = {entry(core::NodeId{10}, 0, 1, 0, ms(5)),
+                 entry(core::NodeId{20}, 0, 1, 0, ms(20)),
+                 entry(core::NodeId{21}, 0, 1, 0, ms(s20_s21))};
+    r.final_link_latency = ms(3);
+    crossing.ingest(r, at_ms(s20_s21));
+    flat.ingest(r, at_ms(s20_s21));
+    expect_ranks_identical(
+        crossing.rank(core::NodeId{1}, {core::NodeId{0}},
+                      RankingMetric::kDelay, at_ms(s20_s21)),
+        ranker.rank(core::NodeId{1}, {core::NodeId{0}},
+                    RankingMetric::kDelay, at_ms(s20_s21)),
+        "crossing report");
+  }
+  EXPECT_EQ(crossing.region_snapshot_builds(), 3 * 2);  // +ctor
 }
 
 TEST(ShardedMapTest, PickPrunesRegionsAndAgreesWithRank) {
@@ -256,44 +307,6 @@ TEST(ShardedMapTest, PickStatsWrittenWholeOnEveryReturn) {
   EXPECT_EQ(stats.regions_considered, 0);
   EXPECT_EQ(stats.regions_pruned, 0);
   EXPECT_EQ(stats.candidates_scored, 0);
-}
-
-TEST(ShardedMapTest, ByteIdenticalAcrossRebuildExecutorWidths) {
-  MetroFixture m{4, 6};
-  const RegionAssignment regions = RegionAssignment::from_topology(m.topo);
-
-  // Serial (null executor) and pools of width 1, 2, 8.
-  std::vector<std::unique_ptr<ShardedNetworkMap>> maps;
-  maps.push_back(std::make_unique<ShardedNetworkMap>(regions));
-  for (const int jobs : {1, 2, 8}) {
-    ShardedMapConfig cfg;
-    cfg.rebuild_executor = exp::make_parallel_for(jobs);
-    maps.push_back(std::make_unique<ShardedNetworkMap>(regions, cfg));
-  }
-
-  for (std::size_t e = 0; e < m.batches.size(); ++e) {
-    for (auto& map : maps) {
-      map->ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
-    }
-  }
-
-  const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
-  const std::vector<core::NodeId> candidates = m.topo.edge_servers();
-  for (const core::NodeId origin : m.topo.hosts()) {
-    for (const auto metric :
-         {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-      const auto want = maps[0]->rank(origin, candidates, metric, now);
-      for (std::size_t i = 1; i < maps.size(); ++i) {
-        expect_ranks_identical(maps[i]->rank(origin, candidates, metric, now),
-                               want, "executor width");
-      }
-    }
-  }
-  for (const auto& map : maps) {
-    EXPECT_EQ(map->region_snapshot_builds(),
-              maps[0]->region_snapshot_builds());
-    EXPECT_EQ(map->view()->epoch(), maps[0]->view()->epoch());
-  }
 }
 
 // The ranking config is fixed at construction: a metro built with a
@@ -508,13 +521,9 @@ TEST(ShardedMapTest, PlanesCompileOnlyProvisionedServers) {
   EXPECT_EQ(hand_view->rows_compiled(), 4);
 }
 
-/// Directed links `view` learned, over its region maps and summary map.
+/// Directed links `view` learned.
 std::int64_t learned_links(const MetroView& view) {
-  std::int64_t links = view.summary_map().known_link_count();
-  for (std::int32_t r = 0; r < view.region_count().value(); ++r) {
-    links += view.region_snapshot(core::RegionId{r}).map().known_link_count();
-  }
-  return links;
+  return view.map().known_link_count();
 }
 
 // The view's telemetry catalog is lazy and filled once per view. A
@@ -644,6 +653,8 @@ TEST(ShardedMapTest, EmptyBatchIsANoOp) {
 
 // -- the flat deployment: one region ---------------------------------------
 
+// A view's map is the map NetworkMap::ingest builds from the same
+// reports: every query answers the same, on one region and on a metro.
 TEST(OneRegionMapTest, SingleThreadedIngestMatchesNetworkMap) {
   ShardedNetworkMap shared{one_region()};
   shared.ingest(simple_report(), at_ms(0));
@@ -654,15 +665,37 @@ TEST(OneRegionMapTest, SingleThreadedIngestMatchesNetworkMap) {
   EXPECT_EQ(shared.region_count(), core::RegionId{1});
   EXPECT_EQ(shared.reports_ingested(), 1);
   EXPECT_EQ(shared.rejected_entries(), 0);
-  const NetworkMap& region =
-      shared.view()->region_snapshot(core::RegionId{0}).map();
-  EXPECT_TRUE(region.knows_node(core::NodeId{10}));
-  EXPECT_EQ(region.ingest_epoch(), plain.ingest_epoch());
-  EXPECT_EQ(region.link_delay(core::NodeId{0}, core::NodeId{10}),
-            plain.link_delay(core::NodeId{0}, core::NodeId{10}));
-  EXPECT_EQ(region.link_delay(core::NodeId{10}, core::NodeId{11}),
-            plain.link_delay(core::NodeId{10}, core::NodeId{11}));
-  EXPECT_EQ(shared.view()->summary_map().known_link_count(), 0);
+  const std::shared_ptr<const MetroView> view = shared.view();
+  EXPECT_TRUE(view->map().knows_node(core::NodeId{10}));
+  EXPECT_EQ(view->epoch(), plain.ingest_epoch());
+  std::vector<core::NodeId> nodes{core::kInvalidNode, core::NodeId{99}};
+  for (std::int32_t n = 0; n < 16; ++n) nodes.emplace_back(n);
+  const std::vector<sim::SimTime> times{at_ms(0), at_ms(1), at_ms(200)};
+  map_answers::expect_same(map_answers::answers(view->map(), nodes, times),
+                           map_answers::answers(plain, nodes, times),
+                           "one region");
+  // One region holds every link, so its graph is the map's delay graph.
+  map_answers::expect_same(
+      map_answers::edges(
+          view->region_snapshot(core::RegionId{0}).delay_graph()),
+      map_answers::edges(plain.delay_graph()), "one region's graph");
+
+  const MetroFixture m{3, 4};
+  ShardedNetworkMap metro{RegionAssignment::from_topology(m.topo)};
+  NetworkMap flat;
+  for (std::size_t e = 0; e < m.batches.size(); ++e) {
+    metro.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+    ingest_all(flat, m.batches[e], MetroFixture::epoch_time(e));
+  }
+  std::vector<core::NodeId> metro_nodes{core::kInvalidNode,
+                                        core::NodeId{777777}};
+  for (const net::GenNode& n : m.topo.nodes) metro_nodes.push_back(n.id);
+  const sim::SimTime last = MetroFixture::epoch_time(m.batches.size() - 1);
+  const std::vector<sim::SimTime> metro_times{
+      last, last + ms(100), last + ms(1000)};
+  map_answers::expect_same(
+      map_answers::answers(metro.view()->map(), metro_nodes, metro_times),
+      map_answers::answers(flat, metro_nodes, metro_times), "metro");
 }
 
 TEST(OneRegionMapTest, RankMatchesRankerAndCountsQueries) {

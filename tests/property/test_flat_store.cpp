@@ -1,29 +1,34 @@
-// Copy independence of NetworkMap's flat store. A RankSnapshot copies
-// every slot table and the sample pool, so nothing ingested into the
-// source afterwards — new nodes, links and series, re-learned ports,
+// Copy independence of NetworkMap's flat store. A published view copies
+// every slot table and the sample pool of the live map, so nothing
+// ingested afterwards — new nodes, links and series, re-learned ports,
 // series that outgrow their pool range — may show through it: every query
-// on the snapshot must keep its answer and equal a fresh map fed only the
-// prefix. Series and link slots resolved on the snapshot (the catalog's
-// handles) must keep evaluating to the same window maxima, and because
-// slots are append-only the source must resolve every key the snapshot
-// knows to the same slot.
+// on the view's map must keep its answer and equal a fresh map fed only
+// the prefix, and the view's region graph must stay the delay graph it
+// was built as. Series and link slots resolved on the view's map (the
+// catalog's handles) must keep evaluating to the same window maxima, and
+// because slots are append-only the live map must resolve every key the
+// view knows to the same slot.
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <tuple>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "intsched/core/network_map.hpp"
-#include "intsched/core/rank_snapshot.hpp"
+#include "intsched/core/sharded_map.hpp"
 #include "intsched/sim/rng.hpp"
+
+#include "../core/map_answers.hpp"
 
 namespace intsched::core {
 namespace {
 
 using SeriesSlot = NetworkMap::SeriesSlot;
 using LinkSlot = NetworkMap::LinkSlot;
+using map_answers::Answer;
+using map_answers::edges;
+using map_answers::expect_same;
 
 const sim::SimDuration kTick = sim::SimDuration::milliseconds(5);
 
@@ -113,6 +118,11 @@ void feed(NetworkMap& map, const std::vector<TimedReport>& stream) {
   for (const TimedReport& r : stream) map.ingest(r.report, r.at);
 }
 
+/// One ingest, and so one publish, per report.
+void feed(ShardedNetworkMap& map, const std::vector<TimedReport>& stream) {
+  for (const TimedReport& r : stream) map.ingest(r.report, r.at);
+}
+
 /// Node ids the queries range over: both hosts and switches of the
 /// stream, one id no report names, and kInvalidNode.
 std::vector<NodeId> query_nodes() {
@@ -123,59 +133,10 @@ std::vector<NodeId> query_nodes() {
   return nodes;
 }
 
-/// One query answer: (query kind, first id, second id, time index, value).
-using Answer = std::tuple<int, std::int32_t, std::int32_t, std::size_t,
-                          std::int64_t>;
-
-std::int64_t bits(double v) { return std::bit_cast<std::int64_t>(v); }
-
-/// The graph's edges, in edge order: (to, port) and (to, cost).
-std::vector<Answer> edges(const net::Graph& g) {
-  std::vector<Answer> out;
-  for (std::uint32_t i = 0; i < g.node_count(); ++i) {
-    const std::int32_t from = g.nodes()[i].value();
-    for (const net::Graph::Edge& e : g.out_edges(i)) {
-      const std::int32_t to = g.nodes()[e.to].value();
-      out.emplace_back(9, from, to, 0, e.out_port);
-      out.emplace_back(10, from, to, 0, e.cost.ns());
-    }
-  }
-  return out;
-}
-
-/// Every public query of `map` over query_nodes() at `times`, plus the
-/// delay graph's edges.
+/// Every query the flat store answers over query_nodes() at `times`.
 std::vector<Answer> answers(const NetworkMap& map,
                             const std::vector<sim::SimTime>& times) {
-  std::vector<Answer> out;
-  const std::vector<NodeId> nodes = query_nodes();
-  for (const NodeId a : nodes) {
-    out.emplace_back(0, a.value(), 0, 0, map.knows_node(a) ? 1 : 0);
-    for (std::size_t t = 0; t < times.size(); ++t) {
-      out.emplace_back(1, a.value(), 0, t, map.device_max_queue(a, times[t]));
-      out.emplace_back(2, a.value(), 0, t,
-                       bits(map.device_avg_queue(a, times[t])));
-      out.emplace_back(3, a.value(), 0, t,
-                       map.device_hop_latency(a, times[t]).ns());
-    }
-    for (const NodeId b : nodes) {
-      out.emplace_back(4, a.value(), b.value(), 0, map.link_delay(a, b).ns());
-      out.emplace_back(5, a.value(), b.value(), 0, map.link_jitter(a, b).ns());
-      out.emplace_back(6, a.value(), b.value(), 0, map.egress_port(a, b));
-      for (std::size_t t = 0; t < times.size(); ++t) {
-        out.emplace_back(7, a.value(), b.value(), t,
-                         map.link_max_queue(a, b, times[t]));
-        out.emplace_back(8, a.value(), b.value(), t,
-                         map.link_stale(a, b, times[t]) ? 1 : 0);
-      }
-    }
-  }
-  const std::vector<Answer> graph = edges(map.delay_graph());
-  out.insert(out.end(), graph.begin(), graph.end());
-  out.emplace_back(11, 0, 0, 0, map.known_link_count());
-  out.emplace_back(12, 0, 0, 0, map.reports_ingested());
-  out.emplace_back(13, 0, 0, 0, map.rejected_entries());
-  return out;
+  return map_answers::answers(map, query_nodes(), times);
 }
 
 /// The catalog's handles, resolved the way PlaneCatalog::compile resolves
@@ -231,19 +192,6 @@ std::vector<Answer> evaluate(const NetworkMap& map, const Handles& h,
   return out;
 }
 
-/// Reports the first differing answer rather than two ~10k-entry dumps.
-void expect_same(const std::vector<Answer>& got,
-                 const std::vector<Answer>& want, const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const auto& [kind, a, b, t, value] = want[i];
-    ASSERT_EQ(got[i], want[i])
-        << what << ": query kind " << kind << " (" << a << ", " << b
-        << ") at time " << t << " wants " << value << ", reads "
-        << std::get<4>(got[i]);
-  }
-}
-
 TEST(FlatStoreProperty, SnapshotIsIndependentOfLaterIngest) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE(seed);
@@ -259,8 +207,8 @@ TEST(FlatStoreProperty, SnapshotIsIndependentOfLaterIngest) {
     std::vector<TimedReport> suffix = staircase(ticks);
     const std::vector<TimedReport> more = random_stream(rng, 1'000, ticks, 20);
     suffix.insert(suffix.end(), more.begin(), more.end());
-    // A copy taken with the snapshot and fed its own stream: the source
-    // must not see that either.
+    // A copy of the view's map fed its own stream: the live map must not
+    // see that either.
     std::int64_t other_ticks = ticks;
     const std::vector<TimedReport> other =
         random_stream(rng, 1'000, other_ticks, 20);
@@ -269,24 +217,31 @@ TEST(FlatStoreProperty, SnapshotIsIndependentOfLaterIngest) {
         high_water - kTick * 4, high_water, high_water + kTick * 3,
         high_water + kTick * 12};
 
-    NetworkMap source{cfg};
+    // Every report id lies in [0, 30): one region holds every link.
+    ShardedNetworkMap source{
+        RegionAssignment{std::vector<RegionId>(30, RegionId{0}), RegionId{1}},
+        ShardedMapConfig{.map = cfg}};
     feed(source, prefix);
-    const RankSnapshot snap{source};
-    NetworkMap copy = source;
-    const std::vector<Answer> before = answers(snap.map(), times);
-    const std::vector<Answer> frozen_graph = edges(snap.delay_graph());
-    const Handles handles = resolve(snap.map());
-    const std::vector<Answer> resolved_before =
-        evaluate(snap.map(), handles, times);
+    const std::shared_ptr<const MetroView> view = source.view();
+    const NetworkMap& snap = view->map();
+    const net::Graph& snap_graph =
+        view->region_snapshot(RegionId{0}).delay_graph();
+    NetworkMap copy = snap;
+    const std::vector<Answer> before = answers(snap, times);
+    const std::vector<Answer> frozen_graph = edges(snap_graph);
+    expect_same(frozen_graph, edges(snap.delay_graph()),
+                "the one region's graph is the map's delay graph");
+    const Handles handles = resolve(snap);
+    const std::vector<Answer> resolved_before = evaluate(snap, handles, times);
 
     feed(source, suffix);
     feed(copy, other);
 
-    expect_same(answers(snap.map(), times), before, "snapshot after ingest");
-    expect_same(evaluate(snap.map(), handles, times), resolved_before,
-                "snapshot handles after ingest");
-    expect_same(edges(snap.delay_graph()), frozen_graph,
-                "snapshot's frozen delay graph");
+    expect_same(answers(snap, times), before, "view's map after ingest");
+    expect_same(evaluate(snap, handles, times), resolved_before,
+                "view's handles after ingest");
+    expect_same(edges(snap_graph), frozen_graph,
+                "view's frozen region graph");
 
     NetworkMap fresh{cfg};
     feed(fresh, prefix);
@@ -297,12 +252,13 @@ TEST(FlatStoreProperty, SnapshotIsIndependentOfLaterIngest) {
     NetworkMap replay{cfg};
     feed(replay, prefix);
     feed(replay, suffix);
-    expect_same(answers(source, times), answers(replay, times),
-                "source after its copy ingested another stream");
+    const std::shared_ptr<const MetroView> latest = source.view();
+    expect_same(answers(latest->map(), times), answers(replay, times),
+                "live map after a copy ingested another stream");
 
-    // Append-only slots: the source, after 1,000+ more reports, resolves
-    // every key the snapshot knows to the snapshot's slot.
-    const Handles later = resolve(source);
+    // Append-only slots: the live map, after 1,000+ more reports, resolves
+    // every key the older view knows to the older view's slot.
+    const Handles later = resolve(latest->map());
     ASSERT_GT(later.links.size(), handles.links.size());
     for (std::size_t i = 0; i < handles.device.size(); ++i) {
       if (handles.device[i].valid()) {

@@ -296,8 +296,8 @@ TEST(RankPlaneProperty, TopKPrefixMatchesFullRanking) {
     const auto candidates = m.candidates_with_edge_cases(origin);
     for (const auto metric :
          {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-      view->rank_into(origin, candidates.data(), candidates.size(), metric,
-                      now, scratch, full);
+      view->rank_topk_into(origin, candidates.data(), candidates.size(),
+                           metric, now, candidates.size(), scratch, full);
       ASSERT_EQ(full.size(), candidates.size());
       for (const std::size_t k :
            {std::size_t{1}, std::size_t{2}, std::size_t{7},

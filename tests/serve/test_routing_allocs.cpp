@@ -64,7 +64,7 @@ TEST(RoutingAllocationBudget, ColdContextBuildAndViewTeardown) {
       (counted_allocations() - allocs_before) / cold_builds;
 
   // Without the map, the view holds the only references to its region
-  // snapshots and summary map: its teardown frees all of them.
+  // snapshots and its frozen map: its teardown frees all of them.
   map.reset();
   const std::int64_t frees_before = counted_frees();
   view.reset();

@@ -136,7 +136,7 @@ def run_suite(build_dir: str, jobs: int, reps: int) -> Dict:
 
 
 def run_metro(build_dir: str, scratch: str, pods: int, tasks: int,
-              epochs: int, seed: int, jobs: int) -> Dict:
+              epochs: int, seed: int) -> Dict:
     """Runs bench/metro_sweep at the given shape and returns its JSON
     report (flat vs two-level arms, fingerprints, agreement); the binary
     writes it under the run's `scratch` directory."""
@@ -147,7 +147,7 @@ def run_metro(build_dir: str, scratch: str, pods: int, tasks: int,
         sys.exit(2)
     out = os.path.join(scratch, "BENCH_metro_fresh.json")
     cmd = [exe, f"--pods={pods}", f"--tasks={tasks}", f"--epochs={epochs}",
-           f"--seed={seed}", f"--jobs={jobs}", f"--json={out}"]
+           f"--seed={seed}", f"--json={out}"]
     print(f"run_benches: {' '.join(cmd)}")
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
     with open(out, encoding="utf-8") as f:
@@ -190,14 +190,14 @@ def compare_metro(baseline: Dict, fresh: Dict,
 
 
 def check_metro(build_dir: str, scratch: str, baseline_path: str,
-                threshold: float, jobs: int) -> int:
+                threshold: float) -> int:
     """Re-run the metro sweep at the baseline's shape/seed and gate wall
     clock, fingerprints, and agreement against the committed numbers."""
     with open(baseline_path, encoding="utf-8") as f:
         baseline = json.load(f)
     fresh = run_metro(build_dir, scratch, baseline["pods"],
                       baseline["tasks"],
-                      baseline["epochs"], baseline["seed"], jobs)
+                      baseline["epochs"], baseline["seed"])
     lines, failures = compare_metro(baseline, fresh, threshold)
     for line in lines:
         print(line)
@@ -614,8 +614,7 @@ def run(args: argparse.Namespace, scratch: str) -> int:
                       file=sys.stderr)
                 return 2
             rc = max(rc, check_metro(args.build_dir, scratch,
-                                     metro_baseline, args.threshold,
-                                     args.jobs))
+                                     metro_baseline, args.threshold))
         if do_qps:
             if not os.path.exists(qps_baseline):
                 print(f"run_benches: no qps baseline at {qps_baseline}; "
@@ -644,7 +643,7 @@ def run(args: argparse.Namespace, scratch: str) -> int:
     if do_metro:
         metro = run_metro(args.build_dir, scratch, args.metro_pods,
                           args.metro_tasks, args.metro_epochs,
-                          args.metro_seed, args.jobs)
+                          args.metro_seed)
         with open(metro_baseline, "w", encoding="utf-8") as f:
             json.dump(metro, f, indent=2)
             f.write("\n")
