@@ -263,9 +263,8 @@ class NetworkMap {
   /// numbers, linear probing, no erase. It stores no keys — a probe
   /// compares `key` with the table's key at the slot, `key_at(slot)` — so
   /// an entry is 4 bytes. An empty entry is slot -1, not a reserved key,
-  /// so every key is storable: a link with an invalid endpoint included,
-  /// which FlatTable's invalid-id sentinel could not hold. Copying it is
-  /// one vector copy.
+  /// so every key is storable, a link with an invalid endpoint included.
+  /// Copying it is one vector copy.
   class SlotIndex {
    public:
     /// The key's slot, or -1 when it was never inserted.
@@ -303,8 +302,8 @@ class NetworkMap {
       while (slots_[i] >= 0 && key_at(slots_[i]) != key) i = (i + 1) & mask;
       return i;
     }
-    /// splitmix64 finalizer (FlatTable's mix): dense sequential ids and
-    /// packed pairs spread across the array.
+    /// splitmix64 finalizer: dense sequential ids and packed pairs spread
+    /// across the array.
     [[nodiscard]] static std::size_t mix(std::uint64_t h) {
       h ^= h >> 30;
       h *= 0xBF58476D1CE4E5B9ULL;

@@ -143,9 +143,11 @@ struct KCalibrationSample {
 //
 // A RankPlane "compiles" one origin's candidate paths — frozen for the
 // lifetime of the view that owns them — into a flat CSR arena: one row
-// per candidate server holding the precomputed static link-delay sum and
-// the path's device/link index spans into the view's PlaneCatalog, which
-// resolves every known device and learned directed link once per view.
+// per candidate server holding the path's link-delay sum (its shortest-
+// path tree distance) and its link index span into the view's
+// PlaneCatalog, which resolves every known device and learned directed
+// link once per view. The path's intermediate devices are the targets of
+// every link of the span but the last, so the span is the whole path.
 // Per-query work then collapses to one queue-window gather per *distinct*
 // device (epoch-stamped marks, no per-query clearing) plus a fused
 // structure-of-arrays scoring loop over the rows; no path vector is ever
@@ -155,11 +157,13 @@ struct KCalibrationSample {
 // the kernels below produce ServerRank output byte-identical to
 // rank_candidates over the paths the plane was compiled from. The
 // argument, per field:
-//  * delay — the per-hop terms are int64 nanosecond values; summing the
-//    gathered per-device terms in span (= path) order runs the same
-//    additions in the same order as estimate_path_delay, and kAverage's
-//    per-hop double->int64 rounding happens inside the gathered term
-//    exactly as it does per hop in the estimator;
+//  * delay — the per-hop terms are int64 nanosecond values, and so is
+//    the row's key, the tree distance: the sum of the path's link delays
+//    (checked under INTSCHED_AUDIT at compile). Adding the gathered
+//    per-device terms in span (= path) order runs the same int64
+//    additions as estimate_path_delay, and kAverage's per-hop
+//    double->int64 rounding happens inside the gathered term exactly as
+//    it does per hop in the estimator;
 //  * bandwidth — min over per-link availabilities of doubles computed by
 //    the same expression; min is order-insensitive and duplicate links
 //    contribute the same double twice;
@@ -169,15 +173,15 @@ struct KCalibrationSample {
 
 /// Telemetry catalog shared by every rank plane of one view: each known
 /// device's resolved queue series, and each learned directed link — in
-/// CSR form by `from`, ascending `to` within a range — with its frozen
-/// static delay and resolved handles. Handles and delays are the same
-/// for every origin of a view, so they are resolved once per view, not
-/// once per origin. Node ids index the tables directly: they are dense
-/// topology indices (RegionAssignment indexes by them too), so the tables
-/// span the largest known id. Every handle is a slot of the one map the
-/// catalog was compiled from, which the kernels below take alongside the
-/// plane; slots are append-only, so they name the same series and links
-/// in every later state and copy of that map.
+/// CSR form by `from`, ascending `to` within a range — with its resolved
+/// handles. Handles are the same for every origin of a view, so they are
+/// resolved once per view, not once per origin. Node ids index the
+/// tables directly: they are dense topology indices (RegionAssignment
+/// indexes by them too), so the tables span the largest known id. Every
+/// handle is a slot of the one map the catalog was compiled from, which
+/// the kernels below take alongside the plane; slots are append-only, so
+/// they name the same series and links in every later state and copy of
+/// that map.
 struct PlaneCatalog {
   /// find_link sentinel: the directed link was never learned.
   static constexpr std::uint32_t kNoLink = 0xffffffffu;
@@ -196,11 +200,9 @@ struct PlaneCatalog {
   /// queue statistic, so the per-query gather is slot-direct.
   std::vector<NetworkMap::SeriesSlot> dev_series;
   /// Links leaving node n are [link_begin[n], link_begin[n + 1]) in the
-  /// three parallel link tables below (dev_series.size() + 1 entries).
+  /// two parallel link tables below (dev_series.size() + 1 entries).
   std::vector<std::uint32_t> link_begin;
   std::vector<core::NodeId> link_to;
-  /// The link's static delay estimate (the map's link_delay), frozen.
-  std::vector<sim::SimDuration> link_delay;
   std::vector<LinkRef> link_refs;
 
   [[nodiscard]] std::size_t link_count() const { return link_to.size(); }
@@ -220,9 +222,8 @@ struct PlaneCatalog {
 
   /// Resolves a catalog over node ids [0, node_span) and `links`, which
   /// must be sorted by (from, to), unique, with both ends valid ids below
-  /// node_span. Devices resolve to the series of `statistic`; delays and
-  /// handles are read from `map`, the frozen map the planes will be
-  /// queried against.
+  /// node_span. Devices resolve to the series of `statistic`; handles are
+  /// read from `map`, the frozen map the planes will be queried against.
   [[nodiscard]] INTSCHED_COLDPATH static PlaneCatalog compile(
       const NetworkMap& map, QueueStatistic statistic, std::size_t node_span,
       const std::vector<LinkKey>& links);
@@ -233,27 +234,25 @@ struct RankPlane {
   static constexpr std::uint32_t kNoRow = 0xffffffffu;
 
   struct Row {
-    /// Sum of the path's link-delay estimates, frozen at build time (the
-    /// delay graph never changes within a snapshot).
+    /// The row's key: the compiled path's link-delay sum, which is its
+    /// shortest-path tree distance, frozen at build time (the delay graph
+    /// never changes within a snapshot). Reported as baseline_delay.
     sim::SimDuration static_delay = sim::SimDuration::zero();
-    /// Pure link-delay distance of the compiled path (the Dijkstra
-    /// distance).
-    sim::SimDuration baseline_delay = sim::SimDuration::max();
-    /// [begin, end) span into dev_ix: intermediate devices, path order.
-    std::uint32_t dev_begin = 0;
-    std::uint32_t dev_end = 0;
     /// [begin, end) span into link_ix: every path link, path order. The
-    /// bandwidth estimator charges links from the first switch onward —
-    /// [link_begin + 1, link_end) — while staleness scans the full span.
+    /// path's intermediate devices are the targets of every link but the
+    /// last. The bandwidth estimator charges links from the first switch
+    /// onward — [link_begin + 1, link_end) — while staleness scans the
+    /// full span.
     std::uint32_t link_begin = 0;
     std::uint32_t link_end = 0;
-    /// False = unreachable (path had fewer than two nodes): ranked last
-    /// with delay = max / bandwidth = 0, exactly as rank_candidates.
-    bool reachable = false;
+
+    /// An empty span is unreachable (the path had fewer than two nodes):
+    /// ranked last with delay = max / bandwidth = 0, exactly as
+    /// rank_candidates.
+    [[nodiscard]] bool reachable() const { return link_end > link_begin; }
   };
 
   std::vector<Row> rows;
-  std::vector<std::uint32_t> dev_ix;   ///< node ids into catalog->dev_series
   std::vector<std::uint32_t> link_ix;  ///< indices into catalog's links
   /// The owning view's catalog; null for a plane with no rows.
   const PlaneCatalog* catalog = nullptr;
@@ -290,55 +289,41 @@ class RankPlaneBuilder {
     plane_.rows.reserve(rows);
   }
 
-  /// Compiles one candidate path (fewer than two nodes = unreachable;
-  /// `baseline` is its pure link-delay distance). The static sum adds the
-  /// catalog's frozen link delays in path order. A hop the catalog has
-  /// no link for leaves the row unreachable; assembled paths only follow
-  /// learned links, so this is a defensive case.
-  INTSCHED_COLDPATH void add_path(const std::vector<core::NodeId>& path,
-                                  sim::SimDuration baseline) {
+  /// Compiles one candidate path (fewer than two nodes = unreachable)
+  /// whose link-delay sum is `key`: the tree distance the caller chose the
+  /// path by. A hop the catalog has no link for leaves the row
+  /// unreachable; assembled paths only follow learned links, so this is a
+  /// defensive case. Returns whether the row is reachable.
+  INTSCHED_COLDPATH bool add_path(const std::vector<core::NodeId>& path,
+                                  sim::SimDuration key) {
     const PlaneCatalog& catalog = *plane_.catalog;
-    const std::size_t dev_begin = dev_ix_.size();
     const std::size_t link_begin = link_ix_.size();
-    sim::SimDuration static_delay = sim::SimDuration::zero();
     bool linked = path.size() >= 2;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    for (std::size_t i = 0; linked && i + 1 < path.size(); ++i) {
       const std::uint32_t l = catalog.find_link(path[i], path[i + 1]);
       linked = l != PlaneCatalog::kNoLink;
-      if (!linked) break;
-      static_delay += catalog.link_delay[l];
       link_ix_.push_back(l);
-      // A found link proves path[i] a valid id inside the catalog.
-      if (i > 0) {
-        dev_ix_.push_back(static_cast<std::uint32_t>(path[i].index()));
-      }
     }
     RankPlane::Row row;
     if (linked) {
-      row.static_delay = static_delay;
-      row.baseline_delay = baseline;
-      row.dev_begin = static_cast<std::uint32_t>(dev_begin);
-      row.dev_end = static_cast<std::uint32_t>(dev_ix_.size());
+      row.static_delay = key;
       row.link_begin = static_cast<std::uint32_t>(link_begin);
       row.link_end = static_cast<std::uint32_t>(link_ix_.size());
-      row.reachable = true;
     } else {
-      dev_ix_.resize(dev_begin);
       link_ix_.resize(link_begin);
     }
     plane_.rows.push_back(row);
+    return linked;
   }
 
-  /// Seals and returns the plane, its index pools copied to exact size.
+  /// Seals and returns the plane, its index pool copied to exact size.
   [[nodiscard]] INTSCHED_COLDPATH RankPlane finish() {
-    plane_.dev_ix.assign(dev_ix_.begin(), dev_ix_.end());
     plane_.link_ix.assign(link_ix_.begin(), link_ix_.end());
     return std::move(plane_);
   }
 
  private:
   RankPlane plane_;
-  std::vector<std::uint32_t> dev_ix_;
   std::vector<std::uint32_t> link_ix_;
 };
 
@@ -396,7 +381,7 @@ INTSCHED_HOTPATH inline sim::SimDuration dev_term(const RankerConfig& cfg,
                                                   const NetworkMap& map,
                                                   const RankPlane& plane,
                                                   PlaneScratch& scratch,
-                                                  std::uint32_t d,
+                                                  std::size_t d,
                                                   sim::SimTime now) {
   if (scratch.dev_mark[d] != scratch.stamp) {
     scratch.dev_mark[d] = scratch.stamp;
@@ -443,16 +428,20 @@ INTSCHED_HOTPATH inline void gather_link(const RankerConfig& cfg,
       staleness_on && map.records_stale(ref.fwd, ref.rev, now) ? 1 : 0;
 }
 
-/// Row's delay key: static prefix + gathered per-device terms in span
-/// order. Unreachable rows key at SimDuration::max(), matching the
-/// uncompiled path's unreachable delay.
+/// Row's delay key: its static delay (the path's link-delay sum) +
+/// gathered per-device terms in path order, the devices being the
+/// targets of every link of the span but the last.
+/// Unreachable rows key at SimDuration::max(), matching the uncompiled
+/// path's unreachable delay.
 INTSCHED_HOTPATH inline sim::SimDuration delay_key_of(
     const RankerConfig& cfg, const NetworkMap& map, const RankPlane& plane,
     PlaneScratch& scratch, const RankPlane::Row* row, sim::SimTime now) {
-  if (row == nullptr || !row->reachable) return sim::SimDuration::max();
+  if (row == nullptr || !row->reachable()) return sim::SimDuration::max();
   sim::SimDuration key = row->static_delay;
-  for (std::uint32_t ix = row->dev_begin; ix < row->dev_end; ++ix) {
-    key += dev_term(cfg, map, plane, scratch, plane.dev_ix[ix], now);
+  for (std::uint32_t ix = row->link_begin; ix + 1 < row->link_end; ++ix) {
+    // A catalog link's ends are valid ids inside the catalog.
+    key += dev_term(cfg, map, plane, scratch,
+                    plane.catalog->link_to[plane.link_ix[ix]].index(), now);
   }
   return key;
 }
@@ -467,7 +456,7 @@ INTSCHED_HOTPATH inline double bw_key_of(const RankerConfig& cfg,
                                          const RankPlane::Row* row,
                                          sim::SimTime now, double nominal,
                                          bool staleness_on) {
-  if (row == nullptr || !row->reachable) return 0.0;
+  if (row == nullptr || !row->reachable()) return 0.0;
   double min_bps = nominal;
   for (std::uint32_t ix = row->link_begin + 1; ix < row->link_end; ++ix) {
     gather_link(cfg, map, plane, scratch, plane.link_ix[ix], now, nominal,
@@ -491,7 +480,7 @@ INTSCHED_HOTPATH inline void fill_rank(const RankerConfig& cfg,
                                        ServerRank& r) {
   r.server = server;
   r.outstanding_tasks = 0;
-  if (row == nullptr || !row->reachable) {
+  if (row == nullptr || !row->reachable()) {
     r.delay_estimate = sim::SimDuration::max();
     r.bandwidth_estimate = sim::DataRate::bits_per_second(0.0);
     r.baseline_delay = sim::SimDuration::max();
@@ -499,7 +488,7 @@ INTSCHED_HOTPATH inline void fill_rank(const RankerConfig& cfg,
     return;
   }
   r.delay_estimate = delay;
-  r.baseline_delay = row->baseline_delay;
+  r.baseline_delay = row->static_delay;
   r.bandwidth_estimate = sim::DataRate::bits_per_second(
       bw_key_of(cfg, map, plane, scratch, row, now, nominal, staleness_on));
   bool stale = false;
@@ -618,17 +607,17 @@ struct PlaneIncumbent {
 ///
 /// Bound short-circuit: a row's delay key is its static prefix plus
 /// non-negative queue terms, so a static prefix already above the
-/// incumbent cannot win; the row is skipped before its device-span walk
-/// and gathers. Strict >, and the incumbent only tightens, so a skipped
-/// row is strictly worse than the final winner even on key ties —
-/// selection stays exact, id tie-breaks included.
+/// incumbent cannot win; the row is skipped before its span walk and
+/// gathers. Strict >, and the incumbent only tightens, so a skipped row
+/// is strictly worse than the final winner even on key ties — selection
+/// stays exact, id tie-breaks included.
 INTSCHED_HOTPATH inline void pick_plane_argmin(
     const RankerConfig& cfg, const NetworkMap& map, const RankPlane& plane,
     const core::NodeId* servers, std::size_t count, sim::SimTime now,
     PlaneScratch& scratch, PlaneIncumbent& best) {
   for (std::size_t i = 0; i < count; ++i) {
     const RankPlane::Row* row = plane.row_for(servers[i]);
-    if (best.found && row != nullptr && row->reachable &&
+    if (best.found && row != nullptr && row->reachable() &&
         row->static_delay > best.delay) {
       continue;
     }

@@ -205,12 +205,10 @@ PlaneCatalog PlaneCatalog::compile(const NetworkMap& map,
   }
   c.link_begin.assign(node_span + 1, 0);
   c.link_to.reserve(links.size());
-  c.link_delay.reserve(links.size());
   c.link_refs.reserve(links.size());
   for (const LinkKey& k : links) {
     ++c.link_begin[k.from.index() + 1];
     c.link_to.push_back(k.to);
-    c.link_delay.push_back(map.link_delay(k.from, k.to));
     c.link_refs.push_back(LinkRef{map.plane_link_port_series(k.from, k.to),
                                   map.find_device_queue(k.from),
                                   map.find_link(k.from, k.to),

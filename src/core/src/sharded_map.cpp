@@ -4,6 +4,8 @@
 #include <cassert>
 #include <iterator>
 
+#include "intsched/sim/audit.hpp"
+
 namespace intsched::core {
 
 namespace {
@@ -244,8 +246,8 @@ void MetroView::compile_plane(const QueryContext& ctx, core::NodeId origin,
                               PlaneKind kind, RankPlane& out) const {
   // Resolve the two-level candidate path to every node of the kind's
   // list — in ascending id order, which is the order of the kind's row
-  // index — and freeze each into a CSR row over the view's catalog
-  // (DESIGN.md §15).
+  // index — and freeze each into a CSR row over the view's catalog, keyed
+  // by the tree distance the path was chosen by (DESIGN.md §15).
   const Catalog& cat = catalog();
   const bool servers = kind == PlaneKind::kServers;
   const std::vector<core::NodeId>& nodes = servers ? plane_nodes_ : ctx_nodes_;
@@ -255,9 +257,22 @@ void MetroView::compile_plane(const QueryContext& ctx, core::NodeId origin,
   PathScratch scratch;
   std::vector<core::NodeId> path;
   for (const core::NodeId node : nodes) {
-    const sim::SimDuration baseline =
+    const sim::SimDuration key =
         candidate_path_into(ctx, origin, node, path, scratch);
-    builder.add_path(path, baseline);
+    [[maybe_unused]] const bool reachable = builder.add_path(path, key);
+#if INTSCHED_AUDIT_ENABLED
+    // The key stands for the path's link-delay sum: every region edge and
+    // summary link is costed by link_delay, and every entry or transit
+    // edge by a region distance that is itself such a sum.
+    if (reachable) {
+      sim::SimDuration sum = sim::SimDuration::zero();
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        sum += map_->link_delay(path[i], path[i + 1]);
+      }
+      INTSCHED_AUDIT_ASSERT(
+          sum == key, "a plane row's key is not its path's link-delay sum");
+    }
+#endif
   }
   out = builder.finish();
   rows_compiled_.fetch_add(static_cast<std::int64_t>(nodes.size()),

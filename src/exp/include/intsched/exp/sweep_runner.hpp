@@ -1,6 +1,6 @@
 #pragma once
 
-// Work-stealing parallel runner for independent deterministic trials.
+// Parallel runner for independent deterministic trials.
 //
 // The paper's whole evaluation is a sweep of independent simulations
 // (policy arms x repetitions x sweep points); each trial owns its own
@@ -26,9 +26,10 @@ namespace intsched::exp {
 /// positive, otherwise (0 = auto) the hardware concurrency, at least 1.
 [[nodiscard]] int resolve_jobs(int requested);
 
-/// Executes a batch of independent tasks on a work-stealing thread pool.
-/// With jobs == 1 (or a single task) everything runs inline on the calling
-/// thread — exactly the serial code path, no threads created.
+/// Executes a batch of independent tasks on a thread pool whose workers
+/// claim task indices from one shared atomic cursor. With jobs == 1 (or a
+/// single task) everything runs inline on the calling thread — exactly the
+/// serial code path, no threads created.
 class SweepRunner {
  public:
   /// `jobs` <= 0 means auto (hardware concurrency).

@@ -1,16 +1,15 @@
-// Work-stealing pool implementation; see sweep_runner.hpp for the
+// Shared-cursor pool implementation; see sweep_runner.hpp for the
 // determinism contract. All cross-thread state here is either immutable
 // after construction (the task vector), index-partitioned (result slots),
-// or lock-annotated: the steal deques and the first-error slot are
-// INTSCHED_GUARDED_BY their AnnotatedMutex (statically checked by the
-// thread-safety preset), and the stop flag is a set-once seq_cst atomic.
+// atomic (the task cursor and the set-once stop flag, both seq_cst), or
+// lock-annotated: the first-error slot is INTSCHED_GUARDED_BY its
+// AnnotatedMutex (statically checked by the thread-safety preset).
 // intsched-lint: allow-file(thread-share): this IS the thread-pool boundary
 
 #include "intsched/exp/sweep_runner.hpp"
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -26,17 +25,6 @@ int resolve_jobs(int requested) {
 }
 
 namespace {
-
-// One steal-deque per worker, seeded round-robin so the initial split is
-// balanced. Owners pop LIFO from the back (cache-warm, most recently
-// assigned); thieves steal FIFO from the front of a victim, which takes
-// the oldest — typically largest-remaining — chunk of that worker's
-// share. Trials are long (whole simulations), so a mutex per deque is
-// plenty: contention is one lock per trial, not per event.
-struct StealDeque {
-  core::AnnotatedMutex mutex;
-  std::deque<std::size_t> indices INTSCHED_GUARDED_BY(mutex);
-};
 
 // First task failure, published to the joining thread. The stop flag is
 // raised alongside it so the pool abandons the remaining tasks — matching
@@ -57,45 +45,21 @@ void SweepRunner::run(std::vector<std::function<void()>> tasks) const {
     return;
   }
 
-  std::vector<StealDeque> queues(static_cast<std::size_t>(workers));
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    StealDeque& q = queues[i % static_cast<std::size_t>(workers)];
-    // Uncontended (workers start below), but locked anyway: the guard is
-    // what lets -Wthread-safety prove every indices access is disciplined.
-    core::LockGuard lock{q.mutex};
-    q.indices.push_back(i);
-  }
-
   ErrorSlot error;
-  // Default (seq_cst) ordering: raised once per run at most, never on the
-  // per-trial fast path, so there is nothing to relax.
+  // Default (seq_cst) ordering for both: the cursor moves once per trial
+  // and the flag is raised once per run at most, never per event, so
+  // there is nothing to relax.
   std::atomic<bool> stop{false};
+  // Next unclaimed task. Trials are whole simulations, so one shared
+  // cursor balances the load as well as per-worker queues would: a worker
+  // that finishes early simply claims the next index.
+  std::atomic<std::size_t> next{0};
 
-  const auto worker_loop = [&](std::size_t self) {
+  const auto worker_loop = [&] {
     for (;;) {
       if (stop.load()) return;  // a trial failed; abandon the rest
-      std::size_t idx = 0;
-      bool found = false;
-      {
-        StealDeque& own = queues[self];
-        core::LockGuard lock{own.mutex};
-        if (!own.indices.empty()) {
-          idx = own.indices.back();
-          own.indices.pop_back();
-          found = true;
-        }
-      }
-      for (std::size_t off = 1; !found && off < queues.size(); ++off) {
-        StealDeque& victim = queues[(self + off) % queues.size()];
-        core::LockGuard lock{victim.mutex};
-        if (!victim.indices.empty()) {
-          idx = victim.indices.front();
-          victim.indices.pop_front();
-          found = true;
-        }
-      }
-      // Tasks never enqueue further tasks, so all-deques-empty means done.
-      if (!found) return;
+      const std::size_t idx = next.fetch_add(1);
+      if (idx >= tasks.size()) return;
       try {
         tasks[idx]();
       } catch (...) {
@@ -108,9 +72,7 @@ void SweepRunner::run(std::vector<std::function<void()>> tasks) const {
 
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers));
-  for (std::size_t w = 0; w < static_cast<std::size_t>(workers); ++w) {
-    pool.emplace_back(worker_loop, w);
-  }
+  for (int w = 0; w < workers; ++w) pool.emplace_back(worker_loop);
   for (std::thread& t : pool) t.join();
 
   std::exception_ptr failure;

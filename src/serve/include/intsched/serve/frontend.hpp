@@ -11,12 +11,11 @@
 //   * no locks: the answer is computed entirely from the immutable
 //     MetroView the map last published (one atomic shared_ptr acquire);
 //   * no per-request heap allocation once warm: decode writes into the
-//     context's fixed-capacity request struct, candidate validation
-//     probes the flat open-addressing registry (core::FlatTable — a
-//     contiguous array instead of std::unordered_map's node chase),
-//     ranking runs through MetroView::rank_topk_into / pick_with over the
-//     context's reusable scratch, and encode writes straight into the
-//     caller's response buffer;
+//     context's fixed-capacity request struct, candidate validation is a
+//     binary search of the sorted registry, ranking runs through
+//     MetroView::rank_topk_into / pick_with over the context's reusable
+//     scratch, and encode writes straight into the caller's response
+//     buffer;
 //   * region sharding for free: pick_with scores the origin's compiled
 //     rank plane region group by region group and prunes whole regions
 //     by delay lower bound, so a metro-sized registry costs ~one region's
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "intsched/core/contracts.hpp"
-#include "intsched/core/flat_table.hpp"
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/core/types.hpp"
 #include "intsched/serve/wire.hpp"
@@ -68,7 +66,7 @@ class ServeFrontend {
     return registry_;
   }
 
-  /// Registry membership probe (the flat-table lookup the decision path
+  /// Registry membership probe (the binary search the decision path
   /// uses); region is the server's provisioning region.
   [[nodiscard]] INTSCHED_HOTPATH bool is_registered(
       core::NodeId server, core::RegionId* region = nullptr) const;
@@ -87,11 +85,9 @@ class ServeFrontend {
 
  private:
   const core::ShardedNetworkMap* map_;
-  /// Sorted unique registry — the deterministic iteration order the flat
-  /// table deliberately does not provide.
+  /// Registered servers, sorted and unique: what candidate_count == 0
+  /// requests rank, and what explicit candidates are searched in.
   std::vector<core::NodeId> registry_;
-  /// Registered server -> its provisioning region.
-  core::FlatTable<core::NodeId, core::RegionId> table_{64};
 };
 
 }  // namespace intsched::serve

@@ -20,18 +20,19 @@ INTSCHED_HOTPATH void fill_entry(RankResponseEntry& e,
 }  // namespace
 
 void ServeFrontend::register_server(core::NodeId server) {
-  if (!server.valid() || table_.contains(server)) return;
-  table_.insert_or_assign(server, map_->region_of(server));
+  if (!server.valid()) return;
   const auto it =
       std::lower_bound(registry_.begin(), registry_.end(), server);
+  if (it != registry_.end() && *it == server) return;
   registry_.insert(it, server);
 }
 
 bool ServeFrontend::is_registered(core::NodeId server,
                                   core::RegionId* region) const {
-  const core::RegionId* found = table_.find(server);
-  if (found == nullptr) return false;
-  if (region != nullptr) *region = *found;
+  if (!std::binary_search(registry_.begin(), registry_.end(), server)) {
+    return false;
+  }
+  if (region != nullptr) *region = map_->region_of(server);
   return true;
 }
 
@@ -52,15 +53,17 @@ bool ServeFrontend::serve(ServeContext& ctx, const std::byte* request_buf,
   resp.entry_count = 0;
 
   // Candidate resolution: the whole registry (no copy — rank_topk_into
-  // takes pointer + count), or the request's explicit ids filtered
-  // through the flat registry table.
+  // takes pointer + count), or the request's explicit ids filtered by a
+  // binary search of the sorted registry.
   const core::NodeId* candidates = registry_.data();
   std::size_t candidate_count = registry_.size();
   if (req.candidate_count != 0) {
     ctx.candidates.clear();
     for (std::size_t i = 0; i < req.candidate_count; ++i) {
       const core::NodeId n = req.candidates[i];
-      if (table_.find(n) != nullptr) ctx.candidates.push_back(n);
+      if (std::binary_search(registry_.begin(), registry_.end(), n)) {
+        ctx.candidates.push_back(n);
+      }
     }
     candidates = ctx.candidates.data();
     candidate_count = ctx.candidates.size();

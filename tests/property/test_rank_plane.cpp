@@ -8,8 +8,9 @@
 // field of every ServerRank, in every position — rank(), rank_topk_into
 // at every k and pick() — for every metric, queue statistic, staleness
 // regime and candidate shape (reachable, unreachable, unknown id,
-// kInvalidNode, origin-as-candidate, a known node that is not a server,
-// unknown origin, a border gateway as origin), over seeded metro
+// kInvalidNode, origin-as-candidate, the origin's one-link neighbour, a
+// known node that is not a server, unknown origin, a border gateway as
+// origin), over seeded metro
 // topologies, on a one-region (flat) map and on a multi-region metro, and
 // from a view held across later publishes. Both maps name the topology's
 // edge servers, so the non-server candidates are answered from the
@@ -107,8 +108,10 @@ struct MetroFixture {
   /// last host and a switch (known nodes that are not servers: they have
   /// no server-plane row, so they force the fallback plane), an id
   /// nothing has ever probed (no graph node, no plane row), the invalid
-  /// id, and the query origin itself (its path to itself has one node —
-  /// unreachable by the ranking contract).
+  /// id, the query origin itself (its path to itself has one node —
+  /// unreachable by the ranking contract) and, when the origin has one,
+  /// its first neighbour (a one-link path: no device term and no charged
+  /// bandwidth hop).
   [[nodiscard]] std::vector<core::NodeId> candidates_with_edge_cases(
       core::NodeId origin) const {
     std::vector<core::NodeId> c = topo.edge_servers();
@@ -117,6 +120,13 @@ struct MetroFixture {
     c.push_back(core::NodeId{999983});  // unknown everywhere
     c.push_back(core::kInvalidNode);
     c.push_back(origin);
+    const auto first_link = std::find_if(
+        topo.links.begin(), topo.links.end(), [origin](const net::GenLink& l) {
+          return l.a == origin || l.b == origin;
+        });
+    if (first_link != topo.links.end()) {
+      c.push_back(first_link->a == origin ? first_link->b : first_link->a);
+    }
     return c;
   }
 

@@ -251,8 +251,16 @@ TEST(ServeFrontendTest, StatusesAndMalformedInputs) {
   // Registry introspection.
   core::RegionId region = core::kNoRegion;
   EXPECT_TRUE(frontend.is_registered(m.topo.edge_servers()[0], &region));
+  EXPECT_EQ(region, m.topo.region_of(m.topo.edge_servers()[0]));
   EXPECT_NE(region, core::kNoRegion);
   EXPECT_FALSE(frontend.is_registered(NodeId{777777}));
+
+  // Registration is idempotent and ignores the invalid id.
+  const std::size_t registered = frontend.registered().size();
+  frontend.register_server(m.topo.edge_servers()[0]);
+  frontend.register_server(core::kInvalidNode);
+  EXPECT_EQ(frontend.registered().size(), registered);
+  EXPECT_FALSE(frontend.is_registered(core::kInvalidNode));
 }
 
 TEST(ServeFrontendTest, WarmDecisionPathIsAllocationFree) {

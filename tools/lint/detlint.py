@@ -40,7 +40,7 @@ Local rules, checked in every scanned file:
   raw-thread         direct std::thread/std::jthread use or a .detach() call
                      anywhere but sweep_runner.cpp. All parallelism flows
                      through exp::SweepRunner so pool policy (stop flag,
-                     exception funnel, steal order) stays in one audited
+                     exception funnel, claim order) stays in one audited
                      place. std::thread::id / hardware_concurrency (member
                      access, no spawn) are deliberately not flagged.
   atomic-ordering    memory_order_relaxed outside a fetch_add/fetch_sub
