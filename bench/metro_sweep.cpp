@@ -7,8 +7,8 @@
 //            decision is a metro-wide rank over one flat map.
 //   sharded  core::ShardedNetworkMap: region graphs + summary graph,
 //            decisions via MetroView::pick (two-level with region
-//            pruning); a publish rebuilds only the touched regions'
-//            graphs.
+//            pruning); every publish builds every region's graph from
+//            the view's map copy.
 //
 // Both arms consume byte-identical inputs (the report batches are
 // generated once; the task stream is re-derived from the same seed), so
@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
             intsched::sim::SimTime now) { flat.ingest_batch(b, now); },
         [&](intsched::core::NodeId origin, intsched::sim::SimTime now) {
           const std::vector<ServerRank> ranked =
-              flat.rank(origin, servers, RankingMetric::kDelay, now);
+              flat.view()->rank(origin, servers, RankingMetric::kDelay, now);
           return ranked.empty() ? intsched::core::kInvalidNode
                                 : ranked.front().server;
         }));
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
             intsched::sim::SimTime now) { sharded.ingest_batch(b, now); },
         [&](intsched::core::NodeId origin, intsched::sim::SimTime now) {
           PickStats one;
-          const std::optional<ServerRank> best = sharded.pick(
+          const std::optional<ServerRank> best = sharded.view()->pick(
               origin, servers, RankingMetric::kDelay, now, &one);
           pick_stats.regions_considered += one.regions_considered;
           pick_stats.regions_pruned += one.regions_pruned;

@@ -1,10 +1,11 @@
 #pragma once
 
 // RCU-style immutable region snapshot: the frozen per-region routing state
-// a published core::MetroView is assembled from (DESIGN.md §10-§11). A
-// publish builds one RankSnapshot per dirty region under the writer lock;
-// readers hold it through the view's shared_ptr and compute entirely over
-// frozen state, so queries never contend with ingest or with each other.
+// of a published core::MetroView (DESIGN.md §10-§11). Every view builds one
+// RankSnapshot per region from its own map copy and shares it with no
+// other view; readers hold it through the view's shared_ptr and compute
+// entirely over frozen state, so queries never contend with ingest or
+// with each other.
 //
 // This header is one of the sanctioned concurrent components (alongside
 // thread_annot.hpp and exp::SweepRunner), hence the file-wide suppression:
@@ -84,8 +85,7 @@ class RankSnapshot {
   net::Graph graph_;  ///< frozen at construction
   /// sp_slots_[i] memoizes the graph's node at local index i. One
   /// contiguous slot array, allocated once per snapshot, rather than a
-  /// tree node per slot: snapshots are rebuilt on every publish that
-  /// touches their region.
+  /// tree node per slot: every publish rebuilds every region's snapshot.
   std::unique_ptr<SpSlot[]> sp_slots_;
   mutable std::atomic<std::int64_t> memo_fills_{0};
 };

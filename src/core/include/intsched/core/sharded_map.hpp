@@ -11,16 +11,16 @@
 // metro-wide delay graph makes every epoch's first rank() per origin pay
 // a metro-wide Dijkstra. ShardedNetworkMap keeps its telemetry in one
 // NetworkMap but shards its routing: each region (pod) gets a delay
-// graph of the links with both ends in it, every other link becomes a
-// summary arc, and a publish rebuilds only the graphs of regions whose
-// telemetry moved — the others' RankSnapshots, Dijkstra memos included,
-// are reused by pointer. Queries are answered from an immutable MetroView
-// in two levels: region-local shortest paths plus a summary-graph
-// traversal whose nodes are only the border gateways.
+// graph of the links with both ends in it, and every other link becomes
+// a summary arc. A publish copies the map and builds one self-contained
+// MetroView from the copy, every region's RankSnapshot included, so a
+// view is a function of its map. Queries are answered from the view in
+// two levels: region-local shortest paths plus a summary-graph traversal
+// whose nodes are only the border gateways.
 //
 // This header is a sanctioned concurrent component: the atomics below are
-// the published-view pointer (RCU-style read path) and the
-// contention-free query counter.
+// the published-view pointer (RCU-style read path) and the view's relaxed
+// observability counters.
 // intsched-lint: allow-file(thread-share): concurrent facade by design;
 //   see DESIGN.md §10-§11
 
@@ -100,8 +100,9 @@ struct PickStats {
 /// std::once_flag: the per-origin query contexts (one slot per known
 /// node, slot set fixed at construction), each context's fallback plane,
 /// and the view's telemetry catalog, which the first context build fills
-/// and every plane of the view indexes. Region snapshots are shared with
-/// — and may outlive — the publishing ShardedNetworkMap.
+/// and every plane of the view indexes. The constructor builds every
+/// region snapshot from the view's own map, and no other view shares
+/// them, so a view is a function of its map, assignment and config.
 ///
 /// Determinism / exactness: every query scores through one of the
 /// origin's compiled rank planes (DESIGN.md §15), whose rows are the
@@ -152,14 +153,13 @@ class MetroView {
     std::vector<core::NodeId> group_servers;
   };
 
-  /// `map` is the frozen telemetry every region graph was built from;
-  /// `summary_links` are its links with no region graph — ends in
-  /// different regions or outside every region — as
-  /// NetworkMap::delay_arcs emits them. The view's epoch is the map's.
+  /// Builds the view of `map`, the frozen telemetry: one pass splits its
+  /// links into each region's links (both ends in the region) and the
+  /// summary links (ends in different regions or outside every region),
+  /// then every region's snapshot, the borders and the summary graph are
+  /// built from them. The view's epoch is the map's.
   MetroView(std::shared_ptr<const RegionAssignment> regions,
-            std::vector<std::shared_ptr<const RankSnapshot>> region_snaps,
             std::shared_ptr<const NetworkMap> map,
-            const std::vector<net::Graph::Arc>& summary_links,
             std::shared_ptr<const RankerConfig> config);
 
   MetroView(const MetroView&) = delete;
@@ -247,8 +247,9 @@ class MetroView {
   /// summary graph plus synthetic origin->border edges costed by the
   /// region-local distances.
   struct QueryContext {
-    bool valid = false;
     core::RegionId region = core::kNoRegion;
+    /// The origin's region tree; null when the origin's region graph does
+    /// not know it, and then the context compiled nothing.
     const net::ShortestPaths* sp0 = nullptr;
     net::ShortestPaths summary_sp;
     /// Admissible per-region delay lower bound (cheapest border arrival,
@@ -260,7 +261,7 @@ class MetroView {
     /// the view knows, or every known node when the assignment names no
     /// servers (DESIGN.md §15): the two-level candidate paths resolved
     /// once at context build, frozen into the CSR arena over the view's
-    /// catalog. Empty while !valid.
+    /// catalog. Empty while sp0 is null.
     RankPlane plane;
     /// Fallback plane over every node the view knows, for a query naming
     /// a known node `plane` has no row for (a non-server host, a switch,
@@ -347,7 +348,7 @@ class MetroView {
                                                    core::NodeId v) const;
 
   std::shared_ptr<const RegionAssignment> regions_;
-  std::vector<std::shared_ptr<const RankSnapshot>> region_snaps_;
+  std::vector<std::unique_ptr<const RankSnapshot>> region_snaps_;
   std::shared_ptr<const NetworkMap> map_;
   /// Per region, ascending: its nodes that are an end of a summary link.
   std::vector<std::vector<core::NodeId>> borders_by_region_;
@@ -380,14 +381,14 @@ class MetroView {
 /// queries — the deployment shape of the paper's scheduler process
 /// (collector thread(s) ingesting INT reports while RPC threads rank).
 /// Ingest is NetworkMap::ingest under the writer lock; a publish copies
-/// the map once, rebuilds only the region graphs whose region a report
-/// touched, and rank()/pick() run lock-free over the published MetroView.
-/// A flat deployment is the one-region assignment
+/// the map and builds one MetroView from the copy, and queries run
+/// lock-free over the published view (view()->rank/pick). A flat
+/// deployment is the one-region assignment
 /// (RegionAssignment{by_node all region 0, 1}).
 ///
-/// Equivalence contract (property-tested): for any report sequence,
-/// rank() agrees with core::Ranker over a flat NetworkMap fed the same
-/// reports — byte-exactly on one region and when regions are
+/// Equivalence contract (property-tested): for any report sequence, the
+/// view's rank() agrees with core::Ranker over a flat NetworkMap fed the
+/// same reports — byte-exactly on one region and when regions are
 /// delay-isolated with unique shortest paths, within the DESIGN.md §11
 /// bound otherwise.
 class ShardedNetworkMap {
@@ -413,18 +414,8 @@ class ShardedNetworkMap {
       const std::vector<telemetry::ProbeReport>& reports,
       sim::SimTime now) INTSCHED_EXCLUDES(mutex_);
 
-  /// Lock-free two-level ranking over the current view.
-  [[nodiscard]] std::vector<ServerRank> rank(
-      core::NodeId origin, const std::vector<core::NodeId>& candidates,
-      RankingMetric metric, sim::SimTime now) const INTSCHED_EXCLUDES(mutex_);
-
-  /// Lock-free best-candidate query with region pruning (MetroView::pick).
-  [[nodiscard]] std::optional<ServerRank> pick(
-      core::NodeId origin, const std::vector<core::NodeId>& candidates,
-      RankingMetric metric, sim::SimTime now,
-      PickStats* stats = nullptr) const INTSCHED_EXCLUDES(mutex_);
-
-  /// Currently published view; never null after construction.
+  /// Currently published view; never null after construction. Every
+  /// query reads through it.
   [[nodiscard]] std::shared_ptr<const MetroView> view() const {
     return view_.load(std::memory_order_acquire);
   }
@@ -440,21 +431,13 @@ class ShardedNetworkMap {
       INTSCHED_EXCLUDES(mutex_);
   [[nodiscard]] std::int64_t rejected_entries() const
       INTSCHED_EXCLUDES(mutex_);
-  /// Region snapshots rebuilt over the map's lifetime — the sharding
-  /// win: bounded by touched regions per publish, not region count.
+  /// Region snapshots built over the map's lifetime: every publish
+  /// builds every region's, so this is view_publishes() × region count.
   [[nodiscard]] std::int64_t region_snapshot_builds() const
       INTSCHED_EXCLUDES(mutex_);
   [[nodiscard]] std::int64_t view_publishes() const INTSCHED_EXCLUDES(mutex_);
-  [[nodiscard]] std::int64_t queries_served() const {
-    return queries_.load();  // seq_cst: cold observability read
-  }
 
  private:
-  /// NetworkMap::ingest, then marks the region of every valid entry
-  /// device dirty.
-  INTSCHED_COLDPATH void ingest_locked(const telemetry::ProbeReport& report,
-                                       sim::SimTime now)
-      INTSCHED_REQUIRES(mutex_);
   INTSCHED_COLDPATH void publish_locked() INTSCHED_REQUIRES(mutex_);
 
   std::shared_ptr<const RegionAssignment> regions_;
@@ -463,23 +446,11 @@ class ShardedNetworkMap {
   /// built at construction and shared by every view.
   const std::shared_ptr<const RankerConfig> ranker_;
   NetworkMap map_ INTSCHED_GUARDED_BY(mutex_);
-  /// Per region: 1 when its graph must be rebuilt at the next publish —
-  /// a report since the last one had a valid entry device in the region
-  /// (every intra-region link the map learns has one as an end), or the
-  /// graph was never built.
-  std::vector<char> dirty_ INTSCHED_GUARDED_BY(mutex_);
-  /// Last published snapshot per region, reused while the region is
-  /// clean.
-  std::vector<std::shared_ptr<const RankSnapshot>> last_snaps_
-      INTSCHED_GUARDED_BY(mutex_);
-  std::int64_t snapshot_builds_ INTSCHED_GUARDED_BY(mutex_) = 0;
   std::int64_t publishes_ INTSCHED_GUARDED_BY(mutex_) = 0;
   /// Published view: written under mutex_ (release), read lock-free
   /// (acquire). Deliberately NOT GUARDED_BY — lock-free reads are the
   /// point; the atomic itself provides the ordering.
   std::atomic<std::shared_ptr<const MetroView>> view_;
-  /// Contention-free query counter (relaxed bump on the hot path).
-  mutable std::atomic<std::int64_t> queries_{0};
 };
 
 }  // namespace intsched::core

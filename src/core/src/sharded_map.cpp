@@ -66,17 +66,38 @@ RegionAssignment RegionAssignment::from_topology(
 // ---------------------------------------------------------------------------
 // MetroView
 
-MetroView::MetroView(
-    std::shared_ptr<const RegionAssignment> regions,
-    std::vector<std::shared_ptr<const RankSnapshot>> region_snaps,
-    std::shared_ptr<const NetworkMap> map,
-    const std::vector<net::Graph::Arc>& summary_links,
-    std::shared_ptr<const RankerConfig> config)
+MetroView::MetroView(std::shared_ptr<const RegionAssignment> regions,
+                     std::shared_ptr<const NetworkMap> map,
+                     std::shared_ptr<const RankerConfig> config)
     : regions_{std::move(regions)},
-      region_snaps_{std::move(region_snaps)},
       map_{std::move(map)},
       cfg_{std::move(config)},
       epoch_{map_->ingest_epoch()} {
+  // One pass over the link table: a link with both ends in one region
+  // belongs to that region's graph; every other link is a summary link.
+  const auto n = static_cast<std::size_t>(
+      std::max<std::int32_t>(0, regions_->count().value()));
+  std::vector<std::vector<NetworkMap::LinkSlot>> region_links(n);
+  std::vector<NetworkMap::LinkSlot> summary_slots;
+  const std::vector<LinkKey>& links = map_->links();
+  for (std::size_t l = 0; l < links.size(); ++l) {
+    const NetworkMap::LinkSlot slot{static_cast<std::int32_t>(l)};
+    const core::RegionId r = regions_->region_of(links[l].from);
+    if (r != regions_->region_of(links[l].to) || !r.valid() ||
+        r.index() >= n) {
+      summary_slots.push_back(slot);
+    } else {
+      region_links[r.index()].push_back(slot);
+    }
+  }
+  region_snaps_.reserve(n);
+  for (std::vector<NetworkMap::LinkSlot>& bucket : region_links) {
+    region_snaps_.push_back(std::make_unique<const RankSnapshot>(
+        net::Graph{map_->delay_arcs(std::move(bucket))}));
+  }
+  const std::vector<net::Graph::Arc> summary_links =
+      map_->delay_arcs(std::move(summary_slots));
+
   // A region's borders are its ends of summary links, ascending.
   borders_by_region_.resize(region_snaps_.size());
   const auto note_border = [this](core::NodeId node) {
@@ -140,11 +161,11 @@ MetroView::MetroView(
   // slot *set* is fixed here; readers only fill slot contents.
   const std::vector<core::NodeId>& gateways = summary_graph_.nodes();
   std::size_t known = gateways.size();
-  for (const std::shared_ptr<const RankSnapshot>& snap : region_snaps_) {
+  for (const std::unique_ptr<const RankSnapshot>& snap : region_snaps_) {
     known += snap->nodes().size();
   }
   ctx_nodes_.reserve(known);
-  for (const std::shared_ptr<const RankSnapshot>& snap : region_snaps_) {
+  for (const std::unique_ptr<const RankSnapshot>& snap : region_snaps_) {
     ctx_nodes_.insert(ctx_nodes_.end(), snap->nodes().begin(),
                       snap->nodes().end());
   }
@@ -188,7 +209,6 @@ std::unique_ptr<MetroView::QueryContext> MetroView::build_context(
                                        ctx.sp0->distance_to(b)});
   }
   ctx.summary_sp = net::dijkstra(summary_graph_, origin, entries);
-  ctx.valid = true;
 
   // Freeze the admissible region lower bounds (pick_with's pruning key):
   // the cheapest border arrival per region is snapshot-constant for this
@@ -298,8 +318,9 @@ const RankPlane& MetroView::plane_for(core::NodeId origin,
                                       const QueryContext& ctx,
                                       const core::NodeId* candidates,
                                       std::size_t count) const {
-  // An invalid context compiled nothing: every candidate is unreachable.
-  if (!ctx.valid) return ctx.plane;
+  // A context without a region tree compiled nothing: every candidate is
+  // unreachable.
+  if (ctx.sp0 == nullptr) return ctx.plane;
   const auto known_without_row = [this, &ctx](core::NodeId c) {
     return ctx.plane.row_for(c) == nullptr &&
            std::binary_search(ctx_nodes_.begin(), ctx_nodes_.end(), c);
@@ -470,7 +491,8 @@ std::optional<ServerRank> MetroView::pick_with(
     return std::nullopt;
   }
   const QueryContext* ctx = query_context(origin);
-  if (ctx == nullptr || !ctx->valid || metric != RankingMetric::kDelay) {
+  if (ctx == nullptr || ctx->sp0 == nullptr ||
+      metric != RankingMetric::kDelay) {
     // Bandwidth has no admissible region lower bound (a distant region
     // can still win); unknown origins rank everything unreachable. Both
     // take the front of the full ranking.
@@ -582,54 +604,13 @@ ShardedNetworkMap::ShardedNetworkMap(RegionAssignment regions,
     : regions_{std::make_shared<const RegionAssignment>(std::move(regions))},
       ranker_{std::make_shared<const RankerConfig>(config.ranker)},
       map_{config.map} {
-  const auto n = static_cast<std::size_t>(
-      std::max<std::int32_t>(0, regions_->count().value()));
-  dirty_.assign(n, 1);
-  last_snaps_.resize(n);
   LockGuard lock{mutex_};
   publish_locked();  // empty epoch-0 view so view() is never null
 }
 
-void ShardedNetworkMap::ingest_locked(const telemetry::ProbeReport& report,
-                                      sim::SimTime now) {
-  map_.ingest(report, now);
-  for (const net::IntStackEntry& e : report.entries) {
-    const core::RegionId r = regions_->region_of(e.device);
-    if (r.valid() && r.index() < dirty_.size()) dirty_[r.index()] = 1;
-  }
-}
-
 void ShardedNetworkMap::publish_locked() {
-  // One pass over the link table: a link with both ends in one region
-  // belongs to that region's graph, needed only if the region is dirty;
-  // every other link is a summary link. Clean regions keep their
-  // snapshot — Dijkstra memos and all — across the publish.
-  const std::size_t n = last_snaps_.size();
-  std::vector<std::vector<NetworkMap::LinkSlot>> region_links(n);
-  std::vector<NetworkMap::LinkSlot> summary_links;
-  const std::vector<LinkKey>& links = map_.links();
-  for (std::size_t l = 0; l < links.size(); ++l) {
-    const NetworkMap::LinkSlot slot{static_cast<std::int32_t>(l)};
-    const core::RegionId r = regions_->region_of(links[l].from);
-    if (r != regions_->region_of(links[l].to) || !r.valid() ||
-        r.index() >= n) {
-      summary_links.push_back(slot);
-    } else if (dirty_[r.index()] != 0) {
-      region_links[r.index()].push_back(slot);
-    }
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    if (dirty_[r] == 0) continue;
-    last_snaps_[r] = std::make_shared<const RankSnapshot>(
-        net::Graph{map_.delay_arcs(std::move(region_links[r]))});
-    dirty_[r] = 0;
-    ++snapshot_builds_;
-  }
-
   view_.store(std::make_shared<const MetroView>(
-                  regions_, last_snaps_,
-                  std::make_shared<const NetworkMap>(map_),
-                  map_.delay_arcs(std::move(summary_links)), ranker_),
+                  regions_, std::make_shared<const NetworkMap>(map_), ranker_),
               std::memory_order_release);
   ++publishes_;
 }
@@ -637,7 +618,7 @@ void ShardedNetworkMap::publish_locked() {
 void ShardedNetworkMap::ingest(const telemetry::ProbeReport& report,
                                sim::SimTime now) {
   LockGuard lock{mutex_};
-  ingest_locked(report, now);
+  map_.ingest(report, now);
   publish_locked();
 }
 
@@ -648,27 +629,9 @@ void ShardedNetworkMap::ingest_batch(
   if (reports.empty()) return;
   LockGuard lock{mutex_};
   for (const telemetry::ProbeReport& report : reports) {
-    ingest_locked(report, now);
+    map_.ingest(report, now);
   }
   publish_locked();
-}
-
-std::vector<ServerRank> ShardedNetworkMap::rank(
-    core::NodeId origin, const std::vector<core::NodeId>& candidates,
-    RankingMetric metric, sim::SimTime now) const {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  const std::shared_ptr<const MetroView> v =
-      view_.load(std::memory_order_acquire);
-  return v->rank(origin, candidates, metric, now);
-}
-
-std::optional<ServerRank> ShardedNetworkMap::pick(
-    core::NodeId origin, const std::vector<core::NodeId>& candidates,
-    RankingMetric metric, sim::SimTime now, PickStats* stats) const {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  const std::shared_ptr<const MetroView> v =
-      view_.load(std::memory_order_acquire);
-  return v->pick(origin, candidates, metric, now, stats);
 }
 
 std::int64_t ShardedNetworkMap::reports_ingested() const {
@@ -682,8 +645,7 @@ std::int64_t ShardedNetworkMap::rejected_entries() const {
 }
 
 std::int64_t ShardedNetworkMap::region_snapshot_builds() const {
-  LockGuard lock{mutex_};
-  return snapshot_builds_;
+  return view_publishes() * view()->region_count().value();
 }
 
 std::int64_t ShardedNetworkMap::view_publishes() const {

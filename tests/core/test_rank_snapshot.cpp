@@ -2,12 +2,13 @@
 // ShardedNetworkMap: immutability, lazy once-only Dijkstra memoization,
 // the freshness/linearizability property (a rank() issued after ingest()
 // of report N returns must observe a view with epoch >= N), and an
-// 8-reader/1-writer torture run. All parallelism flows through
-// exp::SweepRunner (the sanctioned pool); worker tasks record into
-// index-addressed slots and the assertions run after the join, so the
-// tests are schedule-insensitive while giving ThreadSanitizer (the `tsan`
-// preset, ctest label `perf`) real traffic over the view-publish /
-// view-load edge and the call_once memo fills.
+// 8-reader/1-writer torture run whose every answer is replayed at its
+// view's epoch. All parallelism flows through exp::SweepRunner (the
+// sanctioned pool); worker tasks record into index-addressed slots and
+// the assertions run after the join, so the tests are
+// schedule-insensitive while giving ThreadSanitizer (the `tsan` preset,
+// ctest label `perf`) real traffic over the view-publish / view-load edge
+// and the call_once memo fills.
 //
 // The shared progress counter below is the test's own cross-thread state:
 // intsched-lint: allow-file(thread-share): freshness property needs a
@@ -24,6 +25,8 @@
 
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/exp/sweep_runner.hpp"
+
+#include "torture_replay.hpp"
 
 namespace intsched::core {
 namespace {
@@ -100,8 +103,9 @@ TEST(RankSnapshotTest, RankMatchesRankerOnTheSameMap) {
   const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
   for (const auto metric :
        {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-    expect_ranks_identical(view->rank(core::NodeId{0}, candidates, metric, at_ms(2)),
-                           ranker.rank(core::NodeId{0}, candidates, metric, at_ms(2)));
+    expect_ranks_identical(
+        view->rank(core::NodeId{0}, candidates, metric, at_ms(2)),
+        ranker.rank(core::NodeId{0}, candidates, metric, at_ms(2)));
   }
 }
 
@@ -114,7 +118,8 @@ TEST(RankSnapshotTest, SnapshotIsImmutableAcrossLaterIngest) {
   const Epoch old_epoch = old->epoch();
   const NetworkMap& old_map = old->map();
   const std::vector<core::NodeId> candidates{core::NodeId{1}};
-  const auto before = old->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
+  const auto before =
+      old->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
 
   // Heavier congestion arrives; the *held* view and its map must not
   // move.
@@ -125,12 +130,14 @@ TEST(RankSnapshotTest, SnapshotIsImmutableAcrossLaterIngest) {
   EXPECT_EQ(shared.view()->map().device_max_queue(core::NodeId{10}, at_ms(1)),
             60);
   expect_ranks_identical(
-      old->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1)), before);
+      old->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1)),
+      before);
 
   const std::shared_ptr<const MetroView> fresh = shared.view();
   ASSERT_NE(fresh, nullptr);
   EXPECT_GT(fresh->epoch(), old_epoch);
-  const auto after = fresh->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
+  const auto after = fresh->rank(core::NodeId{0}, candidates,
+                                 RankingMetric::kDelay, at_ms(1));
   EXPECT_GT(after[0].delay_estimate, before[0].delay_estimate);
 }
 
@@ -160,9 +167,11 @@ TEST(RankSnapshotTest, DijkstraMemoFillsOncePerOrigin) {
   const std::shared_ptr<const MetroView> view = shared.view();
   const std::vector<core::NodeId> candidates{core::NodeId{1}};
   for (int i = 0; i < 5; ++i) {
-    (void)view->rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1 + i));
+    (void)view->rank(core::NodeId{0}, candidates, RankingMetric::kDelay,
+                     at_ms(1 + i));
   }
-  (void)view->rank(core::NodeId{777}, candidates, RankingMetric::kDelay, at_ms(11));
+  (void)view->rank(core::NodeId{777}, candidates, RankingMetric::kDelay,
+                   at_ms(11));
   EXPECT_EQ(view->region_snapshot(core::RegionId{0}).memo_fills(), 1);
 }
 
@@ -201,8 +210,11 @@ TEST(RankSnapshotTest, FreshnessPropertyUnderConcurrentIngest) {
       for (int i = 0; i < kObservationsPerReader; ++i) {
         const std::int64_t seen = progress.load(std::memory_order_acquire);
         const std::shared_ptr<const MetroView> view = shared.view();
-        if (view->epoch() < Epoch{seen}) ++violations[static_cast<std::size_t>(t)];
-        (void)shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(static_cast<int>(seen)));
+        if (view->epoch() < Epoch{seen}) {
+          ++violations[static_cast<std::size_t>(t)];
+        }
+        (void)view->rank(core::NodeId{0}, candidates, RankingMetric::kDelay,
+                         at_ms(static_cast<int>(seen)));
       }
     });
   }
@@ -220,8 +232,11 @@ TEST(RankSnapshotTest, FreshnessPropertyUnderConcurrentIngest) {
 }
 
 // Torture: 8 readers hammering the lock-free path against 1 writer mixing
-// single and batched ingest, ~10k ops total. Asserts exact totals after
-// the join and that the final state replays byte-identically through
+// single and batched ingest, ~10k ops total. Each reader records every
+// rank with its view's epoch; after the join a fresh map re-ingests the
+// writer's stream in order and, at every publish, re-answers that
+// epoch's ranks field by field (torture_replay.hpp). Also asserts exact
+// totals and that the final state replays byte-identically through
 // Ranker over a flat NetworkMap — while giving TSan maximal view-churn
 // traffic.
 TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
@@ -239,31 +254,41 @@ TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
     }
     return burst;
   };
+  // The writer's stream after the seed report; `published` sees the map
+  // after each publish.
+  const auto stream = [&burst_of](ShardedNetworkMap& map,
+                                  const auto& published) {
+    for (int i = 0; i < kSingles; ++i) {
+      map.ingest(simple_report(i % 13, i % 8), at_ms(1 + i));
+      published(map);
+    }
+    for (int b = 0; b < kBatches; ++b) {
+      map.ingest_batch(burst_of(b), at_ms(1 + kSingles + b));
+      published(map);
+    }
+  };
 
   ShardedNetworkMap shared{one_region()};
   shared.ingest(simple_report(), at_ms(0));
 
   std::vector<std::function<void()>> tasks;
-  tasks.push_back([&shared, &burst_of] {
-    for (int i = 0; i < kSingles; ++i) {
-      shared.ingest(simple_report(i % 13, i % 8), at_ms(1 + i));
-    }
-    for (int b = 0; b < kBatches; ++b) {
-      shared.ingest_batch(burst_of(b), at_ms(1 + kSingles + b));
-    }
+  tasks.push_back([&shared, &stream] {
+    stream(shared, [](const ShardedNetworkMap&) {});
   });
-  std::vector<std::int64_t> bad_shapes(kReaders, 0);
+  const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
+  std::vector<std::vector<torture_replay::Op>> ops(
+      kReaders, std::vector<torture_replay::Op>(kRanksPerReader));
   for (int t = 0; t < kReaders; ++t) {
-    tasks.push_back([&shared, &bad_shapes, t] {
-      const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
+    tasks.push_back([&shared, &candidates, &ops, t] {
       for (int i = 0; i < kRanksPerReader; ++i) {
-        const auto metric = (i % 2 == 0) ? RankingMetric::kDelay
-                                         : RankingMetric::kBandwidth;
-        const std::vector<ServerRank> ranked =
-            shared.rank(core::NodeId{t}, candidates, metric, at_ms(i));
-        if (ranked.size() != candidates.size()) {
-          ++bad_shapes[static_cast<std::size_t>(t)];
-        }
+        torture_replay::Op& op =
+            ops[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)];
+        op.origin = core::NodeId{t};
+        op.candidates = &candidates;
+        op.metric = (i % 2 == 0) ? RankingMetric::kDelay
+                                 : RankingMetric::kBandwidth;
+        op.now = at_ms(i);
+        torture_replay::answer(*shared.view(), op);
       }
     });
   }
@@ -271,15 +296,19 @@ TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
   const exp::SweepRunner runner{1 + kReaders};
   runner.run(std::move(tasks));
 
-  for (int t = 0; t < kReaders; ++t) {
-    EXPECT_EQ(bad_shapes[static_cast<std::size_t>(t)], 0) << "reader " << t;
-  }
   const std::int64_t expected_reports =
       1 + kSingles + static_cast<std::int64_t>(kBatches) * kBatchSize;
   EXPECT_EQ(shared.reports_ingested(), expected_reports);
-  EXPECT_EQ(shared.queries_served(),
-            static_cast<std::int64_t>(kReaders) * kRanksPerReader);
   EXPECT_EQ(shared.view()->epoch(), Epoch{expected_reports});
+
+  torture_replay::Replay replay{ops};
+  ShardedNetworkMap fresh{one_region()};
+  fresh.ingest(simple_report(), at_ms(0));
+  replay.check(*fresh.view());
+  stream(fresh, [&replay](const ShardedNetworkMap& map) {
+    replay.check(*map.view());
+  });
+  EXPECT_EQ(replay.replayed(), replay.recorded());
 
   // Quiesced state replays byte-identically through the reference Ranker.
   NetworkMap flat;
@@ -293,12 +322,12 @@ TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
     }
   }
   const Ranker ranker{flat};
-  const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
   const int final_t = 1 + kSingles + kBatches;
   for (const auto metric :
        {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
     expect_ranks_identical(
-        shared.rank(core::NodeId{0}, candidates, metric, at_ms(final_t)),
+        shared.view()->rank(core::NodeId{0}, candidates, metric,
+                            at_ms(final_t)),
         ranker.rank(core::NodeId{0}, candidates, metric, at_ms(final_t)));
   }
 }

@@ -1,18 +1,20 @@
 // ShardedNetworkMap / MetroView: the scheduler's one concurrent read
 // path. On a metro it must agree with Ranker over a flat NetworkMap —
-// field-exact in the delay-isolated regime, whether a publish rebuilds
-// every region graph or reuses most of them — with pick() == rank()[0]
-// under real region pruning, and an 8-reader/1-writer torture run
-// mirroring the one-region one in test_rank_snapshot.cpp. Batching and
-// empty batches are checked on one region and on a metro; the
-// OneRegionMapTest cases pin the flat deployment (every node in region
-// 0): a view's map answering exactly as a plain NetworkMap fed the same
-// reports (on a metro too), agreement with Ranker, a non-default k, and
-// exact totals under concurrent ingest and rank. This file rides in
-// concurrency_tests, ctest label `perf`, so the tsan preset hammers the
-// same paths.
+// field-exact in the delay-isolated regime, under dense and sparse
+// refreshes alike — with pick() == rank()[0] under real region pruning.
+// Every publish builds every region's snapshot for its own view. An
+// 8-reader/1-writer torture run, mirroring the one-region one in
+// test_rank_snapshot.cpp, replays every answer a reader got at its view's
+// epoch and requires it field by field. Batching and empty batches are
+// checked on one region and on a metro; the OneRegionMapTest cases pin
+// the flat deployment (every node in region 0): a view's map answering
+// exactly as a plain NetworkMap fed the same reports (on a metro too),
+// agreement with Ranker, a non-default k, and exact totals under
+// concurrent ingest and rank. This file rides in concurrency_tests, ctest
+// label `perf`, so the tsan preset hammers the same paths.
 //
-// The torture tests' cross-thread state is the maps themselves:
+// The torture tests' cross-thread state is the map itself; each reader
+// writes only its own result slots, read after the join.
 #include "intsched/core/sharded_map.hpp"
 
 #include <algorithm>
@@ -27,6 +29,7 @@
 #include "intsched/net/topology_gen.hpp"
 
 #include "map_answers.hpp"
+#include "torture_replay.hpp"
 
 namespace intsched::core {
 namespace {
@@ -144,16 +147,16 @@ void expect_matches_flat_every_epoch(const MetroFixture& m,
     const sim::SimTime now = MetroFixture::epoch_time(e);
     sharded.ingest_batch(m.batches[e], now);
     ingest_all(flat, m.batches[e], now);
+    const std::shared_ptr<const MetroView> view = sharded.view();
     for (const core::NodeId origin : origins) {
       for (const auto metric :
            {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
         const auto want = ranker.rank(origin, candidates, metric, now);
-        const auto got = sharded.rank(origin, candidates, metric, now);
+        const auto got = view->rank(origin, candidates, metric, now);
         expect_ranks_identical(got, want, "epoch");
 
         // pick() is exactly rank()[0] (bandwidth falls back internally).
-        const auto best =
-            sharded.pick(origin, candidates, metric, now);
+        const auto best = view->pick(origin, candidates, metric, now);
         ASSERT_TRUE(best.has_value());
         EXPECT_EQ(best->server, want.front().server);
         EXPECT_EQ(best->delay_estimate, want.front().delay_estimate);
@@ -164,10 +167,10 @@ void expect_matches_flat_every_epoch(const MetroFixture& m,
   EXPECT_EQ(sharded.rejected_entries(), 0);
 }
 
-// Two inputs. The dense quarter-refresh dirties every region at every
-// epoch, so every publish rebuilds every region graph. The sparse
-// one-link refresh leaves most regions clean, so most publishes pair
-// reused region graphs and Dijkstra memos with a fresh telemetry map.
+// Two inputs. The dense quarter-refresh moves links in every region at
+// every epoch. The sparse one-link refresh moves at most two regions'
+// links per epoch, so most of a view's region graphs equal the previous
+// view's, and each view still builds its own.
 TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
   const MetroFixture dense{3, 8};
   ShardedNetworkMap dense_map{RegionAssignment::from_topology(dense.topo)};
@@ -185,30 +188,34 @@ TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
     SCOPED_TRACE("sparse");
     expect_matches_flat_every_epoch(sparse, sparse_map);
   }
-  EXPECT_LT(sparse_map.region_snapshot_builds() * 2,
-            sparse_map.view_publishes() * 8);
 }
 
-TEST(ShardedMapTest, OnlyTouchedRegionsAreRebuilt) {
-  // Sparse steady state: one refreshed link per epoch across 8 pods. A
-  // probe pair touches at most two regions, so most publishes must reuse
-  // most region snapshots by pointer — this saving is the point of
-  // region sharding.
+TEST(ShardedMapTest, EveryPublishBuildsEveryRegion) {
+  // Sparse steady state: one refreshed link per epoch across 8 pods, so
+  // a publish moves at most two regions' links. Each view still builds
+  // all 8 region snapshots from its own map copy and shares none with
+  // the view before it.
   MetroFixture m{8, 10, 42, 1};
   ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
+  std::shared_ptr<const MetroView> held = sharded.view();
   for (std::size_t e = 0; e < m.batches.size(); ++e) {
     sharded.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+    const std::shared_ptr<const MetroView> view = sharded.view();
+    ASSERT_EQ(view->region_count(), core::RegionId{8});
+    for (std::int32_t r = 0; r < 8; ++r) {
+      EXPECT_NE(&view->region_snapshot(core::RegionId{r}),
+                &held->region_snapshot(core::RegionId{r}))
+          << "epoch " << e << " region " << r;
+    }
+    held = view;
   }
   EXPECT_EQ(sharded.view_publishes(),
             static_cast<std::int64_t>(m.batches.size()) + 1);  // +ctor
-  // Construction + full sweep rebuild all 8; each of the 9 refreshes may
-  // rebuild at most 2. Far below publishes * regions = 88.
-  EXPECT_LE(sharded.region_snapshot_builds(), 8 + 8 + 9 * 2);
-  EXPECT_LT(sharded.region_snapshot_builds(),
+  EXPECT_EQ(sharded.region_snapshot_builds(),
             sharded.view_publishes() *
                 static_cast<std::int64_t>(sharded.region_count().value()));
 
-  // A report rebuilds the region of every entry it carries, not only the
+  // A report teaches the links of every region it crosses, not only the
   // one it starts in. Host 0 -> s10 (region 0) -> s20 -> s21 -> host 1
   // (region 1) measures region 1's links, and host 1 ranks through them.
   std::vector<core::RegionId> by_node(22, core::RegionId{0});
@@ -231,8 +238,8 @@ TEST(ShardedMapTest, OnlyTouchedRegionsAreRebuilt) {
     crossing.ingest(r, at_ms(s20_s21));
     flat.ingest(r, at_ms(s20_s21));
     expect_ranks_identical(
-        crossing.rank(core::NodeId{1}, {core::NodeId{0}},
-                      RankingMetric::kDelay, at_ms(s20_s21)),
+        crossing.view()->rank(core::NodeId{1}, {core::NodeId{0}},
+                              RankingMetric::kDelay, at_ms(s20_s21)),
         ranker.rank(core::NodeId{1}, {core::NodeId{0}},
                     RankingMetric::kDelay, at_ms(s20_s21)),
         "crossing report");
@@ -249,13 +256,14 @@ TEST(ShardedMapTest, PickPrunesRegionsAndAgreesWithRank) {
   const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
   const std::vector<core::NodeId> candidates = m.topo.edge_servers();
 
+  const std::shared_ptr<const MetroView> view = sharded.view();
   PickStats total;
   for (const core::NodeId origin : m.topo.hosts()) {
     PickStats stats;
-    const auto best = sharded.pick(origin, candidates,
-                                   RankingMetric::kDelay, now, &stats);
+    const auto best =
+        view->pick(origin, candidates, RankingMetric::kDelay, now, &stats);
     const auto ranked =
-        sharded.rank(origin, candidates, RankingMetric::kDelay, now);
+        view->rank(origin, candidates, RankingMetric::kDelay, now);
     ASSERT_TRUE(best.has_value());
     EXPECT_EQ(best->server, ranked.front().server);
     EXPECT_EQ(best->delay_estimate, ranked.front().delay_estimate);
@@ -283,15 +291,16 @@ TEST(ShardedMapTest, PickStatsWrittenWholeOnEveryReturn) {
   const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
   const std::vector<core::NodeId> candidates = m.topo.edge_servers();
   const core::NodeId origin = m.topo.hosts()[0];
+  const std::shared_ptr<const MetroView> view = sharded.view();
 
   PickStats stats;
   ASSERT_TRUE(
-      sharded.pick(origin, candidates, RankingMetric::kDelay, now, &stats)
+      view->pick(origin, candidates, RankingMetric::kDelay, now, &stats)
           .has_value());
   ASSERT_GT(stats.regions_pruned, 0);
 
   ASSERT_TRUE(
-      sharded.pick(origin, candidates, RankingMetric::kBandwidth, now, &stats)
+      view->pick(origin, candidates, RankingMetric::kBandwidth, now, &stats)
           .has_value());
   EXPECT_EQ(stats.regions_considered, 1);
   EXPECT_EQ(stats.regions_pruned, 0);
@@ -299,11 +308,11 @@ TEST(ShardedMapTest, PickStatsWrittenWholeOnEveryReturn) {
             static_cast<std::int64_t>(candidates.size()));
 
   ASSERT_TRUE(
-      sharded.pick(origin, candidates, RankingMetric::kDelay, now, &stats)
+      view->pick(origin, candidates, RankingMetric::kDelay, now, &stats)
           .has_value());
   ASSERT_GT(stats.regions_pruned, 0);
   EXPECT_FALSE(
-      sharded.pick(origin, {}, RankingMetric::kDelay, now, &stats).has_value());
+      view->pick(origin, {}, RankingMetric::kDelay, now, &stats).has_value());
   EXPECT_EQ(stats.regions_considered, 0);
   EXPECT_EQ(stats.regions_pruned, 0);
   EXPECT_EQ(stats.candidates_scored, 0);
@@ -329,13 +338,14 @@ TEST(ShardedMapTest, SetKFactorRepublishesEverything) {
     const sim::SimTime now = MetroFixture::epoch_time(e);
     sharded.ingest_batch(m.batches[e], now);
     ingest_all(flat, m.batches[e], now);
-    EXPECT_EQ(sharded.view()->config().k_factor, ms(40));
+    const std::shared_ptr<const MetroView> view = sharded.view();
+    EXPECT_EQ(view->config().k_factor, ms(40));
     for (const core::NodeId origin : m.topo.hosts()) {
       for (const auto metric :
            {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
         const std::vector<ServerRank> want =
             ranker.rank(origin, candidates, metric, now);
-        expect_ranks_identical(sharded.rank(origin, candidates, metric, now),
+        expect_ranks_identical(view->rank(origin, candidates, metric, now),
                                want, "k = 40 ms");
         const std::vector<ServerRank> at_20ms =
             default_k.rank(origin, candidates, metric, now);
@@ -355,10 +365,12 @@ TEST(ShardedMapTest, SetKFactorRepublishesEverything) {
 
 // Torture: 8 readers hammering the lock-free two-level path (rank + pick)
 // against 1 writer streaming pre-generated refresh batches, mirroring
-// the one-region RankSnapshotTest.TortureEightReadersOneWriter.
-// Assertions run after the join; while running, the test's job is giving
-// TSan real traffic over the MetroView publish/load edge and the
-// per-origin call_once contexts.
+// the one-region RankSnapshotTest.TortureEightReadersOneWriter. Each
+// reader records every op's view epoch and answers; after the join a
+// fresh map re-ingests the batches in order and, at every publish,
+// re-answers that epoch's ops field by field (torture_replay.hpp). While
+// running, the test gives TSan real traffic over the MetroView
+// publish/load edge and the per-origin call_once contexts.
 TEST(ShardedMapTest, TortureEightReadersOneWriter) {
   constexpr int kReaders = 8;
   constexpr int kOpsPerReader = 400;  // each op = one rank + one pick
@@ -384,46 +396,41 @@ TEST(ShardedMapTest, TortureEightReadersOneWriter) {
   ASSERT_FALSE(std::binary_search(candidates.begin(), candidates.end(),
                                   origins.back()));
 
-  std::vector<std::int64_t> bad(kReaders, 0);
+  std::vector<std::vector<torture_replay::Op>> ops(
+      kReaders, std::vector<torture_replay::Op>(kOpsPerReader));
   for (int t = 0; t < kReaders; ++t) {
-    tasks.push_back([&shared, &origins, &candidates, &with_host, &bad, t] {
-      const std::vector<core::NodeId>& mine =
-          t % 2 == 0 ? candidates : with_host;
+    tasks.push_back([&shared, &origins, &candidates, &with_host, &ops, t] {
       for (int i = 0; i < kOpsPerReader; ++i) {
-        const core::NodeId origin =
+        torture_replay::Op& op =
+            ops[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)];
+        op.origin =
             origins[static_cast<std::size_t>(t * 31 + i) % origins.size()];
-        const auto metric = (i % 2 == 0) ? RankingMetric::kDelay
-                                         : RankingMetric::kBandwidth;
-        const sim::SimTime now = sim::SimTime::seconds(1 + i % 40);
-        const auto ranked = shared.rank(origin, mine, metric, now);
-        // pick-vs-rank consistency must hold on ONE view: the wrapper
-        // calls above may straddle a publish.
-        const auto view = shared.view();
-        const auto vranked = view->rank(origin, mine, metric, now);
-        const auto vbest = view->pick(origin, mine, metric, now);
-        if (ranked.size() != mine.size() || vranked.size() != mine.size() ||
-            !vbest.has_value() ||
-            vbest->server != vranked.front().server) {
-          ++bad[static_cast<std::size_t>(t)];
-        }
+        op.candidates = t % 2 == 0 ? &candidates : &with_host;
+        op.metric = (i % 2 == 0) ? RankingMetric::kDelay
+                                 : RankingMetric::kBandwidth;
+        op.now = sim::SimTime::seconds(1 + i % 40);
+        op.pick = true;
+        torture_replay::answer(*shared.view(), op);
       }
     });
   }
   const exp::SweepRunner runner{1 + kReaders};
   runner.run(std::move(tasks));
 
-  for (int t = 0; t < kReaders; ++t) {
-    EXPECT_EQ(bad[static_cast<std::size_t>(t)], 0) << "reader " << t;
-  }
   std::int64_t expected_reports = 0;
   for (const auto& b : m.batches) {
     expected_reports += static_cast<std::int64_t>(b.size());
   }
   EXPECT_EQ(shared.reports_ingested(), expected_reports);
-  // Only the wrapper rank() bumps the counter (view-level calls don't).
-  EXPECT_EQ(shared.queries_served(),
-            static_cast<std::int64_t>(kReaders) * kOpsPerReader);
   EXPECT_EQ(shared.view()->epoch(), core::Epoch{expected_reports});
+
+  torture_replay::Replay replay{ops};
+  ShardedNetworkMap fresh{RegionAssignment::from_topology(m.topo)};
+  for (std::size_t e = 0; e < m.batches.size(); ++e) {
+    fresh.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+    replay.check(*fresh.view());
+  }
+  EXPECT_EQ(replay.replayed(), replay.recorded());
 
   // Quiesced state replays field-identically against the flat oracle.
   NetworkMap flat;
@@ -432,11 +439,12 @@ TEST(ShardedMapTest, TortureEightReadersOneWriter) {
   }
   const Ranker ranker{flat};
   const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
+  const std::shared_ptr<const MetroView> view = shared.view();
   for (const core::NodeId origin : {origins[0], origins[5]}) {
     for (const auto metric :
          {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
       for (const std::vector<core::NodeId>& c : {candidates, with_host}) {
-        expect_ranks_identical(shared.rank(origin, c, metric, now),
+        expect_ranks_identical(view->rank(origin, c, metric, now),
                                ranker.rank(origin, c, metric, now),
                                "post torture");
       }
@@ -597,8 +605,9 @@ TEST(ShardedMapTest, IngestBatchMatchesSequentialIngests) {
   for (const auto metric :
        {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
     expect_ranks_identical(
-        batched.rank(core::NodeId{0}, candidates, metric, at_ms(6)),
-        sequential.rank(core::NodeId{0}, candidates, metric, at_ms(6)),
+        batched.view()->rank(core::NodeId{0}, candidates, metric, at_ms(6)),
+        sequential.view()->rank(core::NodeId{0}, candidates, metric,
+                                at_ms(6)),
         "one-region batch");
   }
 
@@ -618,8 +627,10 @@ TEST(ShardedMapTest, IngestBatchMatchesSequentialIngests) {
     for (const auto metric :
          {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
       expect_ranks_identical(
-          metro_batched.rank(origin, m.topo.edge_servers(), metric, now),
-          metro_sequential.rank(origin, m.topo.edge_servers(), metric, now),
+          metro_batched.view()->rank(origin, m.topo.edge_servers(), metric,
+                                     now),
+          metro_sequential.view()->rank(origin, m.topo.edge_servers(),
+                                        metric, now),
           "metro batch");
     }
   }
@@ -698,7 +709,7 @@ TEST(OneRegionMapTest, SingleThreadedIngestMatchesNetworkMap) {
       map_answers::answers(flat, metro_nodes, metro_times), "metro");
 }
 
-TEST(OneRegionMapTest, RankMatchesRankerAndCountsQueries) {
+TEST(OneRegionMapTest, RankMatchesRanker) {
   ShardedNetworkMap shared{one_region()};
   shared.ingest(simple_report(), at_ms(0));
 
@@ -708,10 +719,10 @@ TEST(OneRegionMapTest, RankMatchesRankerAndCountsQueries) {
 
   const std::vector<core::NodeId> candidates{core::NodeId{1}};
   expect_ranks_identical(
-      shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1)),
+      shared.view()->rank(core::NodeId{0}, candidates, RankingMetric::kDelay,
+                          at_ms(1)),
       ranker.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1)),
       "one region");
-  EXPECT_EQ(shared.queries_served(), 1);
 }
 
 // A one-region map built with k = 50 ms serves that k from the view of
@@ -725,10 +736,10 @@ TEST(OneRegionMapTest, KFactorChangeAppliesWithoutNewIngest) {
   k50.ingest(simple_report(6, 4), at_ms(0));
 
   const std::vector<core::NodeId> candidates{core::NodeId{1}};
-  const std::vector<ServerRank> before = default_k.rank(
+  const std::vector<ServerRank> before = default_k.view()->rank(
       core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
-  const std::vector<ServerRank> after =
-      k50.rank(core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
+  const std::vector<ServerRank> after = k50.view()->rank(
+      core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1));
 
   NetworkMap plain;
   plain.ingest(simple_report(6, 4), at_ms(0));
@@ -771,7 +782,7 @@ TEST(OneRegionMapTest, ConcurrentIngestAndRankKeepTotalsExact) {
   for (int t = 0; t < kRankTasks; ++t) {
     tasks.push_back([&shared, &candidates, &bad, t] {
       for (int i = 0; i < kOpsPerTask; ++i) {
-        const std::vector<ServerRank> ranked = shared.rank(
+        const std::vector<ServerRank> ranked = shared.view()->rank(
             core::NodeId{0}, candidates, RankingMetric::kDelay, at_ms(1 + i));
         // Interleaving-insensitive: shape and ordering policy only.
         if (ranked.size() != candidates.size() ||
@@ -789,12 +800,11 @@ TEST(OneRegionMapTest, ConcurrentIngestAndRankKeepTotalsExact) {
     EXPECT_EQ(bad[static_cast<std::size_t>(t)], 0) << "rank task " << t;
   }
   EXPECT_EQ(shared.reports_ingested(), 1 + kIngestTasks * kOpsPerTask);
-  EXPECT_EQ(shared.queries_served(), kRankTasks * kOpsPerTask);
 
   // After the join the state has quiesced: ranking is deterministic again.
   const std::vector<ServerRank> final_rank =
-      shared.rank(core::NodeId{0}, candidates, RankingMetric::kDelay,
-                  at_ms(kOpsPerTask));
+      shared.view()->rank(core::NodeId{0}, candidates, RankingMetric::kDelay,
+                          at_ms(kOpsPerTask));
   ASSERT_EQ(final_rank.size(), 2u);
   EXPECT_EQ(final_rank[0].server, core::NodeId{1});
   // Never probed: unreachable, last.

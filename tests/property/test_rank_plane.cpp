@@ -344,7 +344,7 @@ TEST(RankPlaneProperty, UnknownOriginRanksIdentically) {
   const auto candidates = m.topo.edge_servers();
   for (const auto metric :
        {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-    const auto got = map.rank(ghost, candidates, metric, now);
+    const auto got = map.view()->rank(ghost, candidates, metric, now);
     expect_ranks_identical(got, ref.rank(ghost, candidates, metric, now),
                            "unknown origin");
     for (const ServerRank& r : got) {

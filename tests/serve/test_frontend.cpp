@@ -101,7 +101,7 @@ TEST(ServeFrontendTest, AgreesWithDirectPickAndRankEveryEpoch) {
     const sim::SimTime now = MetroFixture::epoch_time(e);
     map.ingest_batch(m.batches[e], now);
     for (const NodeId origin : m.topo.hosts()) {
-      // Top-1 delay request (the pick path) vs direct map.pick.
+      // Top-1 delay request (the pick path) vs the view's pick.
       RankRequest req;
       req.query_id = ++query;
       req.origin = origin;
@@ -111,13 +111,13 @@ TEST(ServeFrontendTest, AgreesWithDirectPickAndRankEveryEpoch) {
       EXPECT_EQ(got.query_id, req.query_id);
       EXPECT_EQ(got.status, ServeStatus::kOk);
       EXPECT_EQ(got.epoch, map.view()->epoch());
-      const auto want = map.pick(origin, m.topo.edge_servers(),
-                                 RankingMetric::kDelay, now);
+      const auto want = map.view()->pick(origin, m.topo.edge_servers(),
+                                         RankingMetric::kDelay, now);
       ASSERT_TRUE(want.has_value());
       ASSERT_EQ(got.entry_count, 1);
       expect_entry_matches_rank(got.entries[0], *want, "pick path");
 
-      // Top-k over both metrics (the rank path) vs direct map.rank.
+      // Top-k over both metrics (the rank path) vs the view's rank.
       for (const auto metric :
            {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
         req.query_id = ++query;
@@ -126,7 +126,7 @@ TEST(ServeFrontendTest, AgreesWithDirectPickAndRankEveryEpoch) {
         const RankResponse ranked_resp = serve_one(frontend, ctx, req, now);
         EXPECT_EQ(ranked_resp.status, ServeStatus::kOk);
         const std::vector<ServerRank> want_ranked =
-            map.rank(origin, m.topo.edge_servers(), metric, now);
+            map.view()->rank(origin, m.topo.edge_servers(), metric, now);
         ASSERT_EQ(ranked_resp.entry_count,
                   std::min<std::size_t>(5, want_ranked.size()));
         for (std::size_t i = 0; i < ranked_resp.entry_count; ++i) {
@@ -200,7 +200,7 @@ TEST(ServeFrontendTest, ExplicitCandidateSubsetMatchesDirectRank) {
   const RankResponse got = serve_one(frontend, ctx, req, now);
   EXPECT_EQ(got.status, ServeStatus::kOk);
   const std::vector<ServerRank> want =
-      map.rank(req.origin, subset, RankingMetric::kDelay, now);
+      map.view()->rank(req.origin, subset, RankingMetric::kDelay, now);
   ASSERT_EQ(got.entry_count,
             std::min<std::size_t>(req.max_results, want.size()));
   for (std::size_t i = 0; i < got.entry_count; ++i) {
@@ -327,7 +327,7 @@ net::IntStackEntry hop(NodeId device, std::int32_t in, std::int32_t out,
 
 /// Feeds `probes` to a flat NetworkMap and to one-region sharded maps,
 /// and checks that every ranking path answers `server` from `origin`
-/// without throwing and agrees: the reference Ranker, the map's rank and
+/// without throwing and agrees: the reference Ranker, the view's rank and
 /// pick, and ServeFrontend::serve, which reaches Dijkstra through the
 /// view's region snapshot. Returns the Ranker's answer.
 ServerRank expect_every_path_agrees(
@@ -350,11 +350,11 @@ ServerRank expect_every_path_agrees(
   core::ShardedNetworkMap picked_map{one_region};
   picked_map.ingest_batch(probes, sim::SimTime::zero());
   std::optional<ServerRank> picked;
-  EXPECT_NO_THROW(picked = picked_map.pick(origin, servers,
-                                           RankingMetric::kDelay, now));
+  EXPECT_NO_THROW(picked = picked_map.view()->pick(
+                      origin, servers, RankingMetric::kDelay, now));
   std::vector<ServerRank> ranked;
-  EXPECT_NO_THROW(ranked = picked_map.rank(origin, servers,
-                                           RankingMetric::kDelay, now));
+  EXPECT_NO_THROW(ranked = picked_map.view()->rank(
+                      origin, servers, RankingMetric::kDelay, now));
 
   // A map of its own, so serve fills the origin's context itself.
   core::ShardedNetworkMap served_map{one_region};

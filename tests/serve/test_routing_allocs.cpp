@@ -63,8 +63,9 @@ TEST(RoutingAllocationBudget, ColdContextBuildAndViewTeardown) {
   const std::int64_t per_build =
       (counted_allocations() - allocs_before) / cold_builds;
 
-  // Without the map, the view holds the only references to its region
-  // snapshots and its frozen map: its teardown frees all of them.
+  // Without the map, which holds the published pointer, `view` is the
+  // view's last reference: its teardown frees its region snapshots, its
+  // frozen map and everything its queries filled.
   map.reset();
   const std::int64_t frees_before = counted_frees();
   view.reset();
