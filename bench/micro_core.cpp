@@ -348,6 +348,92 @@ void BM_PickPlaneMetro(benchmark::State& state) {
 }
 BENCHMARK(BM_PickPlaneMetro);
 
+// -- fresh views: the first picks after a publish --------------------------
+//
+// An 8-pod map of its own (the entries above keep theirs warm), fed its
+// full sweep, and a cycle of pre-generated refresh bursts. Every iteration
+// publishes the next burst with timing paused, so each timed pick runs on
+// a view no query has touched. The iteration count is fixed: the untimed
+// publish costs more than the timed pick, and a count chosen from timed
+// time alone would stretch the suite's wall time.
+struct FreshViewState {
+  static constexpr std::size_t kBursts = 16;
+  net::GenTopology topo;
+  std::unique_ptr<core::ShardedNetworkMap> map;
+  std::vector<std::vector<telemetry::ProbeReport>> bursts;
+  std::vector<core::NodeId> servers;
+  std::vector<core::NodeId> origins;
+  std::size_t published = 0;
+
+  FreshViewState() {
+    net::MetroConfig cfg;
+    cfg.seed = 42;
+    cfg.pods = 8;
+    topo = net::TopologyGen::ring_of_pods(cfg);
+    map = std::make_unique<core::ShardedNetworkMap>(
+        core::RegionAssignment::from_topology(topo));
+    exp::MetroTelemetryGen gen{topo, exp::MetroTelemetryConfig{.seed = 42}};
+    map->ingest_batch(gen.full_sweep(), sim::SimTime::seconds(1));
+    const auto refresh = static_cast<std::int64_t>(topo.links.size()) / 4;
+    for (std::size_t b = 0; b < kBursts; ++b) {
+      bursts.push_back(gen.refresh(refresh));
+    }
+    servers = topo.edge_servers();
+    origins = topo.hosts();
+  }
+
+  /// Publishes the next burst and returns the new view, with its time.
+  std::shared_ptr<const core::MetroView> publish(sim::SimTime& now) {
+    now = sim::SimTime::seconds(2 + static_cast<std::int64_t>(published));
+    map->ingest_batch(bursts[published % kBursts], now);
+    ++published;
+    return map->view();
+  }
+};
+
+FreshViewState& fresh_view_state() {
+  static FreshViewState* state = new FreshViewState;
+  return *state;
+}
+
+/// Publishes a burst per iteration, untimed, then times one pick on the
+/// new view, after an untimed pick from another origin when
+/// `untimed_first` is set. Origins cycle over the hosts.
+void run_fresh_view_pick(benchmark::State& state, bool untimed_first) {
+  FreshViewState& s = fresh_view_state();
+  core::MetroView::RankScratch scratch;
+  std::size_t q = 0;
+  const auto pick = [&s, &scratch, &q](const core::MetroView& view,
+                                       sim::SimTime now) {
+    const core::NodeId origin = s.origins[q % s.origins.size()];
+    ++q;
+    return view.pick_with(origin, s.servers.data(), s.servers.size(),
+                          core::RankingMetric::kDelay, now, scratch, nullptr);
+  };
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::SimTime now;
+    const std::shared_ptr<const core::MetroView> view = s.publish(now);
+    if (untimed_first) benchmark::DoNotOptimize(pick(*view, now));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(pick(*view, now));
+  }
+}
+
+/// A fresh view's first pick: its telemetry catalog fill plus one
+/// context build.
+void BM_FreshViewFirstPick(benchmark::State& state) {
+  run_fresh_view_pick(state, false);
+}
+BENCHMARK(BM_FreshViewFirstPick)->Iterations(1000);
+
+/// A fresh view's second pick, from another origin: one context build
+/// over the catalog the untimed first pick filled.
+void BM_FreshViewSecondPick(benchmark::State& state) {
+  run_fresh_view_pick(state, true);
+}
+BENCHMARK(BM_FreshViewSecondPick)->Iterations(1000);
+
 /// End-to-end simulated TCP throughput: wall time per simulated megabyte.
 void BM_TcpTransferPerMB(benchmark::State& state) {
   for (auto _ : state) {

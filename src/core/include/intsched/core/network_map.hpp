@@ -75,7 +75,8 @@ class NetworkMap {
   // -- topology queries --
 
   /// Every learned directed link, in learn order: LinkSlot{i} is
-  /// links()[i]. Hosts appear once a probe from/to them has been seen.
+  /// links()[i], and both its ends are valid ids. Hosts appear once a
+  /// probe from/to them has been seen.
   [[nodiscard]] const std::vector<LinkKey>& links() const {
     return link_keys_;
   }
@@ -180,13 +181,13 @@ class NetworkMap {
                          [this](std::int32_t s) { return link_key_at(s); })};
   }
 
-  /// The port series link_max_queue's port branch reads for from->to, or
-  /// invalid when no egress port was ever learned (the branch that falls
-  /// through to the device register).
-  [[nodiscard]] SeriesSlot plane_link_port_series(core::NodeId from,
-                                                  core::NodeId to) const {
-    const std::int32_t p = egress_port(from, to);
-    return p < 0 ? SeriesSlot::invalid() : find_port_queue(from, p);
+  /// The port series link_max_queue's port branch reads for link `l`, or
+  /// invalid when the link or its egress port was never learned (the
+  /// branch that falls through to the device register).
+  [[nodiscard]] SeriesSlot plane_link_port_series(LinkSlot l) const {
+    const std::int32_t p = l.valid() ? link_ports_[l.index()] : -1;
+    return p < 0 ? SeriesSlot::invalid()
+                 : find_port_queue(link_keys_[l.index()].from, p);
   }
 
   /// Window max of a resolved series — device_max_queue's evaluation half
@@ -240,7 +241,8 @@ class NetworkMap {
 
   /// Learns/updates one directed link: adjacency, egress port (when
   /// `out_port` >= 0), and the delay EWMA (a negative `delay_sample`
-  /// means "traversed but unmeasured" — adjacency only).
+  /// means "traversed but unmeasured" — adjacency only). Learns nothing
+  /// when either end is invalid, so every learned link joins valid ids.
   void learn_link(core::NodeId from, core::NodeId to, std::int32_t out_port,
                   sim::SimDuration delay_sample, sim::SimTime now);
 
@@ -263,7 +265,7 @@ class NetworkMap {
   /// numbers, linear probing, no erase. It stores no keys — a probe
   /// compares `key` with the table's key at the slot, `key_at(slot)` — so
   /// an entry is 4 bytes. An empty entry is slot -1, not a reserved key,
-  /// so every key is storable, a link with an invalid endpoint included.
+  /// so every key is storable.
   /// Copying it is one vector copy.
   class SlotIndex {
    public:

@@ -172,61 +172,38 @@ struct KCalibrationSample {
 //    to the full sort's prefix, and the k=1 argmin is its first element.
 
 /// Telemetry catalog shared by every rank plane of one view: each known
-/// device's resolved queue series, and each learned directed link — in
-/// CSR form by `from`, ascending `to` within a range — with its resolved
-/// handles. Handles are the same for every origin of a view, so they are
-/// resolved once per view, not once per origin. Node ids index the
-/// tables directly: they are dense topology indices (RegionAssignment
-/// indexes by them too), so the tables span the largest known id. Every
-/// handle is a slot of the one map the catalog was compiled from, which
-/// the kernels below take alongside the plane; slots are append-only, so
-/// they name the same series and links in every later state and copy of
-/// that map.
+/// device's resolved queue series, and each learned directed link's
+/// resolved handles. Handles are the same for every origin of a view, so
+/// they are resolved once per view, not once per origin. Node ids index
+/// dev_series directly: they are dense topology indices (RegionAssignment
+/// indexes by them too), so the table spans the largest known id. Link
+/// slots index link_refs, so a plane's link indices are the map's own
+/// slots and the link's ends are read from map.links(). Every handle is a
+/// slot of the one map the catalog was compiled from, which the kernels
+/// below take alongside the plane; slots are append-only, so they name
+/// the same series and links in every later state and copy of that map.
 struct PlaneCatalog {
-  /// find_link sentinel: the directed link was never learned.
-  static constexpr std::uint32_t kNoLink = 0xffffffffu;
-
   /// Resolved handles replaying link_max_queue (port series if fresh,
-  /// else `from`'s device register) and link_stale (forward/reverse link
-  /// slots).
+  /// else `from`'s device register) and link_stale (the link's own slot,
+  /// which indexes its LinkRef, and its reverse's).
   struct LinkRef {
     NetworkMap::SeriesSlot port_series = NetworkMap::SeriesSlot::invalid();
     NetworkMap::SeriesSlot dev_series = NetworkMap::SeriesSlot::invalid();
-    NetworkMap::LinkSlot fwd = NetworkMap::LinkSlot::invalid();
     NetworkMap::LinkSlot rev = NetworkMap::LinkSlot::invalid();
   };
 
   /// Per node id: the slot of the device series matching the view's
   /// queue statistic, so the per-query gather is slot-direct.
   std::vector<NetworkMap::SeriesSlot> dev_series;
-  /// Links leaving node n are [link_begin[n], link_begin[n + 1]) in the
-  /// two parallel link tables below (dev_series.size() + 1 entries).
-  std::vector<std::uint32_t> link_begin;
-  std::vector<core::NodeId> link_to;
+  /// Per map link slot: link_refs[l] resolves map.links()[l].
   std::vector<LinkRef> link_refs;
 
-  [[nodiscard]] std::size_t link_count() const { return link_to.size(); }
-
-  /// Index of the directed link from->to, or kNoLink when it was never
-  /// learned: a binary search in `from`'s CSR range, no hashing.
-  [[nodiscard]] std::uint32_t find_link(core::NodeId from,
-                                        core::NodeId to) const {
-    if (!from.valid() || from.index() >= dev_series.size()) return kNoLink;
-    const auto first = link_to.begin() + link_begin[from.index()];
-    const auto last = link_to.begin() + link_begin[from.index() + 1];
-    const auto it = std::lower_bound(first, last, to);
-    return it == last || *it != to
-               ? kNoLink
-               : static_cast<std::uint32_t>(it - link_to.begin());
-  }
-
-  /// Resolves a catalog over node ids [0, node_span) and `links`, which
-  /// must be sorted by (from, to), unique, with both ends valid ids below
-  /// node_span. Devices resolve to the series of `statistic`; handles are
-  /// read from `map`, the frozen map the planes will be queried against.
+  /// Resolves a catalog over node ids [0, node_span), which must hold
+  /// both ends of every link of `map`, and over every link of `map` in
+  /// slot order. Devices resolve to the series of `statistic`; `map` is
+  /// the frozen map the planes will be queried against.
   [[nodiscard]] INTSCHED_COLDPATH static PlaneCatalog compile(
-      const NetworkMap& map, QueueStatistic statistic, std::size_t node_span,
-      const std::vector<LinkKey>& links);
+      const NetworkMap& map, QueueStatistic statistic, std::size_t node_span);
 };
 
 struct RankPlane {
@@ -253,7 +230,9 @@ struct RankPlane {
   };
 
   std::vector<Row> rows;
-  std::vector<std::uint32_t> link_ix;  ///< indices into catalog's links
+  /// Link slots of the map the catalog was compiled from, which index
+  /// the catalog's link_refs.
+  std::vector<std::uint32_t> link_ix;
   /// The owning view's catalog; null for a plane with no rows.
   const PlaneCatalog* catalog = nullptr;
   /// Node id -> row (kNoRow where absent), owned by the view and shared
@@ -274,16 +253,19 @@ struct RankPlane {
 /// Compiles one origin's rows against its view's PlaneCatalog and seals
 /// them into an exactly sized RankPlane. Cold by construction: planes are
 /// built inside the per-origin once-only memo fill, never on the query
-/// path. Per hop, one binary search in the catalog's CSR range of the
-/// hop's source; no hashing.
+/// path. Each hop's link slot is the previous row's at the same position
+/// when that link joins the same two nodes — rows come in node-id order,
+/// so neighbouring servers share their paths' prefix — and otherwise one
+/// find in the map's link index.
 class RankPlaneBuilder {
  public:
-  /// `row_index` is the view's row index of the node list the caller
-  /// compiles: exactly `rows` add_path calls follow, one per node of the
-  /// list, in its order.
-  RankPlaneBuilder(const PlaneCatalog& catalog,
+  /// `map` is the map `catalog` was compiled from, and `row_index` the
+  /// view's row index of the node list the caller compiles: exactly
+  /// `rows` add_path calls follow, one per node of the list, in its order.
+  RankPlaneBuilder(const NetworkMap& map, const PlaneCatalog& catalog,
                    const std::vector<std::uint32_t>& row_index,
-                   std::size_t rows) {
+                   std::size_t rows)
+      : map_{&map} {
     plane_.catalog = &catalog;
     plane_.row_index = &row_index;
     plane_.rows.reserve(rows);
@@ -291,18 +273,27 @@ class RankPlaneBuilder {
 
   /// Compiles one candidate path (fewer than two nodes = unreachable)
   /// whose link-delay sum is `key`: the tree distance the caller chose the
-  /// path by. A hop the catalog has no link for leaves the row
-  /// unreachable; assembled paths only follow learned links, so this is a
-  /// defensive case. Returns whether the row is reachable.
+  /// path by. A hop the map has no link for leaves the row unreachable;
+  /// assembled paths only follow learned links, so this is a defensive
+  /// case. Returns whether the row is reachable.
   INTSCHED_COLDPATH bool add_path(const std::vector<core::NodeId>& path,
                                   sim::SimDuration key) {
-    const PlaneCatalog& catalog = *plane_.catalog;
     const std::size_t link_begin = link_ix_.size();
+    const RankPlane::Row prev =
+        plane_.rows.empty() ? RankPlane::Row{} : plane_.rows.back();
     bool linked = path.size() >= 2;
     for (std::size_t i = 0; linked && i + 1 < path.size(); ++i) {
-      const std::uint32_t l = catalog.find_link(path[i], path[i + 1]);
-      linked = l != PlaneCatalog::kNoLink;
-      link_ix_.push_back(l);
+      if (prev.link_begin + i < prev.link_end) {
+        const std::uint32_t same = link_ix_[prev.link_begin + i];
+        const LinkKey& k = map_->links()[same];
+        if (k.from == path[i] && k.to == path[i + 1]) {
+          link_ix_.push_back(same);
+          continue;
+        }
+      }
+      const NetworkMap::LinkSlot l = map_->find_link(path[i], path[i + 1]);
+      linked = l.valid();
+      link_ix_.push_back(static_cast<std::uint32_t>(l.value()));
     }
     RankPlane::Row row;
     if (linked) {
@@ -323,6 +314,7 @@ class RankPlaneBuilder {
   }
 
  private:
+  const NetworkMap* map_;
   RankPlane plane_;
   std::vector<std::uint32_t> link_ix_;
 };
@@ -357,10 +349,10 @@ struct PlaneScratch {
         dev_mark.resize(catalog.dev_series.size(), 0);
         dev_term.resize(catalog.dev_series.size(), sim::SimDuration::zero());
       }
-      if (link_mark.size() < catalog.link_count()) {
-        link_mark.resize(catalog.link_count(), 0);
-        link_avail.resize(catalog.link_count(), 0.0);
-        link_is_stale.resize(catalog.link_count(), 0);
+      if (link_mark.size() < catalog.link_refs.size()) {
+        link_mark.resize(catalog.link_refs.size(), 0);
+        link_avail.resize(catalog.link_refs.size(), 0.0);
+        link_is_stale.resize(catalog.link_refs.size(), 0);
       }
     }
     ++stamp;
@@ -407,7 +399,7 @@ INTSCHED_HOTPATH inline sim::SimDuration dev_term(const RankerConfig& cfg,
 }
 
 /// Gathers availability (and, when staleness tracking is on, the stale
-/// bit) for catalog link `l` — once per distinct link per query,
+/// bit) for map link slot `l` — once per distinct link per query,
 /// replaying link_max_queue (fresh port series, else device register)
 /// and link_stale over the resolved handles.
 INTSCHED_HOTPATH inline void gather_link(const RankerConfig& cfg,
@@ -424,8 +416,9 @@ INTSCHED_HOTPATH inline void gather_link(const RankerConfig& cfg,
                              : map.window_max_of(ref.dev_series, now);
   const double util = cfg.queue_to_utilization.utilization(q);
   scratch.link_avail[l] = nominal * (1.0 - util);
+  const NetworkMap::LinkSlot fwd{static_cast<std::int32_t>(l)};
   scratch.link_is_stale[l] =
-      staleness_on && map.records_stale(ref.fwd, ref.rev, now) ? 1 : 0;
+      staleness_on && map.records_stale(fwd, ref.rev, now) ? 1 : 0;
 }
 
 /// Row's delay key: its static delay (the path's link-delay sum) +
@@ -437,11 +430,12 @@ INTSCHED_HOTPATH inline sim::SimDuration delay_key_of(
     const RankerConfig& cfg, const NetworkMap& map, const RankPlane& plane,
     PlaneScratch& scratch, const RankPlane::Row* row, sim::SimTime now) {
   if (row == nullptr || !row->reachable()) return sim::SimDuration::max();
+  const std::vector<LinkKey>& links = map.links();
   sim::SimDuration key = row->static_delay;
   for (std::uint32_t ix = row->link_begin; ix + 1 < row->link_end; ++ix) {
-    // A catalog link's ends are valid ids inside the catalog.
+    // A map link's ends are valid ids inside the catalog.
     key += dev_term(cfg, map, plane, scratch,
-                    plane.catalog->link_to[plane.link_ix[ix]].index(), now);
+                    links[plane.link_ix[ix]].to.index(), now);
   }
   return key;
 }

@@ -98,9 +98,10 @@ struct PickStats {
 /// Thread-safety model mirrors RankSnapshot: everything is frozen at
 /// construction except three lazy memos, each filled once under its own
 /// std::once_flag: the per-origin query contexts (one slot per known
-/// node, slot set fixed at construction), each context's fallback plane,
-/// and the view's telemetry catalog, which the first context build fills
-/// and every plane of the view indexes. The constructor builds every
+/// node, slot set fixed at construction and found through a dense node
+/// id index), each context's fallback plane, and the view's telemetry
+/// catalog, which the first context build fills and every plane of the
+/// view indexes by the map's own link slots. The constructor builds every
 /// region snapshot from the view's own map, and no other view shares
 /// them, so a view is a function of its map, assignment and config.
 ///
@@ -276,19 +277,15 @@ class MetroView {
     mutable std::once_flag once;
     mutable std::unique_ptr<QueryContext> ctx;
   };
-  /// The view's telemetry catalog (DESIGN.md §15) plus one row index per
-  /// plane kind: every server plane adds its rows in plane_nodes_ order
-  /// and every fallback plane in ctx_nodes_ order, so one index per kind
-  /// serves every origin of the view.
-  struct Catalog {
-    PlaneCatalog telemetry;
-    std::vector<std::uint32_t> server_rows;  ///< node id -> plane_nodes_ pos
-    std::vector<std::uint32_t> node_rows;    ///< node id -> ctx_nodes_ pos
-  };
-  enum class PlaneKind : std::uint8_t { kServers, kAllNodes };
 
   [[nodiscard]] bool valid_region(core::RegionId r) const {
     return r.valid() && r.index() < region_snaps_.size();
+  }
+  /// `n`'s position in ctx_nodes_, or RankPlane::kNoRow when the view
+  /// does not know it: one bounds check and one load.
+  [[nodiscard]] std::uint32_t node_row(core::NodeId n) const {
+    return n.valid() && n.index() < node_rows_.size() ? node_rows_[n.index()]
+                                                      : RankPlane::kNoRow;
   }
 
   /// Memoized query context for `origin` (nullptr when the origin is
@@ -297,9 +294,9 @@ class MetroView {
   [[nodiscard]] const QueryContext* query_context(core::NodeId origin) const;
   [[nodiscard]] INTSCHED_COLDPATH std::unique_ptr<QueryContext>
   build_context(core::NodeId origin) const;
-  /// The view's catalog, filled by the first call (a context build).
-  [[nodiscard]] INTSCHED_COLDPATH const Catalog& catalog() const;
-  INTSCHED_COLDPATH void fill_catalog() const;
+  /// The view's telemetry catalog (DESIGN.md §15), filled by the first
+  /// call (a context build).
+  [[nodiscard]] INTSCHED_COLDPATH const PlaneCatalog& catalog() const;
   /// The plane that answers `candidates` from `ctx`: its server plane,
   /// unless some candidate the view knows has no row there, in which
   /// case the fallback plane (filled on first use). Unknown ids and
@@ -307,10 +304,12 @@ class MetroView {
   [[nodiscard]] const RankPlane& plane_for(
       core::NodeId origin, const QueryContext& ctx,
       const core::NodeId* candidates, std::size_t count) const;
-  /// Compiles ctx's rows for the plane kind's nodes (plane_nodes_ or
-  /// ctx_nodes_, ascending) into `out`.
+  /// Compiles ctx's rows for `nodes` (plane_nodes_ or ctx_nodes_) into
+  /// `out`, whose row index is `rows` (server_rows_ or node_rows_).
   INTSCHED_COLDPATH void compile_plane(const QueryContext& ctx,
-                                       core::NodeId origin, PlaneKind kind,
+                                       core::NodeId origin,
+                                       const std::vector<core::NodeId>& nodes,
+                                       const std::vector<std::uint32_t>& rows,
                                        RankPlane& out) const;
 
   /// Summary-spine and region-segment buffers for path assembly, reused
@@ -366,12 +365,18 @@ class MetroView {
   /// construction, one contiguous slot array per view.
   std::vector<core::NodeId> ctx_nodes_;
   std::unique_ptr<CtxSlot[]> ctx_slots_;
+  /// Node id -> position in ctx_nodes_ (RankPlane::kNoRow elsewhere),
+  /// as long as the largest known id: a node's context slot, and its row
+  /// in every fallback plane, which adds its rows in ctx_nodes_ order.
+  std::vector<std::uint32_t> node_rows_;
   /// Rows of every origin's server plane, ascending: the provisioned
   /// servers found in ctx_nodes_, or all of ctx_nodes_ when the
   /// assignment names no servers.
   std::vector<core::NodeId> plane_nodes_;
+  /// Node id -> position in plane_nodes_: every server plane's row index.
+  std::vector<std::uint32_t> server_rows_;
   mutable std::once_flag catalog_once_;
-  mutable Catalog catalog_;
+  mutable PlaneCatalog catalog_;
   mutable std::atomic<std::int64_t> rows_compiled_{0};
   mutable std::atomic<std::int64_t> catalog_links_{0};
 };

@@ -40,6 +40,9 @@ NetworkMap::SeriesSlot NetworkMap::add_series(std::int32_t count) {
 void NetworkMap::learn_link(core::NodeId from, core::NodeId to,
                             std::int32_t out_port,
                             sim::SimDuration delay_sample, sim::SimTime now) {
+  // A report without a valid source or destination names no device at
+  // that end, so there is no link to learn.
+  if (!from.valid() || !to.valid()) return;
   const bool have_sample = delay_sample >= sim::SimDuration::zero();
   const auto fresh = static_cast<std::int32_t>(link_keys_.size());
   const std::int32_t l = link_index_.find_or_insert(
@@ -230,9 +233,8 @@ void NetworkMap::audit_invariants(sim::SimTime high_water) const {
   for (std::size_t l = 0; l < link_keys_.size(); ++l) {
     const LinkKey& key = link_keys_[l];
     const DelayEstimate& est = link_delays_[l];
-    INTSCHED_AUDIT_ASSERT(
-        key.from != core::kInvalidNode && key.to != core::kInvalidNode,
-        "NetworkMap learned a link with an invalid endpoint");
+    INTSCHED_AUDIT_ASSERT(key.from.valid() && key.to.valid(),
+                          "NetworkMap learned a link with an invalid endpoint");
     INTSCHED_AUDIT_ASSERT(key.from != key.to,
                           "NetworkMap learned a self-loop link");
     INTSCHED_AUDIT_ASSERT(
@@ -357,7 +359,7 @@ sim::SimDuration NetworkMap::link_delay(core::NodeId from,
 
 std::int64_t NetworkMap::link_max_queue(core::NodeId from, core::NodeId to,
                                         sim::SimTime now) const {
-  const SeriesSlot port = plane_link_port_series(from, to);
+  const SeriesSlot port = plane_link_port_series(find_link(from, to));
   if (port_series_fresh(port, now)) return window_max_of(port, now);
   // Port never probed (or stale): fall back to the device-wide register,
   // a conservative over-approximation.

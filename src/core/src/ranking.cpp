@@ -184,8 +184,7 @@ std::vector<ServerRank> rank_candidates(
 
 PlaneCatalog PlaneCatalog::compile(const NetworkMap& map,
                                    QueueStatistic statistic,
-                                   std::size_t node_span,
-                                   const std::vector<LinkKey>& links) {
+                                   std::size_t node_span) {
   PlaneCatalog c;
   c.dev_series.resize(node_span);
   core::NodeId d{0};
@@ -203,19 +202,13 @@ PlaneCatalog PlaneCatalog::compile(const NetworkMap& map,
     }
     ++d;
   }
-  c.link_begin.assign(node_span + 1, 0);
-  c.link_to.reserve(links.size());
-  c.link_refs.reserve(links.size());
-  for (const LinkKey& k : links) {
-    ++c.link_begin[k.from.index() + 1];
-    c.link_to.push_back(k.to);
-    c.link_refs.push_back(LinkRef{map.plane_link_port_series(k.from, k.to),
+  c.link_refs.reserve(map.links().size());
+  NetworkMap::LinkSlot l{0};
+  for (const LinkKey& k : map.links()) {
+    c.link_refs.push_back(LinkRef{map.plane_link_port_series(l),
                                   map.find_device_queue(k.from),
-                                  map.find_link(k.from, k.to),
                                   map.find_link(k.to, k.from)});
-  }
-  for (std::size_t n = 0; n < node_span; ++n) {
-    c.link_begin[n + 1] += c.link_begin[n];
+    ++l;
   }
   return c;
 }

@@ -174,6 +174,7 @@ MetroView::MetroView(std::shared_ptr<const RegionAssignment> regions,
   ctx_nodes_.erase(std::unique(ctx_nodes_.begin(), ctx_nodes_.end()),
                    ctx_nodes_.end());
   ctx_slots_ = std::make_unique<CtxSlot[]>(ctx_nodes_.size());
+  node_rows_ = row_index(ctx_nodes_);
 
   // Server-plane rows: the provisioned servers this view knows, or every
   // known node when the assignment names no servers. A server the view
@@ -186,6 +187,7 @@ MetroView::MetroView(std::shared_ptr<const RegionAssignment> regions,
     std::set_intersection(servers.begin(), servers.end(), ctx_nodes_.begin(),
                           ctx_nodes_.end(), std::back_inserter(plane_nodes_));
   }
+  server_rows_ = row_index(plane_nodes_);
 }
 
 std::unique_ptr<MetroView::QueryContext> MetroView::build_context(
@@ -229,51 +231,31 @@ std::unique_ptr<MetroView::QueryContext> MetroView::build_context(
 
   // Compile the origin's server plane. Cold by contract: this runs once
   // per origin inside the query-context call_once.
-  compile_plane(ctx, origin, PlaneKind::kServers, ctx.plane);
+  compile_plane(ctx, origin, plane_nodes_, server_rows_, ctx.plane);
   return built;
 }
 
-const MetroView::Catalog& MetroView::catalog() const {
-  std::call_once(catalog_once_, [this] { fill_catalog(); });
+const PlaneCatalog& MetroView::catalog() const {
+  std::call_once(catalog_once_, [this] {
+    // Every link end is a known node, so node_rows_ spans the catalog.
+    catalog_ =
+        PlaneCatalog::compile(*map_, cfg_->queue_statistic, node_rows_.size());
+    catalog_links_.fetch_add(
+        static_cast<std::int64_t>(catalog_.link_refs.size()),
+        std::memory_order_relaxed);
+  });
   return catalog_;
 }
 
-void MetroView::fill_catalog() const {
-  // Every directed link the view learned with valid ends, sorted by
-  // (from, to). Every end is a known node, so ctx_nodes_' largest id
-  // spans the catalog.
-  std::vector<LinkKey> links;
-  links.reserve(map_->links().size());
-  for (const LinkKey& k : map_->links()) {
-    if (k.from.valid() && k.to.valid()) links.push_back(k);
-  }
-  std::sort(links.begin(), links.end(),
-            [](const LinkKey& a, const LinkKey& b) {
-              return a.from != b.from ? a.from < b.from : a.to < b.to;
-            });
-  const std::size_t span = ctx_nodes_.empty() || !ctx_nodes_.back().valid()
-                               ? 0
-                               : ctx_nodes_.back().index() + 1;
-  catalog_.telemetry =
-      PlaneCatalog::compile(*map_, cfg_->queue_statistic, span, links);
-  catalog_.server_rows = row_index(plane_nodes_);
-  catalog_.node_rows = row_index(ctx_nodes_);
-  catalog_links_.fetch_add(static_cast<std::int64_t>(links.size()),
-                           std::memory_order_relaxed);
-}
-
 void MetroView::compile_plane(const QueryContext& ctx, core::NodeId origin,
-                              PlaneKind kind, RankPlane& out) const {
-  // Resolve the two-level candidate path to every node of the kind's
-  // list — in ascending id order, which is the order of the kind's row
-  // index — and freeze each into a CSR row over the view's catalog, keyed
-  // by the tree distance the path was chosen by (DESIGN.md §15).
-  const Catalog& cat = catalog();
-  const bool servers = kind == PlaneKind::kServers;
-  const std::vector<core::NodeId>& nodes = servers ? plane_nodes_ : ctx_nodes_;
-  RankPlaneBuilder builder{cat.telemetry,
-                           servers ? cat.server_rows : cat.node_rows,
-                           nodes.size()};
+                              const std::vector<core::NodeId>& nodes,
+                              const std::vector<std::uint32_t>& rows,
+                              RankPlane& out) const {
+  // Resolve the two-level candidate path to every node of the list — in
+  // ascending id order, which is the order of its row index — and freeze
+  // each into a CSR row over the view's catalog, keyed by the tree
+  // distance the path was chosen by (DESIGN.md §15).
+  RankPlaneBuilder builder{*map_, catalog(), rows, nodes.size()};
   PathScratch scratch;
   std::vector<core::NodeId> path;
   for (const core::NodeId node : nodes) {
@@ -301,11 +283,9 @@ void MetroView::compile_plane(const QueryContext& ctx, core::NodeId origin,
 
 const MetroView::QueryContext* MetroView::query_context(
     core::NodeId origin) const {
-  const auto it =
-      std::lower_bound(ctx_nodes_.begin(), ctx_nodes_.end(), origin);
-  if (it == ctx_nodes_.end() || *it != origin) return nullptr;
-  const CtxSlot& slot =
-      ctx_slots_[static_cast<std::size_t>(it - ctx_nodes_.begin())];
+  const std::uint32_t row = node_row(origin);
+  if (row == RankPlane::kNoRow) return nullptr;
+  const CtxSlot& slot = ctx_slots_[row];
   // intsched-lint: allow(hot-lock): once-per-origin memo fill (§11)
   std::call_once(slot.once, [this, origin, &slot] {
     // intsched-lint: allow(hot-coldcall): sanctioned once-only fill
@@ -322,8 +302,7 @@ const RankPlane& MetroView::plane_for(core::NodeId origin,
   // unreachable.
   if (ctx.sp0 == nullptr) return ctx.plane;
   const auto known_without_row = [this, &ctx](core::NodeId c) {
-    return ctx.plane.row_for(c) == nullptr &&
-           std::binary_search(ctx_nodes_.begin(), ctx_nodes_.end(), c);
+    return ctx.plane.row_for(c) == nullptr && node_row(c) != RankPlane::kNoRow;
   };
   if (std::none_of(candidates, candidates + count, known_without_row)) {
     return ctx.plane;
@@ -331,7 +310,7 @@ const RankPlane& MetroView::plane_for(core::NodeId origin,
   // intsched-lint: allow(hot-lock): once-per-origin fallback fill (§15)
   std::call_once(ctx.fallback_once, [this, origin, &ctx] {
     // intsched-lint: allow(hot-coldcall): sanctioned once-only fill
-    compile_plane(ctx, origin, PlaneKind::kAllNodes, ctx.fallback_plane);
+    compile_plane(ctx, origin, ctx_nodes_, node_rows_, ctx.fallback_plane);
   });
   return ctx.fallback_plane;
 }

@@ -203,6 +203,34 @@ TEST(NetworkMapTest, InvalidDeviceEntryRejectedNotLearned) {
   EXPECT_TRUE(map.knows_node(core::NodeId{11}));
 }
 
+// A report whose source or destination is invalid (ProbeReport's default
+// src is kInvalidNode) names no device at that end: it teaches no link to
+// the invalid id, but its stack entries and the links between them still
+// count.
+TEST(NetworkMapTest, InvalidReportEndLearnsNoLink) {
+  NetworkMap map;
+  telemetry::ProbeReport no_src = simple_report(3, 4);
+  no_src.src = core::kInvalidNode;
+  telemetry::ProbeReport no_dst = simple_report(5, 6);
+  no_dst.dst = core::NodeId{-7};
+  map.ingest(no_src, at_ms(0));
+  map.ingest(no_dst, at_ms(1));
+  for (const LinkKey& k : map.links()) {
+    EXPECT_TRUE(k.from.valid() && k.to.valid())
+        << k.from << " -> " << k.to;
+  }
+  EXPECT_FALSE(map.knows_node(core::kInvalidNode));
+  EXPECT_FALSE(map.knows_node(core::NodeId{-7}));
+  // s10 <-> s11 from both reports, 11 <-> 1 from the first and
+  // 0 <-> 10 from the second.
+  EXPECT_EQ(map.known_link_count(), 6);
+  EXPECT_EQ(map.link_delay(core::NodeId{11}, core::NodeId{1}), ms(9));
+  EXPECT_EQ(map.device_max_queue(core::NodeId{10}, at_ms(1)), 5);
+  EXPECT_EQ(map.device_max_queue(core::NodeId{11}, at_ms(1)), 6);
+  EXPECT_EQ(map.rejected_entries(), 0);
+  EXPECT_EQ(map.reports_ingested(), 2);
+}
+
 TEST(NetworkMapTest, OutOfOrderIngestIsSafe) {
   // Reports may arrive with decreasing timestamps (clock-skewed probes);
   // the freshness bookkeeping must take the max, not the latest arrival.

@@ -10,7 +10,8 @@
 // ctest label `perf`) real traffic over the view-publish / view-load edge
 // and the call_once memo fills.
 //
-// The shared progress counter below is the test's own cross-thread state:
+// The shared progress counter and the torture test's writer-done flag
+// below are the tests' own cross-thread state:
 // intsched-lint: allow-file(thread-share): freshness property needs a
 //   release/acquire progress counter between writer and readers
 
@@ -232,13 +233,15 @@ TEST(RankSnapshotTest, FreshnessPropertyUnderConcurrentIngest) {
 }
 
 // Torture: 8 readers hammering the lock-free path against 1 writer mixing
-// single and batched ingest, ~10k ops total. Each reader records every
-// rank with its view's epoch; after the join a fresh map re-ingests the
-// writer's stream in order and, at every publish, re-answers that
-// epoch's ranks field by field (torture_replay.hpp). Also asserts exact
-// totals and that the final state replays byte-identically through
-// Ranker over a flat NetworkMap — while giving TSan maximal view-churn
-// traffic.
+// single and batched ingest, ~10k ops total. Each reader pins a view per
+// rank and records its epoch and answer. Every 8th rank asks at a time
+// whose queue window holds only the writer's next report and later ones,
+// then waits for a later publish and re-asks the pinned view. After the
+// join a fresh map re-ingests the writer's stream in order and, at every
+// publish, re-answers that epoch's ranks field by field
+// (torture_replay.hpp). Also asserts exact totals and that the final
+// state replays byte-identically through Ranker over a flat NetworkMap —
+// while giving TSan maximal view-churn traffic.
 TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
   constexpr int kReaders = 8;
   constexpr int kRanksPerReader = 1000;   // 8k ranks
@@ -268,18 +271,29 @@ TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
     }
   };
 
+  // The time of the writer's next report once epoch `e` is published:
+  // epoch 1 is the seed report, then come the singles, then the batches.
+  const auto next_report_at = [](Epoch e) {
+    const auto done = static_cast<int>(e.value() - 1);
+    if (done < kSingles) return at_ms(1 + done);
+    return at_ms(1 + kSingles + (done - kSingles) / kBatchSize);
+  };
+
   ShardedNetworkMap shared{one_region()};
   shared.ingest(simple_report(), at_ms(0));
 
+  std::atomic<bool> writer_done{false};
   std::vector<std::function<void()>> tasks;
-  tasks.push_back([&shared, &stream] {
+  tasks.push_back([&shared, &stream, &writer_done] {
     stream(shared, [](const ShardedNetworkMap&) {});
+    writer_done.store(true, std::memory_order_release);
   });
   const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
   std::vector<std::vector<torture_replay::Op>> ops(
       kReaders, std::vector<torture_replay::Op>(kRanksPerReader));
   for (int t = 0; t < kReaders; ++t) {
-    tasks.push_back([&shared, &candidates, &ops, t] {
+    tasks.push_back([&shared, &candidates, &ops, &next_report_at,
+                     &writer_done, t] {
       for (int i = 0; i < kRanksPerReader; ++i) {
         torture_replay::Op& op =
             ops[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)];
@@ -288,7 +302,17 @@ TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
         op.metric = (i % 2 == 0) ? RankingMetric::kDelay
                                  : RankingMetric::kBandwidth;
         op.now = at_ms(i);
-        torture_replay::answer(*shared.view(), op);
+        const std::shared_ptr<const MetroView> pinned = shared.view();
+        const bool recheck = i % 8 == 7;
+        if (recheck) {
+          op.now = next_report_at(pinned->epoch()) +
+                   pinned->map().config().queue_window;
+        }
+        torture_replay::answer(*pinned, op);
+        if (recheck) {
+          torture_replay::expect_unchanged_after_publish(shared, *pinned, op,
+                                                         writer_done);
+        }
       }
     });
   }

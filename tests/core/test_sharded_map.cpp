@@ -13,11 +13,13 @@
 // concurrent ingest and rank. This file rides in concurrency_tests, ctest
 // label `perf`, so the tsan preset hammers the same paths.
 //
-// The torture tests' cross-thread state is the map itself; each reader
-// writes only its own result slots, read after the join.
+// The torture tests' cross-thread state is the map itself and the
+// writer's done flag; each reader writes only its own result slots, read
+// after the join.
 #include "intsched/core/sharded_map.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -366,11 +368,14 @@ TEST(ShardedMapTest, SetKFactorRepublishesEverything) {
 // Torture: 8 readers hammering the lock-free two-level path (rank + pick)
 // against 1 writer streaming pre-generated refresh batches, mirroring
 // the one-region RankSnapshotTest.TortureEightReadersOneWriter. Each
-// reader records every op's view epoch and answers; after the join a
-// fresh map re-ingests the batches in order and, at every publish,
-// re-answers that epoch's ops field by field (torture_replay.hpp). While
-// running, the test gives TSan real traffic over the MetroView
-// publish/load edge and the per-origin call_once contexts.
+// reader pins a view per op and records its epoch and answers. Every 8th
+// op asks at the time of the writer's next batch, the only telemetry in
+// its queue window, then waits for a later publish and re-asks the pinned
+// view. After the join a fresh map re-ingests the batches in order and,
+// at every publish, re-answers that epoch's ops field by field
+// (torture_replay.hpp). While running, the test gives TSan real traffic
+// over the MetroView publish/load edge and the per-origin call_once
+// contexts.
 TEST(ShardedMapTest, TortureEightReadersOneWriter) {
   constexpr int kReaders = 8;
   constexpr int kOpsPerReader = 400;  // each op = one rank + one pick
@@ -381,12 +386,22 @@ TEST(ShardedMapTest, TortureEightReadersOneWriter) {
 
   const std::vector<core::NodeId> origins = m.topo.hosts();
   const std::vector<core::NodeId> candidates = m.topo.edge_servers();
+  // The epoch each batch publishes.
+  std::vector<Epoch> batch_epochs;
+  std::int64_t expected_reports = 0;
+  for (const auto& b : m.batches) {
+    expected_reports += static_cast<std::int64_t>(b.size());
+    batch_epochs.push_back(Epoch{expected_reports});
+  }
 
+  // intsched-lint: allow(thread-share): ends the readers' recheck waits
+  std::atomic<bool> writer_done{false};
   std::vector<std::function<void()>> tasks;
-  tasks.push_back([&shared, &m] {
+  tasks.push_back([&shared, &m, &writer_done] {
     for (std::size_t e = 1; e < m.batches.size(); ++e) {
       shared.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
     }
+    writer_done.store(true, std::memory_order_release);
   });
   // Odd readers also name a host that is not a server, so the first
   // query per origin and view fills that context's fallback plane while
@@ -399,7 +414,8 @@ TEST(ShardedMapTest, TortureEightReadersOneWriter) {
   std::vector<std::vector<torture_replay::Op>> ops(
       kReaders, std::vector<torture_replay::Op>(kOpsPerReader));
   for (int t = 0; t < kReaders; ++t) {
-    tasks.push_back([&shared, &origins, &candidates, &with_host, &ops, t] {
+    tasks.push_back([&shared, &origins, &candidates, &with_host, &ops,
+                     &batch_epochs, &writer_done, t] {
       for (int i = 0; i < kOpsPerReader; ++i) {
         torture_replay::Op& op =
             ops[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)];
@@ -410,17 +426,26 @@ TEST(ShardedMapTest, TortureEightReadersOneWriter) {
                                  : RankingMetric::kBandwidth;
         op.now = sim::SimTime::seconds(1 + i % 40);
         op.pick = true;
-        torture_replay::answer(*shared.view(), op);
+        const std::shared_ptr<const MetroView> pinned = shared.view();
+        const bool recheck = i % 8 == 7;
+        if (recheck) {
+          const auto next = std::upper_bound(batch_epochs.begin(),
+                                             batch_epochs.end(),
+                                             pinned->epoch()) -
+                            batch_epochs.begin();
+          op.now = MetroFixture::epoch_time(static_cast<std::size_t>(next));
+        }
+        torture_replay::answer(*pinned, op);
+        if (recheck) {
+          torture_replay::expect_unchanged_after_publish(shared, *pinned, op,
+                                                         writer_done);
+        }
       }
     });
   }
   const exp::SweepRunner runner{1 + kReaders};
   runner.run(std::move(tasks));
 
-  std::int64_t expected_reports = 0;
-  for (const auto& b : m.batches) {
-    expected_reports += static_cast<std::int64_t>(b.size());
-  }
   EXPECT_EQ(shared.reports_ingested(), expected_reports);
   EXPECT_EQ(shared.view()->epoch(), core::Epoch{expected_reports});
 

@@ -6,11 +6,16 @@
 // stream in the same order; at every publish its view re-answers the ops
 // recorded at that epoch, and every answer must match field by field. A
 // view is a function of its map, so this holds under any interleaving.
+// While the writer runs, a reader also re-asks some ops of the view that
+// answered them once a later view is out (expect_unchanged_after_publish),
+// so a view that still reads the live map fails in the run that has it.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,6 +56,36 @@ inline void expect_same(const ServerRank& got, const ServerRank& want) {
   EXPECT_EQ(got.stale, want.stale);
 }
 
+/// Field-by-field equality of two answers to the same query.
+inline void expect_same(const Op& got, const Op& want) {
+  ASSERT_EQ(got.ranked.size(), want.ranked.size());
+  for (std::size_t i = 0; i < got.ranked.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "rank " << i);
+    expect_same(got.ranked[i], want.ranked[i]);
+  }
+  ASSERT_EQ(got.best.has_value(), want.best.has_value());
+  if (got.best) expect_same(*got.best, *want.best);
+}
+
+/// Waits, yielding, until `map` publishes a view later than the one that
+/// answered `op` or `writer_done` is set, then re-answers `op` from
+/// `pinned`, that view: a published view is frozen, so the answer must
+/// not have moved.
+inline void expect_unchanged_after_publish(
+    const ShardedNetworkMap& map, const MetroView& pinned, const Op& op,
+    // intsched-lint: allow(thread-share): the writer's done flag
+    const std::atomic<bool>& writer_done) {
+  while (!writer_done.load(std::memory_order_acquire) &&
+         map.view()->epoch() <= op.epoch) {
+    std::this_thread::yield();
+  }
+  SCOPED_TRACE(testing::Message() << "pinned epoch " << op.epoch
+                                  << ", origin " << op.origin);
+  Op again = op;
+  answer(pinned, again);
+  expect_same(again, op);
+}
+
 /// The readers' recorded ops by epoch, re-answered one publish at a time.
 class Replay {
  public:
@@ -70,13 +105,7 @@ class Replay {
                                       << ", origin " << recorded->origin);
       Op again = *recorded;
       answer(view, again);
-      ASSERT_EQ(again.ranked.size(), recorded->ranked.size());
-      for (std::size_t i = 0; i < again.ranked.size(); ++i) {
-        SCOPED_TRACE(testing::Message() << "rank " << i);
-        expect_same(again.ranked[i], recorded->ranked[i]);
-      }
-      ASSERT_EQ(again.best.has_value(), recorded->best.has_value());
-      if (again.best) expect_same(*again.best, *recorded->best);
+      expect_same(again, *recorded);
       ++replayed_;
     }
   }

@@ -140,14 +140,14 @@ std::vector<Answer> answers(const NetworkMap& map,
 }
 
 /// The catalog's handles, resolved the way PlaneCatalog::compile resolves
-/// them: three device series per query node, and per learned link its
-/// port series, `from`'s device register and both delay records.
+/// them: three device series per query node, and per learned link slot
+/// its port series, `from`'s device register and the reverse link's
+/// delay record (the link's own record is its slot).
 struct Handles {
   std::vector<SeriesSlot> device;  ///< 3 per query node, statistic order
   std::vector<LinkKey> links;
   std::vector<SeriesSlot> port;
   std::vector<SeriesSlot> fallback;
-  std::vector<LinkSlot> fwd;
   std::vector<LinkSlot> rev;
 };
 
@@ -159,11 +159,12 @@ Handles resolve(const NetworkMap& map) {
     h.device.push_back(map.find_device_hop_latency(d));
   }
   h.links = map.links();
+  LinkSlot l{0};
   for (const LinkKey& k : h.links) {
-    h.port.push_back(map.plane_link_port_series(k.from, k.to));
+    h.port.push_back(map.plane_link_port_series(l));
     h.fallback.push_back(map.find_device_queue(k.from));
-    h.fwd.push_back(map.find_link(k.from, k.to));
     h.rev.push_back(map.find_link(k.to, k.from));
+    ++l;
   }
   return h;
 }
@@ -185,8 +186,9 @@ std::vector<Answer> evaluate(const NetworkMap& map, const Handles& h,
                                  : map.window_max_of(h.fallback[l], now);
       out.emplace_back(21, h.links[l].from.value(), h.links[l].to.value(), t,
                        q);
+      const LinkSlot fwd{static_cast<std::int32_t>(l)};
       out.emplace_back(22, h.links[l].from.value(), h.links[l].to.value(), t,
-                       map.records_stale(h.fwd[l], h.rev[l], now) ? 1 : 0);
+                       map.records_stale(fwd, h.rev[l], now) ? 1 : 0);
     }
   }
   return out;
@@ -267,7 +269,11 @@ TEST(FlatStoreProperty, SnapshotIsIndependentOfLaterIngest) {
     }
     for (std::size_t l = 0; l < handles.links.size(); ++l) {
       EXPECT_EQ(later.links[l], handles.links[l]) << "link " << l;
-      EXPECT_EQ(later.fwd[l], handles.fwd[l]) << "link " << l;
+      EXPECT_EQ(latest->map()
+                    .find_link(handles.links[l].from, handles.links[l].to)
+                    .index(),
+                l)
+          << "link " << l;
       EXPECT_EQ(later.fallback[l], handles.fallback[l]) << "link " << l;
     }
   }

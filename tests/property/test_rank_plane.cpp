@@ -7,14 +7,15 @@
 // the Dijkstra paths with the Algorithm-1 estimators. Checked for every
 // field of every ServerRank, in every position — rank(), rank_topk_into
 // at every k and pick() — for every metric, queue statistic, staleness
-// regime and candidate shape (reachable, unreachable, unknown id,
-// kInvalidNode, origin-as-candidate, the origin's one-link neighbour, a
-// known node that is not a server, unknown origin, a border gateway as
-// origin), over seeded metro
-// topologies, on a one-region (flat) map and on a multi-region metro, and
-// from a view held across later publishes. Both maps name the topology's
-// edge servers, so the non-server candidates are answered from the
-// all-node fallback plane; the flat pack also runs with no servers named.
+// regime and candidate shape (reachable, unreachable, unknown id, the id
+// just past every node table, kInvalidNode, origin-as-candidate, the
+// origin's one-link neighbour, a known node that is not a server; unknown,
+// invalid and just-past-the-tables origins, a border gateway as origin),
+// over seeded metro topologies, on a one-region (flat) map and on a
+// multi-region metro, and from a view held across later publishes. Both
+// maps name the topology's edge servers, so the non-server candidates are
+// answered from the all-node fallback plane; the flat pack also runs with
+// no servers named.
 
 #include <algorithm>
 #include <cstring>
@@ -95,29 +96,41 @@ struct MetroFixture {
     return core::kInvalidNode;
   }
 
+  /// One past the largest id a view of this topology can know: the
+  /// first id past every dense node table.
+  [[nodiscard]] core::NodeId past_last_node() const {
+    return core::NodeId{static_cast<std::int32_t>(topo.nodes.size())};
+  }
+
   /// Query origins: real hosts, a border gateway (on a metro, a summary
-  /// node with cross-region links of its own) and one id nothing ever
-  /// probed.
+  /// node with cross-region links of its own), one id nothing ever
+  /// probed, the invalid id and the id just past every node table.
   [[nodiscard]] std::vector<core::NodeId> origins() const {
     const std::vector<core::NodeId> hosts = topo.hosts();
-    return {hosts[0], hosts[hosts.size() / 2], hosts.back(),
-            topo.border_links().front().a, core::NodeId{888888}};
+    return {hosts[0],
+            hosts[hosts.size() / 2],
+            hosts.back(),
+            topo.border_links().front().a,
+            core::NodeId{888888},
+            core::kInvalidNode,
+            past_last_node()};
   }
 
   /// Candidate set exercising every row shape: real edge servers, the
   /// last host and a switch (known nodes that are not servers: they have
   /// no server-plane row, so they force the fallback plane), an id
-  /// nothing has ever probed (no graph node, no plane row), the invalid
-  /// id, the query origin itself (its path to itself has one node —
-  /// unreachable by the ranking contract) and, when the origin has one,
-  /// its first neighbour (a one-link path: no device term and no charged
-  /// bandwidth hop).
+  /// nothing has ever probed (no graph node, no plane row), the id just
+  /// past every node table, the invalid id, the query origin itself (its
+  /// path to itself has one node — unreachable by the ranking contract)
+  /// and, when the origin has one, its first neighbour (a one-link path:
+  /// no device term and no charged bandwidth hop).
   [[nodiscard]] std::vector<core::NodeId> candidates_with_edge_cases(
       core::NodeId origin) const {
     std::vector<core::NodeId> c = topo.edge_servers();
     c.push_back(topo.hosts().back());  // the last pod's last host
     c.push_back(first_switch());
     c.push_back(core::NodeId{999983});  // unknown everywhere
+    c.push_back(past_last_node());
     c.push_back(core::kInvalidNode);
     c.push_back(origin);
     const auto first_link = std::find_if(

@@ -459,5 +459,25 @@ TEST(ZeroDelayUplinkTest, ZeroCostTieBetweenSwitchesKeepsEveryPathFinite) {
                                  NodeId{2}, NodeId{21}}));
 }
 
+// Two reports with no source (ProbeReport's default src, kInvalidNode)
+// reach host 0 through s10 and host 3 through s11. Nothing joins s10 and
+// s11 but that missing source, which names no device, so no path may run
+// through it: every ranking path must rank host 3 unreachable from host 0.
+TEST(ZeroDelayUplinkTest, ReportsWithoutASourceJoinNothing) {
+  const sim::SimDuration five = sim::SimDuration::milliseconds(5);
+  telemetry::ProbeReport to_host0;  // ? -> s10 -> host 0
+  to_host0.dst = NodeId{0};
+  to_host0.entries = {hop(NodeId{10}, 0, 1, five)};
+  to_host0.final_link_latency = five;
+  telemetry::ProbeReport to_host3;  // ? -> s11 -> host 3
+  to_host3.dst = NodeId{3};
+  to_host3.entries = {hop(NodeId{11}, 0, 1, five)};
+  to_host3.final_link_latency = five;
+  ASSERT_EQ(to_host0.src, core::kInvalidNode);
+  const ServerRank want =
+      expect_every_path_agrees({to_host0, to_host3}, NodeId{0}, NodeId{3});
+  EXPECT_EQ(want.delay_estimate, sim::SimDuration::max());
+}
+
 }  // namespace
 }  // namespace intsched::serve
